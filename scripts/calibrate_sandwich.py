@@ -35,7 +35,8 @@ import sys
 
 import numpy as np
 
-from lptrim.checks import compare_estimators
+from lptrim.checks import compare_estimators, q90_max_errors
+from lptrim.core import TrimSpec, cut_rank, trimmed_p_means
 from lptrim.distributions import DistributionSpec, MomentOracle, draw_sample, sphere_directions
 from lptrim.seeding import child_seed
 
@@ -47,18 +48,18 @@ def scan_sandwich(trials: int, seed: int) -> None:
         n = math.ceil(c1 * d * math.log(2 / eps) / eps ** 2)
         for theta_c0 in (0.25, 0.125, 0.0625):
             theta = max(theta_c0 * eps * eps, 1.0 / n)
-            k0 = math.ceil(theta * n - 1e-9)
+            k0 = cut_rank(theta, n)
             for dist in ("gaussian", "product_laplace"):
                 spec = DistributionSpec(dist, d)
                 dirs = sphere_directions(d, m, child_seed(seed, "directions"))
                 for p in (2.0, 3.0):
+                    trim = TrimSpec(p=p, theta=theta)
                     oracle = MomentOracle(spec, ref_size=10 ** 6, seed=child_seed(seed, "oracle"))
                     truths = oracle.moments(dirs, p)
                     n_pass, worst = 0, 0.0
                     for t in range(trials):
                         sample = draw_sample(spec, n, child_seed(seed, "trial", t))
-                        powered = np.sort(np.abs(sample.data @ dirs.T) ** p, axis=0)
-                        estimates = powered[: n - k0 + 1].sum(axis=0) / n
+                        estimates = trimmed_p_means((sample.data @ dirs.T).T, trim)
                         max_err = float(np.max(np.abs(estimates - truths) / truths))
                         worst = max(worst, max_err)
                         n_pass += max_err <= eps
@@ -76,9 +77,8 @@ def scan_compare(trials: int, seed: int) -> None:
         rep = compare_estimators(spec, n=n, p=p, m_directions=m, trials=trials, theta=theta, seed=seed)
         q95_t = float(np.median([r.q95_trimmed for r in rep.rows]))
         q95_m = float(np.median([r.q95_mean for r in rep.rows]))
-        sup_t = float(np.quantile([r.max_trimmed for r in rep.rows], 0.90))
-        sup_m = float(np.quantile([r.max_mean for r in rep.rows], 0.90))
-        k0 = math.ceil(theta * n - 1e-9)
+        sup_t, sup_m = q90_max_errors(rep.rows)
+        k0 = cut_rank(theta, n)
         print(
             f"{theta:7.4f} {k0:4d}   {rep.trimmed_win_rate:8.3f}   {q95_t:15.4f}   {q95_m:12.4f}"
             f"   {sup_t:15.4f}   {sup_m:12.4f}"

@@ -58,6 +58,7 @@ __all__ = [
     "scan_error_constant_grid",
     "ScanRow",
     "compare_estimators",
+    "q90_max_errors",
     "ComparisonTrialRow",
     "ComparisonReport",
 ]
@@ -400,6 +401,19 @@ def comparison_trial_row(
         q95_mean=float(q95_m),
         max_mean=float(np.max(mean_errs)),
         winner=winner,
+    )
+
+
+def q90_max_errors(rows) -> tuple[float, float]:
+    """The 0.90 quantiles over trials of max_trimmed and of max_mean.
+
+    A trial's max is its uniform error over the probe directions; the paper
+    bounds it with high probability over the sample, so these quantiles are
+    the statistic on which the two estimators are compared.
+    """
+    return (
+        float(np.quantile([r.max_trimmed for r in rows], 0.90)),
+        float(np.quantile([r.max_mean for r in rows], 0.90)),
     )
 
 

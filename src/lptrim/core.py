@@ -20,6 +20,7 @@ __all__ = [
     "project_abs",
     "nonincreasing_rearrangement",
     "trimmed_p_mean",
+    "trimmed_p_means",
     "empirical_p_mean",
     "trim_threshold",
     "adjusted_trim_levels",
@@ -159,6 +160,31 @@ def trimmed_p_mean(values_abs, spec: TrimSpec) -> float:
         raise ValueError(f"trim rank {k} exceeds sample size {n}: nothing kept")
     powered = np.sort(z) ** spec.p
     return float(np.sum(powered[: n - k + 1]) / n)
+
+
+def trimmed_p_means(rows_abs, spec: TrimSpec) -> np.ndarray:
+    """:func:`trimmed_p_mean` of every row of an (m, n) matrix, in one sort.
+
+    Each row is sorted and powered on its own and its kept prefix is summed
+    along the row, so every entry equals ``trimmed_p_mean`` of that row bit
+    for bit.  Pass one row per direction; the working copy is made
+    C-contiguous whatever the input's layout, because a row sum only runs in
+    the order of the 1-d sum when the row is contiguous.
+    """
+    z = np.abs(np.asarray(rows_abs, dtype=np.float64), order="C")
+    if z.ndim != 2:
+        raise ValueError("expected a 2-d array of values, one row per direction")
+    if z.size == 0:
+        raise ValueError("expected at least one value")
+    if not np.all(np.isfinite(z)):
+        raise ValueError("values must be finite")
+    n = z.shape[1]
+    k = spec.cut_rank(n)
+    if k > n:
+        raise ValueError(f"trim rank {k} exceeds sample size {n}: nothing kept")
+    z.sort(axis=1)
+    z **= spec.p
+    return z[:, : n - k + 1].sum(axis=1) / n
 
 
 def empirical_p_mean(values_abs, p: float) -> float:

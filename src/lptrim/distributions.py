@@ -54,6 +54,12 @@ LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
 # Chunk size for streamed reference draws; fixed so results never depend on
 # available memory.
 _CHUNK_ROWS = 200_000
+# Rows of a chunk projected at a time by MomentOracle: a 4096 x m block of
+# projections stays in cache through abs, power and column sum, where a whole
+# chunk's three 200_000 x m temporaries are bound by memory traffic.
+_BLOCK_ROWS = 4096
+# Largest integer exponent raised by repeated multiplication in place of pow.
+_MAX_MULTIPLY_POWER = 5
 
 
 class MomentDoesNotExistError(ValueError):
@@ -113,10 +119,6 @@ class DistributionSpec:
     def max_finite_moment(self) -> float:
         """Moments of order p exist exactly for p below this value."""
         return self.nu if self.name == "product_student_t" else math.inf
-
-    @property
-    def log_concave(self) -> bool:
-        return self.name in ("gaussian", "cube_uniform", "product_laplace")
 
     @property
     def moment_equiv(self) -> tuple[float, float] | None:
@@ -523,7 +525,8 @@ class MomentOracle:
 
     Uses closed forms whenever available; otherwise streams one shared
     reference sample of ``ref_size`` draws and projects it onto all the
-    directions at once.  Deterministic in (spec, ref_size, seed).
+    directions at once, a cache-sized block of rows at a time.  Deterministic
+    in (spec, ref_size, seed).
     """
 
     def __init__(self, spec: DistributionSpec, ref_size: int = 1_000_000, seed: int = 0):
@@ -546,11 +549,34 @@ class MomentOracle:
             return 3.0 * norms ** 4 + kappa4 * np.sum(dirs ** 4, axis=1)
 
         rng = child_rng(self.seed, "moment-ref", self.spec.label)
+        block = np.empty((_BLOCK_ROWS, dirs.shape[0]))
+        base = np.empty_like(block)
         acc = np.zeros(dirs.shape[0])
         remaining = self.ref_size
         while remaining > 0:
             rows = min(_CHUNK_ROWS, remaining)
             chunk = _draw_matrix(self.spec, rows, rng)
-            acc += np.sum(np.abs(chunk @ dirs.T) ** p, axis=0)
+            for start in range(0, rows, _BLOCK_ROWS):
+                part = chunk[start : start + _BLOCK_ROWS]
+                out = block[: part.shape[0]]
+                np.matmul(part, dirs.T, out=out)
+                np.abs(out, out=out)
+                _power_in_place(out, p, base[: part.shape[0]])
+                acc += out.sum(axis=0)
             remaining -= rows
         return acc / self.ref_size
+
+
+def _power_in_place(x: np.ndarray, p: float, scratch: np.ndarray) -> None:
+    """x **= p, by repeated multiplication for the integers 3 <= p <= 5.
+
+    On a 4096 x 200 block a chain of p - 1 multiplies beats float ``pow`` up
+    to p = 5 (p = 3 by about a third) and loses from p = 8 on; it agrees with
+    ``pow`` to a few ulps.
+    """
+    if 3 <= p <= _MAX_MULTIPLY_POWER and p == int(p):
+        np.copyto(scratch, x)
+        for _ in range(int(p) - 1):
+            x *= scratch
+    else:
+        x **= p

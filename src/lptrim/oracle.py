@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 QUAD_REL_TOL = 1e-8
-EMP_REL_TOL = 1e-4  # documented accuracy of empirical-mode integrals vs the true law
 TAIL_MASS_CUTOFF = 1e-12
 _QUANTILE_ABS_TOL = 1e-9
 
@@ -50,7 +49,7 @@ def upper_quantile(cdf: MarginalCDF, eta: float) -> float:
 
 
 @lru_cache(maxsize=4096)
-def _bisect_quantile_cached(cdf: MarginalCDF, eta: float) -> float:
+def _bisect_quantile(cdf: MarginalCDF, eta: float) -> float:
     lo, hi = 0.0, 1.0
     for _ in range(200):
         if cdf.sf(hi) < eta:
@@ -67,13 +66,6 @@ def _bisect_quantile_cached(cdf: MarginalCDF, eta: float) -> float:
     return hi
 
 
-def _bisect_quantile(cdf: MarginalCDF, eta: float) -> float:
-    try:
-        return _bisect_quantile_cached(cdf, eta)
-    except TypeError:  # unhashable cdf
-        return _bisect_quantile_cached.__wrapped__(cdf, eta)
-
-
 @lru_cache(maxsize=1024)
 def _tail_cutoff_cached(cdf: MarginalCDF, tail_mass: float) -> float:
     hi = 1.0
@@ -88,10 +80,7 @@ def tail_cutoff(cdf: MarginalCDF, tail_mass: float = TAIL_MASS_CUTOFF) -> float:
     """A point beyond which the tail mass is below ``tail_mass``."""
     if isinstance(cdf, EmpiricalCDF):
         return float(cdf.values[-1])
-    try:
-        return _tail_cutoff_cached(cdf, tail_mass)
-    except TypeError:
-        return _tail_cutoff_cached.__wrapped__(cdf, tail_mass)
+    return _tail_cutoff_cached(cdf, tail_mass)
 
 
 def _quad(fn, lo: float, hi: float) -> float:
@@ -137,10 +126,7 @@ def raw_moment(cdf: MarginalCDF, p: float) -> float:
         )
     if isinstance(cdf, EmpiricalCDF):
         return cdf.exact_moment(p)
-    try:
-        return _raw_moment_cached(cdf, p)
-    except TypeError:
-        return _raw_moment_cached.__wrapped__(cdf, p)
+    return _raw_moment_cached(cdf, p)
 
 
 def error_functional(cdf: MarginalCDF, p: float, t_max: float, delta: float) -> float:

@@ -23,10 +23,11 @@ from .checks import (
     check_trim_threshold_sandwich,
     check_trimmed_sum_brackets,
     comparison_trial_row,
+    q90_max_errors,
     scan_error_constant_grid,
 )
 from .config import ConfigError, ExperimentConfig
-from .core import RatioParams, SampleMatrix, TrimSpec, project_abs, trimmed_p_mean
+from .core import RatioParams, SampleMatrix, TrimSpec, project_abs, trimmed_p_means
 from .distributions import (
     MomentOracle,
     draw_sample,
@@ -137,9 +138,7 @@ def _map_tasks(task_fn, arg_tuples: list[tuple], threads: int) -> list:
 def _sandwich_task(args) -> np.ndarray:
     spec, n, trial_seed, directions, p, theta = args
     sample = draw_sample(spec, n, trial_seed)
-    trim = TrimSpec(p=p, theta=theta)
-    projected = np.abs(sample.data @ directions.T)
-    return np.array([trimmed_p_mean(projected[:, j], trim) for j in range(directions.shape[0])])
+    return trimmed_p_means((sample.data @ directions.T).T, TrimSpec(p=p, theta=theta))
 
 
 def _ratio_task(args) -> list:
@@ -351,10 +350,13 @@ def run_compare(config: ExperimentConfig) -> RunResult:
         for r in results
     ]
     win_rate = float(np.mean([r.winner == "trimmed" for r in results]))
+    q90_trimmed, q90_mean = q90_max_errors(results)
     passed = config.min_win_rate is None or win_rate >= config.min_win_rate
     summary = {
         "pass": passed,
         "trimmed_win_rate": win_rate,
+        "q90_max_trimmed": q90_trimmed,
+        "q90_max_mean": q90_mean,
         "min_win_rate": config.min_win_rate,
         "n_trials": config.trials,
         "n_directions": int(directions.shape[0]),

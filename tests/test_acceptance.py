@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from helpers import exhaustive_interval_excess, exhaustive_rademacher
-from lptrim.checks import Verdict, compare_estimators
+from lptrim.checks import Verdict, compare_estimators, q90_max_errors
 from lptrim.cli import main
 from lptrim.config import ExperimentConfig
 from lptrim.core import RatioParams, TrimSpec, empirical_p_mean, trimmed_p_mean
@@ -170,8 +170,7 @@ def test_criterion_6_heavy_tail_superiority():
     # 0.90 over the sample, the trimmed estimator's uniform error is smaller than
     # the plain mean's.  A trial's uniform error is its worst relative error over
     # the probe directions.
-    sup_trimmed = np.quantile([r.max_trimmed for r in rep.rows], 0.90)
-    sup_mean = np.quantile([r.max_mean for r in rep.rows], 0.90)
+    sup_trimmed, sup_mean = q90_max_errors(rep.rows)
     passed = sup_trimmed < sup_mean
     assert report(
         6, "heavy-tail superiority", passed,

@@ -170,6 +170,18 @@ class TestSchemas:
         lines = (out / "compare_rows.csv").read_text().splitlines()
         assert lines[1] == "trial,q50_trimmed,q95_trimmed,max_trimmed,q50_mean,q95_mean,max_mean,winner"
 
+    def test_compare_summary_reports_uniform_error_quantiles(self, tmp_path):
+        code, out = run_cli(
+            ["compare", "--dist", "product_student_t", "--nu", "4.5", "--dim", "3", "--n", "200",
+             "--p", "2", "--theta", "0.01", "--directions", "5", "--trials", "7", "--seed", "3"],
+            tmp_path,
+        )
+        assert code == 0
+        rows = np.genfromtxt(out / "compare_rows.csv", delimiter=",", names=True, skip_header=1)
+        results = json.loads((out / "compare_summary.json").read_text())["results"]
+        assert results["q90_max_trimmed"] == float(np.quantile(rows["max_trimmed"], 0.90))
+        assert results["q90_max_mean"] == float(np.quantile(rows["max_mean"], 0.90))
+
 
 class TestOutDirResolution:
     def test_env_var_default(self, tmp_path, monkeypatch):

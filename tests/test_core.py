@@ -16,6 +16,7 @@ from lptrim.core import (
     theta_from_epsilon,
     trim_threshold,
     trimmed_p_mean,
+    trimmed_p_means,
     truncated_power_mean,
 )
 
@@ -93,6 +94,37 @@ class TestTrimmedPMean:
             exact = fraction_trimmed_mean(values, p, k0)
             got = trimmed_p_mean(values, TrimSpec(p=float(p), theta=theta))
             assert got == pytest.approx(float(exact), rel=1e-12)
+
+
+class TestTrimmedPMeans:
+    """The batched kernel against the per-row estimator it replaces, bit for bit."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    @pytest.mark.parametrize("theta", [1e-6, 0.002, 0.1, 0.5])
+    def test_rows_equal_trimmed_p_mean(self, rng, p, theta):
+        continuous = rng.standard_t(3.0, size=(6, 9000))
+        ties = np.round(continuous, 1)
+        atoms = np.where(rng.random((6, 9000)) < 0.3, 0.0, continuous)
+        for rows in (continuous, ties, atoms, continuous[:, :1], -np.abs(ties[:1, :17])):
+            spec = TrimSpec(p=p, theta=theta)
+            expected = [trimmed_p_mean(row, spec) for row in rows]
+            assert trimmed_p_means(rows, spec).tolist() == expected
+            # rows handed over as the transpose of an (n, m) projection matrix
+            assert trimmed_p_means(np.asfortranarray(rows), spec).tolist() == expected
+
+    def test_leaves_input_unchanged(self):
+        rows = np.array([[3.0, -1.0, 2.0]])
+        trimmed_p_means(rows, TrimSpec(p=2.0, theta=0.5))
+        assert rows.tolist() == [[3.0, -1.0, 2.0]]
+
+    def test_rejects_bad_input(self):
+        spec = TrimSpec(p=2.0, theta=0.1)
+        with pytest.raises(ValueError):
+            trimmed_p_means([1.0, 2.0], spec)
+        with pytest.raises(ValueError):
+            trimmed_p_means(np.empty((2, 0)), spec)
+        with pytest.raises(ValueError):
+            trimmed_p_means([[1.0, np.nan]], spec)
 
 
 class TestEmpiricalPMean:

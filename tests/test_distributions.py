@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from lptrim import distributions
 from lptrim.distributions import (
     DistributionSpec,
     EmpiricalCDF,
+    ExponentialCDF,
     FoldedNormalCDF,
+    FoldedStudentTCDF,
+    HalfUniformCDF,
+    MarginalCDF,
     MomentDoesNotExistError,
     MomentOracle,
     clear_marginal_cache,
@@ -16,7 +21,9 @@ from lptrim.distributions import (
     spec_from_label,
     sphere_directions,
     true_p_moment,
+    _draw_matrix,
 )
+from lptrim.seeding import child_rng
 
 ALL_SPECS = [
     DistributionSpec("gaussian", 5),
@@ -150,6 +157,25 @@ class TestMarginalCDF:
         with pytest.raises(ValueError):
             marginal_cdf(DistributionSpec("gaussian", 2), [0.0, 0.0])
 
+    def test_every_marginal_type_is_hashable(self):
+        # the quadrature caches in oracle.py key on the cdf object itself
+        examples = {
+            MarginalCDF: MarginalCDF(),
+            FoldedNormalCDF: FoldedNormalCDF(scale=1.5),
+            HalfUniformCDF: HalfUniformCDF(width=2.0),
+            ExponentialCDF: ExponentialCDF(scale=0.7),
+            FoldedStudentTCDF: FoldedStudentTCDF(nu=4.5, scale=0.8),
+            EmpiricalCDF: EmpiricalCDF([0.5, 1.0, 1.0], seed=0),
+        }
+        types = {
+            obj for obj in vars(distributions).values()
+            if isinstance(obj, type) and issubclass(obj, MarginalCDF)
+        }
+        assert types == set(examples)
+        for cdf in examples.values():
+            assert hash(cdf) == hash(cdf)
+        assert hash(FoldedNormalCDF(scale=1.5)) == hash(examples[FoldedNormalCDF])
+
     def test_empirical_below_minimum_is_zero(self):
         cdf = EmpiricalCDF([1.0, 2.0, 3.0], seed=0)
         assert cdf.cdf(0.5) == 0.0
@@ -206,6 +232,18 @@ class TestMomentOracle:
             single = true_p_moment(spec, v, 3.0, mc_size=300_000)
             # both sides are Monte Carlo; allow 5 combined standard errors
             assert abs(batch[j] - single.value) < 5 * math.sqrt(2.0) * single.stderr
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 5.0])
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_blocked_sum_matches_single_shot(self, p, m):
+        # 205_000 rows: a partial 5_000-row chunk, and partial blocks in both chunks
+        spec = DistributionSpec("product_laplace", 5)
+        dirs = sphere_directions(5, m, 8)
+        got = MomentOracle(spec, ref_size=205_000, seed=6).moments(dirs, p)
+        rng = child_rng(6, "moment-ref", spec.label)
+        X = np.vstack([_draw_matrix(spec, 200_000, rng), _draw_matrix(spec, 5_000, rng)])
+        naive = np.sum(np.abs(X @ dirs.T) ** p, axis=0) / 205_000
+        assert got == pytest.approx(naive, rel=1e-12)
 
     def test_gaussian_closed_form(self):
         spec = DistributionSpec("gaussian", 4)
