@@ -56,7 +56,6 @@ class ExperimentConfig:
     ratio_fail_threshold: float = 0.05
     min_win_rate: float | None = None
     ref_size: int = 1_000_000
-    mc_size: int = 10_000_000
     t_level: float | None = None
     lemma_dists: tuple[str, ...] = LEMMA_DEFAULT_DISTS
     lemma_ps: tuple[float, ...] = LEMMA_DEFAULT_PS
@@ -102,8 +101,6 @@ class ExperimentConfig:
             raise ConfigError(f"min_win_rate must lie in [0, 1], got {self.min_win_rate}")
         if self.ref_size < 1:
             raise ConfigError(f"ref_size must be >= 1, got {self.ref_size}")
-        if self.mc_size < 1:
-            raise ConfigError(f"mc_size must be >= 1, got {self.mc_size}")
         if self.theta_c0 <= 0 or self.sample_c1 <= 0 or self.delta_floor_c0 <= 0:
             raise ConfigError("constant overrides must be positive")
         if self.t_level is not None and not (0 < self.t_level < 1):

@@ -219,9 +219,20 @@ def _scalar_or_array(t, fn):
     return out
 
 
+def _closed_form(p: float, formula) -> float:
+    """The value of ``formula()``; one beyond float64 raises MomentDoesNotExistError."""
+    try:
+        value = formula()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise MomentDoesNotExistError(f"the p={p} moment overflows float64")
+    return value
+
+
 def gaussian_abs_moment(p: float) -> float:
     """E |Z|^p for a standard normal Z."""
-    return 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
+    return _closed_form(p, lambda: 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi))
 
 
 def student_abs_moment(nu: float, p: float) -> float:
@@ -235,7 +246,7 @@ def student_abs_moment(nu: float, p: float) -> float:
         - 0.5 * math.log(math.pi)
         - special.gammaln(nu / 2.0)
     )
-    return float(math.exp(log_val))
+    return _closed_form(p, lambda: float(math.exp(log_val)))
 
 
 @dataclass(frozen=True)
@@ -249,7 +260,7 @@ class FoldedNormalCDF(MarginalCDF):
         return _scalar_or_array(t, lambda a: np.where(a < 0, 1.0, special.erfc(np.maximum(a, 0.0) / (s * math.sqrt(2.0)))))
 
     def exact_moment(self, p: float) -> float:
-        return self.scale ** p * gaussian_abs_moment(p)
+        return _closed_form(p, lambda: self.scale ** p * gaussian_abs_moment(p))
 
 
 @dataclass(frozen=True)
@@ -263,7 +274,7 @@ class HalfUniformCDF(MarginalCDF):
         return _scalar_or_array(t, lambda a: np.clip(1.0 - a / w, 0.0, 1.0))
 
     def exact_moment(self, p: float) -> float:
-        return self.width ** p / (p + 1.0)
+        return _closed_form(p, lambda: self.width ** p / (p + 1.0))
 
 
 @dataclass(frozen=True)
@@ -277,7 +288,7 @@ class ExponentialCDF(MarginalCDF):
         return _scalar_or_array(t, lambda a: np.where(a < 0, 1.0, np.exp(-np.maximum(a, 0.0) / b)))
 
     def exact_moment(self, p: float) -> float:
-        return self.scale ** p * math.gamma(p + 1.0)
+        return _closed_form(p, lambda: self.scale ** p * math.gamma(p + 1.0))
 
 
 @dataclass(frozen=True)
@@ -299,7 +310,7 @@ class FoldedStudentTCDF(MarginalCDF):
         return _scalar_or_array(t, tail)
 
     def exact_moment(self, p: float) -> float:
-        return self.scale ** p * student_abs_moment(self.nu, p)
+        return _closed_form(p, lambda: self.scale ** p * student_abs_moment(self.nu, p))
 
 
 class EmpiricalCDF(MarginalCDF):

@@ -110,12 +110,23 @@ def tail_integral_moment(cdf: MarginalCDF, p: float, t_max: float) -> float:
         return 0.0
     if isinstance(cdf, EmpiricalCDF):
         return _empirical_moment_below(cdf, p, t_max)
-    return _quad(lambda t: p * t ** (p - 1.0) * cdf.sf(t), 0.0, t_max)
+    return _tail_integral(cdf, p, 0.0, t_max)
+
+
+# The quadratures of analytic laws are memoised: a law is a hashable frozen
+# dataclass and its quantiles are cached, so repeated trials ask for
+# bit-identical points.  Empirical laws never reach these caches; a key would
+# pin a reference array of up to 10^6 rows.
+@lru_cache(maxsize=4096)
+def _tail_integral(cdf: MarginalCDF, p: float, lo: float, hi: float) -> float:
+    """Integral of p t^(p-1) P(f > t) over (lo, hi)."""
+    return _quad(lambda t: p * t ** (p - 1.0) * cdf.sf(t), lo, hi)
 
 
 @lru_cache(maxsize=4096)
-def _raw_moment_cached(cdf: MarginalCDF, p: float) -> float:
-    return tail_integral_moment(cdf, p, tail_cutoff(cdf))
+def _sqrt_tail_integral(cdf: MarginalCDF, p: float, t_max: float) -> float:
+    """Integral of p t^(p-1) sqrt(P(f > t)) over (0, t_max)."""
+    return _quad(lambda t: p * t ** (p - 1.0) * math.sqrt(max(cdf.sf(t), 0.0)), 0.0, t_max)
 
 
 def raw_moment(cdf: MarginalCDF, p: float) -> float:
@@ -126,7 +137,7 @@ def raw_moment(cdf: MarginalCDF, p: float) -> float:
         )
     if isinstance(cdf, EmpiricalCDF):
         return cdf.exact_moment(p)
-    return _raw_moment_cached(cdf, p)
+    return tail_integral_moment(cdf, p, tail_cutoff(cdf))
 
 
 def error_functional(cdf: MarginalCDF, p: float, t_max: float, delta: float) -> float:
@@ -142,7 +153,7 @@ def error_functional(cdf: MarginalCDF, p: float, t_max: float, delta: float) -> 
     factor = 2.0 * math.sqrt(delta)
     if isinstance(cdf, EmpiricalCDF):
         return factor * _empirical_sqrt_tail_integral(cdf, p, t_max)
-    return factor * _quad(lambda t: p * t ** (p - 1.0) * math.sqrt(max(cdf.sf(t), 0.0)), 0.0, t_max)
+    return factor * _sqrt_tail_integral(cdf, p, t_max)
 
 
 def _empirical_sqrt_tail_integral(cdf: EmpiricalCDF, p: float, t_max: float) -> float:
@@ -172,7 +183,7 @@ def truncated_upper_moment(cdf: MarginalCDF, p: float, kappa: float) -> float:
             return 0.0
         return float(np.sum(np.sort(above ** p)) / cdf.size)
     hi = max(tail_cutoff(cdf), q)
-    tail_part = _quad(lambda t: p * t ** (p - 1.0) * cdf.sf(t), q, hi)
+    tail_part = _tail_integral(cdf, p, q, hi)
     return q ** p * cdf.sf(q) + tail_part
 
 

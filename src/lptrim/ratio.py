@@ -55,11 +55,40 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Candidate machinery shared by properties 1 and 2
+# One pass over the distinct sample values, shared by all three properties
 # ---------------------------------------------------------------------------
 
 
-def _candidate_devs(values_abs, cdf: MarginalCDF):
+@dataclass(frozen=True)
+class _Distinct:
+    """The sorted sample, its distinct values and the true law at them."""
+
+    xs: np.ndarray  # sorted |values|
+    u: np.ndarray  # distinct values, ascending
+    starts: np.ndarray  # index in xs of each distinct value's first copy
+    counts: np.ndarray  # multiplicity of each distinct value
+    sf: np.ndarray  # P(f > u)
+    atom: np.ndarray  # P(f = u)
+    sf_left: np.ndarray  # P(f >= u)
+
+
+def _distinct_pass(values_abs, cdf: MarginalCDF) -> _Distinct:
+    """Sort once, group equal values, and evaluate the law once per distinct value."""
+    xs = np.sort(np.abs(_as_finite_1d(values_abs)))
+    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    u = xs[starts]
+    counts = np.diff(np.append(starts, xs.size))
+    sf_u = np.asarray(cdf.sf(u), dtype=np.float64)
+    atom_u = np.asarray(cdf.atom(u), dtype=np.float64)
+    if isinstance(cdf, EmpiricalCDF):
+        # counted exactly, not rounded as a sum of two quotients
+        sfl_u = np.asarray(cdf.sf_left(u), dtype=np.float64)
+    else:
+        sfl_u = sf_u + atom_u  # what MarginalCDF.sf_left computes
+    return _Distinct(xs=xs, u=u, starts=starts, counts=counts, sf=sf_u, atom=atom_u, sf_left=sfl_u)
+
+
+def _candidate_devs(d: _Distinct, cdf: MarginalCDF):
     """Empirical/true tail pairs at both one-sided limits of every sample value.
 
     Returns (xs, pn, pr) where xs is the sorted sample and (pn[i], pr[i]) are
@@ -67,17 +96,13 @@ def _candidate_devs(values_abs, cdf: MarginalCDF):
     deviation over any admissible region {t : P(f > t) >= level} is attained
     among these pairs plus the region-boundary pairs added per level.
     """
-    xs = np.sort(np.abs(_as_finite_1d(values_abs)))
-    n = xs.size
-    u = np.unique(xs)
-    right_pn = (n - np.searchsorted(xs, u, side="right")) / n
-    left_pn = (n - np.searchsorted(xs, u, side="left")) / n
-    sf_u = np.asarray(cdf.sf(u), dtype=np.float64)
-    sfl_u = np.asarray(cdf.sf_left(u), dtype=np.float64)
-    pos = u > 0
+    xs, n = d.xs, d.xs.size
+    right_pn = (n - d.starts - d.counts) / n
+    left_pn = (n - d.starts) / n
+    pos = d.u > 0
     pn0 = (n - np.searchsorted(xs, 0.0, side="right")) / n
     pn = np.concatenate([right_pn, left_pn[pos], [pn0]])
-    pr = np.concatenate([sf_u, sfl_u[pos], [np.asarray(cdf.sf(0.0))]])
+    pr = np.concatenate([d.sf, d.sf_left[pos], [np.asarray(cdf.sf(0.0))]])
     return xs, pn, pr
 
 
@@ -85,12 +110,20 @@ def _sup_dev_at_level(xs, pn, pr, cdf: MarginalCDF, level: float) -> float | Non
     """Exact sup of |P_N/P - 1| over {t > 0 : P(f > t) >= level}; None if empty."""
     if cdf.sf(0.0) < level:
         return None
+    if level >= 1.0:
+        # The region is {t > 0 : P(f > t) = 1}.  An analytic tail is continuous
+        # and below 1 at every t > 0, so the region is empty; a reference law's
+        # tail is 1 exactly below its smallest value, which is Q(1).
+        if not isinstance(cdf, EmpiricalCDF):
+            return None
+        q = float(cdf.values[0])
+    else:
+        q = upper_quantile(cdf, level)
     mask = pr >= level
     worst = 0.0
     if np.any(mask):
         worst = float(np.max(np.abs(pn[mask] / pr[mask] - 1.0)))
     n = xs.size
-    q = upper_quantile(cdf, level)
     pn_ge = (n - np.searchsorted(xs, q, side="left")) / n
     pn_gt = (n - np.searchsorted(xs, q, side="right")) / n
     if isinstance(cdf, EmpiricalCDF):
@@ -123,7 +156,11 @@ def tail_ratio_check(values_abs, cdf: MarginalCDF, delta: float, lam: float) -> 
         raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    xs, pn, pr = _candidate_devs(values_abs, cdf)
+    xs, pn, pr = _candidate_devs(_distinct_pass(values_abs, cdf), cdf)
+    return _tail_ratio(xs, pn, pr, cdf, delta, lam)
+
+
+def _tail_ratio(xs, pn, pr, cdf: MarginalCDF, delta: float, lam: float) -> TailRatioResult:
     worst = _sup_dev_at_level(xs, pn, pr, cdf, delta)
     if worst is None:
         raise ValueError(f"no tail mass reaches delta={delta}; empty admissible range")
@@ -179,7 +216,7 @@ def dyadic_ratio_check(values_abs, cdf: MarginalCDF, delta: float) -> DyadicRati
     """Property 2: per-level worst deviations against the 2^(-j/2) bounds."""
     if not (0 < delta <= 0.5):
         raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
-    xs, pn, pr = _candidate_devs(values_abs, cdf)
+    xs, pn, pr = _candidate_devs(_distinct_pass(values_abs, cdf), cdf)
     return DyadicRatioResult(levels=_dyadic_levels(xs, pn, pr, cdf, delta), delta=delta)
 
 
@@ -211,13 +248,12 @@ def interval_excess_sup(values_abs, cdf: MarginalCDF, big_c: float, delta: float
         raise ValueError(f"big_c must be >= 1, got {big_c}")
     if not (0 <= delta <= 0.5):
         raise ValueError(f"delta must lie in [0, 1/2], got {delta}")
-    xs = np.sort(np.abs(_as_finite_1d(values_abs)))
-    n = xs.size
-    u, counts = np.unique(xs, return_counts=True)
-    sf_u = np.asarray(cdf.sf(u), dtype=np.float64)
-    atom_u = np.asarray(cdf.atom(u), dtype=np.float64)
-    gains = counts / n - 1.5 * atom_u
-    gaps = 1.5 * np.maximum(sf_u[:-1] - sf_u[1:] - atom_u[1:], 0.0)
+    return _interval_excess(_distinct_pass(values_abs, cdf), big_c, delta)
+
+
+def _interval_excess(d: _Distinct, big_c: float, delta: float) -> IntervalExcessResult:
+    gains = d.counts / d.xs.size - 1.5 * d.atom
+    gaps = 1.5 * np.maximum(d.sf[:-1] - d.sf[1:] - d.atom[1:], 0.0)
     # prefix form: value(i..j) = Q[j] - (Q[i] - gains[i])
     e = gains.copy()
     e[1:] -= gaps
@@ -269,17 +305,14 @@ class RatioReport:
 def ratio_properties_report(values_abs, cdf: MarginalCDF, params: RatioParams) -> RatioReport:
     if params.delta <= 0:
         raise ValueError("property checks need delta > 0")
-    values = np.abs(_as_finite_1d(values_abs))
-    # The level-delta supremum doubles as the tail check, so candidate pairs
-    # are assembled once for both ratio properties.
-    xs, pn, pr = _candidate_devs(values, cdf)
-    worst = _sup_dev_at_level(xs, pn, pr, cdf, params.delta)
-    if worst is None:
-        raise ValueError(f"no tail mass reaches delta={params.delta}; empty admissible range")
+    # One sort and one evaluation of the law serve all three properties, and
+    # the candidate pairs serve both ratio properties.
+    d = _distinct_pass(values_abs, cdf)
+    xs, pn, pr = _candidate_devs(d, cdf)
     return RatioReport(
-        tail=TailRatioResult(worst_dev=worst, lam=params.lam, delta=params.delta),
+        tail=_tail_ratio(xs, pn, pr, cdf, params.delta, params.lam),
         dyadic=DyadicRatioResult(levels=_dyadic_levels(xs, pn, pr, cdf, params.delta), delta=params.delta),
-        interval=interval_excess_sup(values, cdf, params.big_c, params.delta),
+        interval=_interval_excess(d, params.big_c, params.delta),
         params=params,
     )
 

@@ -29,6 +29,7 @@ from .checks import (
 from .config import ConfigError, ExperimentConfig
 from .core import RatioParams, SampleMatrix, TrimSpec, project_abs, trimmed_p_means
 from .distributions import (
+    DistributionSpec,
     MomentOracle,
     draw_sample,
     marginal_cdf,
@@ -45,6 +46,7 @@ __all__ = [
     "run_sandwich",
     "run_ratio_check",
     "run_lemma_check",
+    "lemma_trial_rows",
     "run_compare",
     "save_sample",
     "load_sample",
@@ -148,14 +150,33 @@ def _ratio_task(args) -> list:
 
 def _lemma_task(args) -> list[tuple]:
     spec, n, trial, trial_seed, ps, theta, params, cap_level = args
+    return lemma_trial_rows(spec, n, trial, trial_seed, ps, theta, params, cap_level)
+
+
+def lemma_trial_rows(
+    spec: DistributionSpec,
+    n: int,
+    trial: int,
+    trial_seed: int,
+    ps,
+    theta: float,
+    params: RatioParams,
+    cap_level: float,
+) -> list[tuple]:
+    """The four validators on one fresh d=1 sample, for every p in ``ps``.
+
+    Each row is (dist, p, trial, check, verdict, reason, detail), the columns
+    of ``lemma_rows.csv``.  The integral sandwich is capped at the true
+    quantile at ``cap_level``.
+    """
     sample = draw_sample(spec, n, trial_seed)
     values = project_abs(sample, np.ones(1))
     cdf = marginal_cdf(spec, np.ones(1))
     properties = ratio_properties_report(values, cdf, params)
+    t_cap = upper_quantile(cdf, cap_level)
     rows = []
     for p in ps:
         trim = TrimSpec(p=p, theta=theta)
-        t_cap = upper_quantile(cdf, cap_level)
         outcomes = [
             check_trim_threshold_sandwich(values, cdf, theta, params, properties=properties),
             check_trimmed_sum_brackets(values, cdf, trim, params, properties=properties),
@@ -280,9 +301,7 @@ def run_lemma_check(config: ExperimentConfig) -> RunResult:
         if sample.dim != 1:
             raise ConfigError("lemma checks on stored samples require dim == 1")
         spec = spec_from_label(sample.dist_name, 1)
-        rows.extend(
-            _lemma_task((spec, sample.n, 0, sample.seed, config.lemma_ps, theta, params, cap_level))
-        )
+        rows.extend(lemma_trial_rows(spec, sample.n, 0, sample.seed, config.lemma_ps, theta, params, cap_level))
     else:
         n = config.n if config.n is not None else 10_000
         work = []

@@ -30,7 +30,7 @@ from lptrim.distributions import (
 )
 from lptrim.oracle import check_tail_moment_bounds, raw_moment
 from lptrim.ratio import interval_excess_sup, rademacher_interval_complexity, ratio_properties_failure_rate
-from lptrim.runner import _lemma_task, run_sandwich
+from lptrim.runner import lemma_trial_rows, run_sandwich
 from lptrim.seeding import child_seed
 
 SAMPLE_C1 = 8.0
@@ -130,7 +130,7 @@ def test_criterion_4_lemma_suite():
         spec = DistributionSpec(dist, 1, nu=nu)
         for trial in range(trials):
             seed = child_seed(MASTER_SEED, "lemma", dist, trial)
-            rows = _lemma_task((spec, n, trial, seed, (1.0, 2.0, 3.0), 0.1, params, 0.1))
+            rows = lemma_trial_rows(spec, n, trial, seed, (1.0, 2.0, 3.0), 0.1, params, 0.1)
             for row in rows:
                 counts[row[4]] += 1
                 if row[4] == Verdict.FAIL.value:

@@ -44,6 +44,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(epsilon=1.5)
 
+    def test_removed_mc_size_is_an_unknown_key(self):
+        assert "mc_size" not in ExperimentConfig().echo()
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_sources(None, {"mc_size": 1000})
+
     def test_echo_contains_resolved_constants(self):
         echo = ExperimentConfig().echo()
         for key in ("resolved_n", "resolved_theta", "theta_c0", "sample_c1", "delta_floor_c0"):
@@ -70,6 +75,23 @@ class TestExitCodes:
             "--out-dir", str(tmp_path),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["compare", "sandwich"])
+    def test_overflowing_closed_form_moment_is_three(self, tmp_path, capsys, command):
+        code = main([
+            command, "--dist", "gaussian", "--dim", "1", "--p", "400", "--n", "50",
+            "--directions", "2", "--trials", "1", "--out-dir", str(tmp_path),
+        ])
+        assert code == 3
+        assert "p=400" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["ratio-check", "--dist", "gaussian", "--dim", "2", "--n", "500", "--directions", "3", "--trials", "1"],
+        ["lemma-check", "--n", "2000", "--trials", "1"],
+    ], ids=["ratio-check", "lemma-check"])
+    def test_dyadic_delta_reaching_level_one_is_zero(self, tmp_path, args):
+        # delta = 2^-3: the dyadic levels reach P(f > t) = 1 exactly
+        assert main(args + ["--delta", "0.125", "--seed", "1", "--out-dir", str(tmp_path)]) == 0
 
     def test_corrupted_sample_file_is_one(self, tmp_path):
         sample = draw_sample(DistributionSpec("gaussian", 1), 200, 5)

@@ -20,6 +20,7 @@ from lptrim.distributions import (
     marginal_cdf,
     spec_from_label,
     sphere_directions,
+    student_abs_moment,
     true_p_moment,
     _draw_matrix,
 )
@@ -97,6 +98,23 @@ class TestTrueMoment:
         spec = DistributionSpec("product_student_t", 2, nu=4.5)
         with pytest.raises(MomentDoesNotExistError):
             true_p_moment(spec, [1.0, 0.0], 5)
+
+    @pytest.mark.parametrize(
+        "moment, p",
+        [
+            (lambda p: gaussian_abs_moment(p), 400.0),
+            (lambda p: student_abs_moment(1000.0, p), 400.0),
+            (lambda p: ExponentialCDF(scale=1.0).exact_moment(p), 171.0),
+            (lambda p: ExponentialCDF(scale=10.0).exact_moment(p), 150.0),
+            (lambda p: FoldedNormalCDF(scale=3.0).exact_moment(p), 300.0),
+        ],
+        ids=["gaussian_gamma", "student_exp", "exponential_gamma", "exponential_product", "folded_normal_product"],
+    )
+    def test_overflowing_closed_form_raises_naming_p(self, moment, p):
+        # math.gamma and math.exp raise OverflowError; a product of two finite
+        # factors overflows to inf instead; both must surface as infeasible
+        with pytest.raises(MomentDoesNotExistError, match=f"p={p}"):
+            moment(p)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 6])
     def test_gaussian_analytic_matches_monte_carlo(self, p):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from helpers import trapezoid_sqrt_tail_integral, trapezoid_tail_integral
+from lptrim import oracle
+from lptrim.config import ExperimentConfig
 from lptrim.distributions import (
     EmpiricalCDF,
     ExponentialCDF,
@@ -14,6 +17,7 @@ from lptrim.distributions import (
     gaussian_abs_moment,
 )
 from lptrim.oracle import (
+    QUAD_REL_TOL,
     check_tail_moment_bounds,
     error_functional,
     qnorm_error_coef,
@@ -23,6 +27,7 @@ from lptrim.oracle import (
     truncated_upper_moment,
     upper_quantile,
 )
+from lptrim.runner import run_lemma_check
 
 UNIFORM01 = HalfUniformCDF(width=1.0)
 EXP1 = ExponentialCDF(scale=1.0)
@@ -209,3 +214,73 @@ class TestTailCutoff:
         cap = tail_cutoff(FOLDED_NORMAL)
         brute = trapezoid_tail_integral(FOLDED_NORMAL.sf, 2.0, cap)
         assert raw_moment(FOLDED_NORMAL, 2.0) == pytest.approx(brute, rel=1e-5)
+
+
+def _fresh_quad(integrand, lo, hi):
+    return scipy.integrate.quad(integrand, lo, hi, epsrel=QUAD_REL_TOL, epsabs=1e-14, limit=400)[0]
+
+
+def _clear_quadrature_caches():
+    oracle._tail_integral.cache_clear()
+    oracle._sqrt_tail_integral.cache_clear()
+
+
+class TestMemoisedQuadrature:
+    def test_lemma_check_quadrature_count_does_not_grow_with_trials(self, tmp_path, monkeypatch):
+        calls = []
+        real_quad = scipy.integrate.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(1)
+            return real_quad(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+        per_run = []
+        for trials in (2, 5):
+            _clear_quadrature_caches()
+            calls.clear()
+            run_lemma_check(ExperimentConfig(trials=trials, seed=5, out_dir=str(tmp_path / str(trials))))
+            per_run.append(len(calls))
+        assert per_run[0] > 0
+        assert per_run[0] == per_run[1]
+
+    def test_empirical_laws_never_enter_the_caches(self, rng):
+        cdf = EmpiricalCDF(rng.exponential(size=500), seed=0)
+        before = (oracle._tail_integral.cache_info().currsize, oracle._sqrt_tail_integral.cache_info().currsize)
+        for p in (1.0, 2.0, 3.0):
+            raw_moment(cdf, p)
+            tail_integral_moment(cdf, p, 1.5)
+            error_functional(cdf, p, 1.5, 0.01)
+            truncated_upper_moment(cdf, p, 0.1)
+        after = (oracle._tail_integral.cache_info().currsize, oracle._sqrt_tail_integral.cache_info().currsize)
+        assert after == before
+
+    @pytest.mark.parametrize("cdf", ANALYTIC_LAWS, ids=LAW_IDS)
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_memoised_values_equal_a_fresh_quad_bit_for_bit(self, cdf, p):
+        def tail(t):
+            return p * t ** (p - 1.0) * cdf.sf(t)
+
+        def sqrt_tail(t):
+            return p * t ** (p - 1.0) * math.sqrt(max(cdf.sf(t), 0.0))
+
+        delta, kappa = 0.01, 0.1
+        cap = upper_quantile(cdf, kappa)
+        cutoff = tail_cutoff(cdf)
+        expected = {
+            "raw": _fresh_quad(tail, 0.0, cutoff),
+            "below_cap": _fresh_quad(tail, 0.0, cap),
+            "error": 2.0 * math.sqrt(delta) * _fresh_quad(sqrt_tail, 0.0, cap),
+            "upper": cap ** p * cdf.sf(cap) + _fresh_quad(tail, cap, max(cutoff, cap)),
+        }
+        for _ in range(2):  # the second round is served from the caches
+            hits = oracle._tail_integral.cache_info().hits + oracle._sqrt_tail_integral.cache_info().hits
+            got = {
+                "raw": raw_moment(cdf, p),
+                "below_cap": tail_integral_moment(cdf, p, cap),
+                "error": error_functional(cdf, p, cap, delta),
+                "upper": truncated_upper_moment(cdf, p, kappa),
+            }
+            assert got == expected
+        new_hits = oracle._tail_integral.cache_info().hits + oracle._sqrt_tail_integral.cache_info().hits
+        assert new_hits - hits == 4

@@ -13,11 +13,13 @@ from lptrim.core import RatioParams, project_abs
 from lptrim.distributions import (
     DistributionSpec,
     EmpiricalCDF,
+    FoldedNormalCDF,
     HalfUniformCDF,
     draw_sample,
     marginal_cdf,
 )
 from lptrim.ratio import (
+    _distinct_pass,
     dyadic_ratio_check,
     interval_excess_sup,
     rademacher_interval_complexity,
@@ -115,6 +117,31 @@ class TestDyadicRatio:
             res = dyadic_ratio_check(values, cdf, 0.03)
             if len(res.levels) > 1 and res.levels[1].ok:
                 assert tail_ratio_check(values, cdf, 2 * 0.03, 2.0 ** -0.5).ok
+
+
+    def test_level_one_region_of_a_reference_law(self, rng):
+        # the reference's smallest value is 0.5, so P(f > t) = 1 exactly on
+        # (0, 0.5): with delta = 2^-3 the last dyadic level is that region
+        values = rng.exponential(size=200)
+        cdf = EmpiricalCDF(0.5 + rng.exponential(size=500), seed=0)
+        levels = dyadic_ratio_check(values, cdf, 0.125).levels
+        assert [level.level for level in levels] == [0.125, 0.25, 0.5, 1.0]
+        r_min = float(cdf.values[0])
+        grid = np.append(np.linspace(1e-9, r_min, 10_001)[:-1], np.nextafter(r_min, 0.0))
+        assert levels[-1].worst_dev == grid_ratio_deviation(values, cdf, 1.0, grid)
+        assert levels[-1].worst_dev == 1.0 - np.mean(values >= r_min)
+        wide = np.linspace(1e-9, 2.0 * np.max(values), 4001)
+        for level in levels:
+            assert grid_ratio_deviation(values, cdf, level.level, wide) <= level.worst_dev + 1e-12
+
+    @pytest.mark.parametrize("cdf", [FoldedNormalCDF(scale=1.0), EmpiricalCDF([0.0, 0.3, 1.0, 2.0], seed=0)],
+                             ids=["analytic", "reference_with_zero"])
+    def test_level_one_region_empty(self, rng, cdf):
+        # a continuous tail, or a reference with mass at 0, is below 1 for every t > 0
+        values = rng.exponential(size=300)
+        levels = dyadic_ratio_check(values, cdf, 0.125).levels
+        assert all(level.level < 1.0 for level in levels)
+        assert grid_ratio_deviation(values, cdf, 1.0, np.linspace(1e-9, 5.0, 2001)) == 0.0
 
 
 class TestIntervalExcess:
@@ -227,3 +254,55 @@ class TestFailureRate:
         assert rep.tail.worst_dev == tail_ratio_check(values, cdf, 0.05, 0.5).worst_dev
         assert rep.interval.sup == interval_excess_sup(values, cdf, 2.0, 0.05).sup
         assert rep.all_pass == (rep.tail.ok and rep.dyadic.ok and rep.interval.ok)
+
+
+def _report_cases():
+    local = np.random.default_rng(7)
+    ties = local.integers(0, 8, size=400) / 7.0  # ties and a point mass at 0
+    return [
+        ("ties_vs_reference_with_atoms", ties, EmpiricalCDF(local.integers(0, 8, size=3000) / 7.0, seed=0)),
+        ("ties_vs_half_uniform", np.round(local.uniform(0, 1, 500), 2), UNIFORM01),
+        ("zeros_vs_folded_normal", np.append(local.standard_normal(600), np.zeros(5)), FoldedNormalCDF(scale=1.0)),
+        ("continuous_vs_reference", local.exponential(size=700), EmpiricalCDF(local.exponential(size=5000), seed=0)),
+    ]
+
+
+REPORT_CASES = _report_cases()
+
+
+class TestSharedDistinctPass:
+    @pytest.mark.parametrize("name, values, cdf", REPORT_CASES, ids=[c[0] for c in REPORT_CASES])
+    @pytest.mark.parametrize("delta", [0.05, 0.125])
+    def test_report_equals_the_standalone_checkers(self, name, values, cdf, delta):
+        params = RatioParams(delta=delta, lam=0.5, big_c=2.0)
+        rep = ratio_properties_report(values, cdf, params)
+        assert rep.tail == tail_ratio_check(values, cdf, delta, 0.5)
+        assert rep.dyadic == dyadic_ratio_check(values, cdf, delta)
+        assert rep.interval == interval_excess_sup(values, cdf, 2.0, delta)
+        assert rep.interval.sup == max(0.0, exhaustive_interval_excess(values, cdf))
+
+    @pytest.mark.parametrize("values", [
+        [3.0],
+        [2.0, 2.0, 2.0],
+        [0.0, 0.0, 1.0, 2.0, 2.0],
+        [-1.0, 1.0, 0.5, -0.5, 0.0],
+        np.random.default_rng(3).integers(0, 5, size=200) / 4.0,
+        np.random.default_rng(4).standard_normal(300),
+    ], ids=["single", "all_equal", "zeros_first", "signed_ties", "many_ties", "no_ties"])
+    def test_distinct_values_and_counts_equal_np_unique(self, values):
+        d = _distinct_pass(values, UNIFORM01)
+        xs = np.sort(np.abs(np.asarray(values, dtype=float)))
+        u, first, counts = np.unique(xs, return_index=True, return_counts=True)
+        assert np.array_equal(d.xs, xs)
+        assert np.array_equal(d.u, u)
+        assert np.array_equal(d.starts, first)
+        assert np.array_equal(d.counts, counts)
+        assert np.array_equal(d.sf, UNIFORM01.sf(u))
+        assert np.array_equal(d.sf_left, UNIFORM01.sf_left(u))
+
+    def test_reference_law_tails_are_counted_exactly(self):
+        cdf = EmpiricalCDF(np.random.default_rng(5).integers(0, 6, size=999) / 5.0, seed=0)
+        d = _distinct_pass([0.0, 0.2, 0.2, 0.7, 1.0], cdf)
+        assert np.array_equal(d.sf, cdf.sf(d.u))
+        assert np.array_equal(d.atom, cdf.atom(d.u))
+        assert np.array_equal(d.sf_left, cdf.sf_left(d.u))
