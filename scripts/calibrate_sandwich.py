@@ -24,64 +24,59 @@ Two scans:
    far below 0.9, a per-trial win the paper does not promise at p=2; see
    the README's results section.
 
+Each scan point is one run_sandwich or run_compare call, the code the CLI
+runs, with its result files written to a temporary directory.
+
 Usage:
     python scripts/calibrate_sandwich.py sandwich [--trials 20] [--seed 123]
     python scripts/calibrate_sandwich.py compare  [--trials 200] [--seed 123]
 """
 
 import argparse
-import math
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-from lptrim.checks import compare_estimators, q90_max_errors
-from lptrim.core import TrimSpec, cut_rank, trimmed_p_means
-from lptrim.distributions import DistributionSpec, MomentOracle, draw_sample, sphere_directions
-from lptrim.seeding import child_seed
+from lptrim.config import ExperimentConfig
+from lptrim.core import cut_rank
+from lptrim.runner import run_compare, run_sandwich
 
 
-def scan_sandwich(trials: int, seed: int) -> None:
-    eps, d, m = 0.25, 20, 500
+def scan_sandwich(trials: int, seed: int, out_dir: Path) -> None:
     print("dist             p    c1   theta_c0     n    k0  pass_rate  worst_max_rel_err")
     for c1 in (4.0, 8.0, 12.0):
-        n = math.ceil(c1 * d * math.log(2 / eps) / eps ** 2)
         for theta_c0 in (0.25, 0.125, 0.0625):
-            theta = max(theta_c0 * eps * eps, 1.0 / n)
-            k0 = cut_rank(theta, n)
             for dist in ("gaussian", "product_laplace"):
-                spec = DistributionSpec(dist, d)
-                dirs = sphere_directions(d, m, child_seed(seed, "directions"))
                 for p in (2.0, 3.0):
-                    trim = TrimSpec(p=p, theta=theta)
-                    oracle = MomentOracle(spec, ref_size=10 ** 6, seed=child_seed(seed, "oracle"))
-                    truths = oracle.moments(dirs, p)
-                    n_pass, worst = 0, 0.0
-                    for t in range(trials):
-                        sample = draw_sample(spec, n, child_seed(seed, "trial", t))
-                        estimates = trimmed_p_means((sample.data @ dirs.T).T, trim)
-                        max_err = float(np.max(np.abs(estimates - truths) / truths))
-                        worst = max(worst, max_err)
-                        n_pass += max_err <= eps
+                    cfg = ExperimentConfig(
+                        dist=dist, dim=20, p=p, epsilon=0.25, directions=500, trials=trials, seed=seed,
+                        theta_c0=theta_c0, sample_c1=c1, out_dir=str(out_dir),
+                    )
+                    summary = run_sandwich(cfg).summary
+                    n = cfg.resolved_n
+                    k0 = cut_rank(cfg.resolved_theta, n)
                     print(
                         f"{dist:16s} {p:.0f}  {c1:4.0f}   {theta_c0:8.4f} {n:6d} {k0:5d}"
-                        f"   {n_pass / trials:8.2f}  {worst:12.4f}"
+                        f"   {summary['pass_rate']:8.2f}  {max(summary['per_trial_max_rel_error']):12.4f}"
                     )
 
 
-def scan_compare(trials: int, seed: int) -> None:
-    d, n, m, p = 20, 1000, 500, 2.0
-    spec = DistributionSpec("product_student_t", d, nu=4.5)
+def scan_compare(trials: int, seed: int, out_dir: Path) -> None:
     print("theta     k0   win_rate   med_q95_trimmed   med_q95_mean   q90_max_trimmed   q90_max_mean")
     for theta in (0.0015, 0.002, 0.004, 0.008, 0.016, 0.032):
-        rep = compare_estimators(spec, n=n, p=p, m_directions=m, trials=trials, theta=theta, seed=seed)
-        q95_t = float(np.median([r.q95_trimmed for r in rep.rows]))
-        q95_m = float(np.median([r.q95_mean for r in rep.rows]))
-        sup_t, sup_m = q90_max_errors(rep.rows)
-        k0 = cut_rank(theta, n)
+        cfg = ExperimentConfig(
+            dist="product_student_t", nu=4.5, dim=20, n=1000, p=2.0, directions=500, trials=trials,
+            theta=theta, seed=seed, out_dir=str(out_dir),
+        )
+        result = run_compare(cfg)
+        rows = np.genfromtxt(result.rows_path, delimiter=",", names=True, skip_header=1)
+        summary = result.summary
         print(
-            f"{theta:7.4f} {k0:4d}   {rep.trimmed_win_rate:8.3f}   {q95_t:15.4f}   {q95_m:12.4f}"
-            f"   {sup_t:15.4f}   {sup_m:12.4f}"
+            f"{theta:7.4f} {cut_rank(theta, cfg.n):4d}   {summary['trimmed_win_rate']:8.3f}"
+            f"   {np.median(rows['q95_trimmed']):15.4f}   {np.median(rows['q95_mean']):12.4f}"
+            f"   {summary['q90_max_trimmed']:15.4f}   {summary['q90_max_mean']:12.4f}"
         )
 
 
@@ -91,10 +86,11 @@ def main() -> int:
     parser.add_argument("--trials", type=int, default=None)
     parser.add_argument("--seed", type=int, default=123)
     args = parser.parse_args()
-    if args.scan == "sandwich":
-        scan_sandwich(args.trials or 20, args.seed)
-    else:
-        scan_compare(args.trials or 200, args.seed)
+    with tempfile.TemporaryDirectory() as out_dir:
+        if args.scan == "sandwich":
+            scan_sandwich(args.trials or 20, args.seed, Path(out_dir))
+        else:
+            scan_compare(args.trials or 200, args.seed, Path(out_dir))
     return 0
 
 

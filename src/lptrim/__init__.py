@@ -25,11 +25,9 @@ from .distributions import (
     MarginalCDF,
     MomentDoesNotExistError,
     MomentOracle,
-    MomentValue,
     draw_sample,
     marginal_cdf,
     sphere_directions,
-    true_p_moment,
 )
 from .oracle import (
     BoundCheck,
@@ -45,7 +43,6 @@ from .ratio import (
     dyadic_ratio_check,
     interval_excess_sup,
     rademacher_interval_complexity,
-    ratio_properties_failure_rate,
     ratio_properties_report,
     tail_ratio_check,
 )
@@ -56,7 +53,6 @@ from .checks import (
     check_moment_sandwich,
     check_trim_threshold_sandwich,
     check_trimmed_sum_brackets,
-    compare_estimators,
 )
 
 __version__ = "0.1.0"

@@ -35,7 +35,6 @@ from .core import (
 from .distributions import (
     DistributionSpec,
     MarginalCDF,
-    MomentOracle,
     draw_sample,
 )
 from .oracle import (
@@ -46,7 +45,6 @@ from .oracle import (
     upper_quantile,
 )
 from .ratio import RatioReport, dyadic_ratio_check, ratio_properties_report
-from .seeding import child_seed
 
 __all__ = [
     "Verdict",
@@ -57,10 +55,8 @@ __all__ = [
     "check_moment_sandwich",
     "scan_error_constant_grid",
     "ScanRow",
-    "compare_estimators",
     "q90_max_errors",
     "ComparisonTrialRow",
-    "ComparisonReport",
 ]
 
 _REL_TOL_EXACT = 1e-12  # empirical-only comparisons (finite sums both sides)
@@ -365,13 +361,6 @@ class ComparisonTrialRow:
     winner: str
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    rows: tuple[ComparisonTrialRow, ...]
-    trimmed_win_rate: float
-    n_directions: int
-
-
 def comparison_trial_row(
     spec: DistributionSpec,
     n: int,
@@ -416,34 +405,3 @@ def q90_max_errors(rows) -> tuple[float, float]:
         float(np.quantile([r.max_mean for r in rows], 0.90)),
     )
 
-
-def compare_estimators(
-    spec: DistributionSpec,
-    n: int,
-    p: float,
-    m_directions: int,
-    trials: int,
-    theta: float,
-    seed: int,
-    ref_size: int = 1_000_000,
-) -> ComparisonReport:
-    """Trimmed mean versus plain p-mean against the true moment, per direction.
-
-    Directions are drawn once and shared across trials; the true moments come
-    from the batched oracle.  The per-trial winner is decided on the 95th
-    percentile of the per-direction relative errors.
-    """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    from .distributions import sphere_directions
-
-    trim = TrimSpec(p=p, theta=theta)
-    directions = sphere_directions(spec.dim, m_directions, child_seed(seed, "directions"))
-    oracle = MomentOracle(spec, ref_size=ref_size, seed=child_seed(seed, "oracle"))
-    truths = oracle.moments(directions, p)
-    rows = [
-        comparison_trial_row(spec, n, t, child_seed(seed, "trial", t), directions, truths, trim)
-        for t in range(trials)
-    ]
-    wins = sum(r.winner == "trimmed" for r in rows)
-    return ComparisonReport(rows=tuple(rows), trimmed_win_rate=wins / trials, n_directions=m_directions)

@@ -29,7 +29,6 @@ from .seeding import child_rng, child_seed
 __all__ = [
     "DistributionSpec",
     "MomentDoesNotExistError",
-    "MomentValue",
     "MomentOracle",
     "MarginalCDF",
     "FoldedNormalCDF",
@@ -40,7 +39,6 @@ __all__ = [
     "draw_sample",
     "marginal_cdf",
     "clear_marginal_cache",
-    "true_p_moment",
     "sphere_directions",
     "gaussian_abs_moment",
     "student_abs_moment",
@@ -449,20 +447,8 @@ def marginal_cdf(spec: DistributionSpec, v, ref_size: int = 1_000_000, seed: int
 
 
 # ---------------------------------------------------------------------------
-# Moment oracles
+# Moment oracle
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MomentValue:
-    """E |<X, v>|^p together with how it was obtained."""
-
-    value: float
-    stderr: float | None
-    method: str
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _check_moment_exists(spec: DistributionSpec, p: float) -> None:
@@ -470,65 +456,6 @@ def _check_moment_exists(spec: DistributionSpec, p: float) -> None:
         raise MomentDoesNotExistError(
             f"p={p} moment of {spec.label} diverges (finite only below {spec.max_finite_moment})"
         )
-
-
-def true_p_moment(
-    spec: DistributionSpec,
-    v,
-    p: float,
-    mc_size: int = 10_000_000,
-    seed: int | None = None,
-    force_mc: bool = False,
-) -> MomentValue:
-    """E |<X, v>|^p, analytic where a closed form exists, else Monte Carlo.
-
-    The Monte Carlo path uses ``mc_size`` fresh draws and reports the standard
-    error of the mean.  ``force_mc`` bypasses the closed forms (useful for
-    cross-checking them).
-    """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (spec.dim,):
-        raise ValueError(f"direction has shape {v.shape}, expected ({spec.dim},)")
-    _check_moment_exists(spec, p)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return MomentValue(0.0, None, "analytic")
-
-    if not force_mc:
-        closed = _closed_form_moment(spec, v, norm, p)
-        if closed is not None:
-            return MomentValue(closed, None, "analytic")
-
-    resolved = child_seed(_REF_SEED_ROOT, "true-moment", spec.label, repr(p)) if seed is None else int(seed)
-    rng = np.random.default_rng(resolved)
-    total = 0.0
-    total_sq = 0.0
-    remaining = mc_size
-    while remaining > 0:
-        rows = min(_CHUNK_ROWS, remaining)
-        powered = np.abs(_draw_matrix(spec, rows, rng) @ v) ** p
-        total += float(np.sum(powered))
-        total_sq += float(np.sum(powered * powered))
-        remaining -= rows
-    mean = total / mc_size
-    var = max(total_sq / mc_size - mean * mean, 0.0)
-    return MomentValue(mean, math.sqrt(var / mc_size), "monte_carlo")
-
-
-def _closed_form_moment(spec: DistributionSpec, v: np.ndarray, norm: float, p: float) -> float | None:
-    if spec.name == "gaussian":
-        return norm ** p * gaussian_abs_moment(p)
-    if p == 2.0:
-        return norm * norm  # isotropy
-    weight = _single_coordinate_weight(v)
-    if weight is not None:
-        return _coordinate_abs_cdf(spec, weight).exact_moment(p)
-    if p == 4.0:
-        kappa4 = _fourth_cumulant(spec.name, spec.nu)
-        return 3.0 * norm ** 4 + kappa4 * float(np.sum(v ** 4))
-    return None
 
 
 class MomentOracle:
@@ -549,6 +476,8 @@ class MomentOracle:
         dirs = np.atleast_2d(np.asarray(directions, dtype=np.float64))
         if dirs.shape[1] != self.spec.dim:
             raise ValueError(f"directions have dim {dirs.shape[1]}, expected {self.spec.dim}")
+        if p < 1:
+            raise ValueError(f"p must be >= 1, got {p}")
         _check_moment_exists(self.spec, p)
         norms = np.linalg.norm(dirs, axis=1)
         if self.spec.name == "gaussian":

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from .distributions import EmpiricalCDF, MarginalCDF, MomentDoesNotExistError
+from .distributions import EmpiricalCDF, MarginalCDF, MomentDoesNotExistError, _closed_form
 
 __all__ = [
     "upper_quantile",
@@ -83,11 +83,13 @@ def tail_cutoff(cdf: MarginalCDF, tail_mass: float = TAIL_MASS_CUTOFF) -> float:
     return _tail_cutoff_cached(cdf, tail_mass)
 
 
-def _quad(fn, lo: float, hi: float) -> float:
+def _quad(fn, lo: float, hi: float, p: float) -> float:
+    """The integral of ``fn`` over (lo, hi); one beyond float64 raises MomentDoesNotExistError naming p."""
     if hi <= lo:
         return 0.0
-    val, _ = integrate.quad(fn, lo, hi, epsrel=QUAD_REL_TOL, epsabs=1e-14, limit=400)
-    return float(val)
+    return _closed_form(
+        p, lambda: float(integrate.quad(fn, lo, hi, epsrel=QUAD_REL_TOL, epsabs=1e-14, limit=400)[0])
+    )
 
 
 def _empirical_moment_below(cdf: EmpiricalCDF, p: float, t_max: float) -> float:
@@ -120,13 +122,13 @@ def tail_integral_moment(cdf: MarginalCDF, p: float, t_max: float) -> float:
 @lru_cache(maxsize=4096)
 def _tail_integral(cdf: MarginalCDF, p: float, lo: float, hi: float) -> float:
     """Integral of p t^(p-1) P(f > t) over (lo, hi)."""
-    return _quad(lambda t: p * t ** (p - 1.0) * cdf.sf(t), lo, hi)
+    return _quad(lambda t: p * t ** (p - 1.0) * cdf.sf(t), lo, hi, p)
 
 
 @lru_cache(maxsize=4096)
 def _sqrt_tail_integral(cdf: MarginalCDF, p: float, t_max: float) -> float:
     """Integral of p t^(p-1) sqrt(P(f > t)) over (0, t_max)."""
-    return _quad(lambda t: p * t ** (p - 1.0) * math.sqrt(max(cdf.sf(t), 0.0)), 0.0, t_max)
+    return _quad(lambda t: p * t ** (p - 1.0) * math.sqrt(max(cdf.sf(t), 0.0)), 0.0, t_max, p)
 
 
 def raw_moment(cdf: MarginalCDF, p: float) -> float:

@@ -17,7 +17,6 @@ boundary) and is computed exactly rather than on a grid.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ from .distributions import (
     sphere_directions,
 )
 from .oracle import upper_quantile
-from .seeding import child_seed
 
 __all__ = [
     "TailRatioResult",
@@ -41,13 +39,11 @@ __all__ = [
     "IntervalExcessResult",
     "RatioReport",
     "DirectionCheckRow",
-    "FailureRateReport",
     "tail_ratio_check",
     "dyadic_ratio_check",
     "interval_excess_sup",
     "ratio_properties_report",
     "rademacher_interval_complexity",
-    "ratio_properties_failure_rate",
     "ratio_floor",
     "probe_directions",
     "ratio_trial_rows",
@@ -368,63 +364,3 @@ def ratio_trial_rows(
         )
     return rows
 
-
-@dataclass(frozen=True)
-class FailureRateReport:
-    n_trials: int
-    n_directions: int
-    failure_rate: float
-    failed_trials: tuple[int, ...]
-    prop_failures: dict
-    floor_value: float
-    floor_ok: bool
-
-
-def ratio_properties_failure_rate(
-    spec: DistributionSpec,
-    n: int,
-    delta: float,
-    m_directions: int,
-    trials: int,
-    seed: int,
-    lam: float = 0.5,
-    big_c: float = 2.0,
-    floor_c0: float = 1.0,
-    ref_size: int = 1_000_000,
-) -> FailureRateReport:
-    """Fraction of fresh samples failing any property on any probe direction.
-
-    Probe directions are drawn once and shared by all trials; each trial draws
-    its own sample.  A delta below the dimension-dependent floor triggers a
-    warning but the run proceeds (exploration is allowed).
-    """
-    params = RatioParams(delta=delta, lam=lam, big_c=big_c)
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    floor = ratio_floor(spec.dim, n, floor_c0)
-    floor_ok = delta >= floor
-    if not floor_ok:
-        warnings.warn(
-            f"delta={delta} is below the ratio floor {floor:.3g} for d={spec.dim}, n={n}; "
-            "uniform control is not expected",
-            stacklevel=2,
-        )
-    directions = probe_directions(spec.dim, m_directions, child_seed(seed, "directions"))
-    failed = []
-    prop_failures = {"tail": 0, "dyadic": 0, "interval": 0}
-    for trial in range(trials):
-        rows = ratio_trial_rows(spec, n, child_seed(seed, "trial", trial), directions, params, ref_size)
-        if not all(r.passed for r in rows):
-            failed.append(trial)
-        prop_failures["tail"] += sum(not r.tail_ok for r in rows)
-        prop_failures["dyadic"] += sum(not r.dyadic_ok for r in rows)
-        prop_failures["interval"] += sum(not r.interval_ok for r in rows)
-    return FailureRateReport(
-        n_trials=trials,
-        n_directions=directions.shape[0],
-        failure_rate=len(failed) / trials,
-        failed_trials=tuple(failed),
-        prop_failures=prop_failures,
-        floor_value=floor,
-        floor_ok=floor_ok,
-    )

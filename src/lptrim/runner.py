@@ -130,27 +130,16 @@ def _write_summary(out_dir: Path, name: str, summary: dict, config: ExperimentCo
 
 
 def _map_tasks(task_fn, arg_tuples: list[tuple], threads: int) -> list:
-    """Ordered map over work units; results never depend on the worker count."""
+    """Ordered ``task_fn(*args)`` over the work units; results never depend on the worker count."""
     if threads <= 1 or len(arg_tuples) <= 1:
-        return [task_fn(args) for args in arg_tuples]
+        return [task_fn(*args) for args in arg_tuples]
     with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(task_fn, arg_tuples))
+        return list(pool.map(task_fn, *zip(*arg_tuples)))
 
 
-def _sandwich_task(args) -> np.ndarray:
-    spec, n, trial_seed, directions, p, theta = args
+def _sandwich_task(spec, n, trial_seed, directions, p, theta) -> np.ndarray:
     sample = draw_sample(spec, n, trial_seed)
     return trimmed_p_means((sample.data @ directions.T).T, TrimSpec(p=p, theta=theta))
-
-
-def _ratio_task(args) -> list:
-    spec, n, trial_seed, directions, params, ref_size = args
-    return ratio_trial_rows(spec, n, trial_seed, directions, params, ref_size)
-
-
-def _lemma_task(args) -> list[tuple]:
-    spec, n, trial, trial_seed, ps, theta, params, cap_level = args
-    return lemma_trial_rows(spec, n, trial, trial_seed, ps, theta, params, cap_level)
 
 
 def lemma_trial_rows(
@@ -187,11 +176,6 @@ def lemma_trial_rows(
             detail = ";".join(f"{k}={_fmt(v)}" for k, v in outcome.witnesses.items())
             rows.append((spec.label, p, trial, outcome.name, outcome.verdict.value, outcome.reason, detail))
     return rows
-
-
-def _compare_task(args):
-    spec, n, trial, trial_seed, directions, truths, trim = args
-    return comparison_trial_row(spec, n, trial, trial_seed, directions, truths, trim)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +240,7 @@ def run_ratio_check(config: ExperimentConfig) -> RunResult:
         (spec, n, child_seed(config.seed, "trial", t), directions, params, config.ref_size)
         for t in range(config.trials)
     ]
-    results = _map_tasks(_ratio_task, tasks, config.threads)
+    results = _map_tasks(ratio_trial_rows, tasks, config.threads)
 
     rows = []
     failed_trials = []
@@ -311,7 +295,7 @@ def run_lemma_check(config: ExperimentConfig) -> RunResult:
                 (spec, n, trial, child_seed(config.seed, "lemma", dist, trial), config.lemma_ps, theta, params, cap_level)
                 for trial in range(config.trials)
             )
-        for chunk in _map_tasks(_lemma_task, work, config.threads):
+        for chunk in _map_tasks(lemma_trial_rows, work, config.threads):
             rows.extend(chunk)
         # Diagnostic sweep of the scaled-constant grid on the first trial of each law.
         for dist in config.lemma_dists:
@@ -363,7 +347,7 @@ def run_compare(config: ExperimentConfig) -> RunResult:
         (spec, n, t, child_seed(config.seed, "trial", t), directions, truths, trim)
         for t in range(config.trials)
     ]
-    results = _map_tasks(_compare_task, tasks, config.threads)
+    results = _map_tasks(comparison_trial_row, tasks, config.threads)
     rows = [
         (r.trial, r.q50_trimmed, r.q95_trimmed, r.max_trimmed, r.q50_mean, r.q95_mean, r.max_mean, r.winner)
         for r in results

@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from lptrim.distributions import draw_sample
+
 
 def trapezoid_tail_integral(sf, p: float, t_max: float, n_grid: int = 200_001) -> float:
     """Dense-grid trapezoid value of the integral of p t^(p-1) sf(t) over (0, t_max)."""
@@ -104,3 +106,9 @@ def exhaustive_rademacher(values, signs) -> float:
             total += int(ss[j])
             best = max(best, abs(total))
     return best / n
+
+
+def monte_carlo_moment(spec, v, p: float, size: int, seed: int) -> tuple[float, float]:
+    """Plain Monte Carlo E |<X, v>|^p over one draw of ``size`` rows, and its standard error."""
+    powered = np.abs(draw_sample(spec, size, seed).data @ np.asarray(v, dtype=float)) ** p
+    return float(np.mean(powered)), float(np.std(powered) / np.sqrt(size))

@@ -15,12 +15,10 @@ import math
 import numpy as np
 
 from helpers import exhaustive_interval_excess, exhaustive_rademacher
-from lptrim.checks import Verdict, compare_estimators, q90_max_errors
 from lptrim.cli import main
 from lptrim.config import ExperimentConfig
-from lptrim.core import RatioParams, TrimSpec, empirical_p_mean, trimmed_p_mean
+from lptrim.core import TrimSpec, empirical_p_mean, trimmed_p_mean
 from lptrim.distributions import (
-    DistributionSpec,
     EmpiricalCDF,
     ExponentialCDF,
     FoldedNormalCDF,
@@ -29,9 +27,8 @@ from lptrim.distributions import (
     gaussian_abs_moment,
 )
 from lptrim.oracle import check_tail_moment_bounds, raw_moment
-from lptrim.ratio import interval_excess_sup, rademacher_interval_complexity, ratio_properties_failure_rate
-from lptrim.runner import lemma_trial_rows, run_sandwich
-from lptrim.seeding import child_seed
+from lptrim.ratio import interval_excess_sup, rademacher_interval_complexity
+from lptrim.runner import run_compare, run_lemma_check, run_ratio_check, run_sandwich
 
 SAMPLE_C1 = 8.0
 THETA_C0 = 0.0625
@@ -116,31 +113,20 @@ def test_criterion_3_scan_vs_brute_force():
     assert report(3, "scan equals exhaustive search", ok, "(100 instances, exact equality)")
 
 
-def test_criterion_4_lemma_suite():
-    params = RatioParams(delta=0.01, lam=0.5, big_c=2.0)
-    trials, n = 1000, 10_000
-    counts = {v.value: 0 for v in Verdict}
-    failures = []
-    for dist, nu in (
-        ("gaussian", None),
-        ("cube_uniform", None),
-        ("product_laplace", None),
-        ("product_student_t", 6.0),
-    ):
-        spec = DistributionSpec(dist, 1, nu=nu)
-        for trial in range(trials):
-            seed = child_seed(MASTER_SEED, "lemma", dist, trial)
-            rows = lemma_trial_rows(spec, n, trial, seed, (1.0, 2.0, 3.0), 0.1, params, 0.1)
-            for row in rows:
-                counts[row[4]] += 1
-                if row[4] == Verdict.FAIL.value:
-                    failures.append(row[:5])
+def test_criterion_4_lemma_suite(tmp_path):
+    trials = 1000
+    cfg = ExperimentConfig(
+        nu=6.0, n=10_000, trials=trials, theta=0.1, t_level=0.1, delta=0.01,
+        seed=MASTER_SEED, out_dir=str(tmp_path),
+    )
+    summary = run_lemma_check(cfg).summary
+    counts = summary["counts"]
     passed = counts["fail"] == 0
     assert report(
         4, "lemma suite", passed,
         f"(checks: {counts['pass']} pass, {counts['not_applicable']} n/a, {counts['fail']} fail"
         f" over {4 * trials} trials x 3 exponents x 4 validators)",
-    ), failures[:5]
+    ), summary["failures"][:5]
 
 
 def test_criterion_5_sandwich_experiment(tmp_path):
@@ -159,35 +145,35 @@ def test_criterion_5_sandwich_experiment(tmp_path):
     assert report(5, "sandwich experiment", all_ok, "(" + "; ".join(details) + ")")
 
 
-def test_criterion_6_heavy_tail_superiority():
-    spec = DistributionSpec("product_student_t", 20, nu=4.5)
-    rep = compare_estimators(
-        spec, n=50 * 20, p=2.0, m_directions=500, trials=200,
-        theta=COMPARE_THETA, seed=MASTER_SEED,
+def test_criterion_6_heavy_tail_superiority(tmp_path):
+    cfg = ExperimentConfig(
+        dist="product_student_t", nu=4.5, dim=20, n=50 * 20, p=2.0, directions=500, trials=200,
+        theta=COMPARE_THETA, seed=MASTER_SEED, out_dir=str(tmp_path),
     )
+    summary = run_compare(cfg).summary
     # The paper bounds the error uniformly over directions, with high probability
     # over the sample; it promises no per-trial win at p=2.  So: with probability
     # 0.90 over the sample, the trimmed estimator's uniform error is smaller than
     # the plain mean's.  A trial's uniform error is its worst relative error over
     # the probe directions.
-    sup_trimmed, sup_mean = q90_max_errors(rep.rows)
+    sup_trimmed, sup_mean = summary["q90_max_trimmed"], summary["q90_max_mean"]
     passed = sup_trimmed < sup_mean
     assert report(
         6, "heavy-tail superiority", passed,
         f"(0.90 trial-quantile of the sup error: trimmed {sup_trimmed:.3f}, mean {sup_mean:.3f},"
         f" required trimmed < mean; per-trial 95th-percentile win rate"
-        f" {rep.trimmed_win_rate:.3f}, not promised at p=2)",
+        f" {summary['trimmed_win_rate']:.3f}, not promised at p=2)",
     )
 
 
-def test_criterion_7_ratio_property_event():
-    spec = DistributionSpec("gaussian", 10)
+def test_criterion_7_ratio_property_event(tmp_path):
     rates = []
     for n in (5000, 10_000, 20_000):
-        rep = ratio_properties_failure_rate(
-            spec, n=n, delta=0.05, m_directions=200, trials=50, seed=MASTER_SEED
+        cfg = ExperimentConfig(
+            dist="gaussian", dim=10, n=n, delta=0.05, directions=200, trials=50,
+            seed=MASTER_SEED, out_dir=str(tmp_path / str(n)),
         )
-        rates.append(rep.failure_rate)
+        rates.append(run_ratio_check(cfg).summary["failure_rate"])
     passed = rates[0] <= 0.05 and rates[1] <= rates[0] and rates[2] <= rates[1]
     assert report(
         7, "ratio-property event", passed,

@@ -9,12 +9,13 @@ from lptrim.checks import (
     check_moment_sandwich,
     check_trim_threshold_sandwich,
     check_trimmed_sum_brackets,
-    compare_estimators,
     scan_error_constant_grid,
 )
+from lptrim.config import ExperimentConfig
 from lptrim.core import RatioParams, TrimSpec, project_abs, trim_threshold, trimmed_p_mean, truncated_power_mean
 from lptrim.distributions import DistributionSpec, EmpiricalCDF, HalfUniformCDF, draw_sample, marginal_cdf
 from lptrim.oracle import upper_quantile
+from lptrim.runner import run_compare
 
 PARAMS = RatioParams(delta=0.01, lam=0.5, big_c=2.0)
 UNIFORM01 = HalfUniformCDF(width=1.0)
@@ -165,31 +166,36 @@ class TestScanGrid:
         assert all(np.isfinite(row.upper_slack) and np.isfinite(row.lower_slack) for row in rows)
 
 
-class TestCompareEstimators:
-    def test_no_trim_gives_identical_columns(self):
-        spec = DistributionSpec("gaussian", 3)
-        rep = compare_estimators(spec, n=500, p=2.0, m_directions=10, trials=3, theta=0.001, seed=3)
-        for row in rep.rows:
-            assert row.q50_trimmed == row.q50_mean
-            assert row.q95_trimmed == row.q95_mean
-            assert row.max_trimmed == row.max_mean
-            assert row.winner == "tie"
+def compare_rows(tmp_path, **fields):
+    """The rows file of one run_compare call, as a structured array."""
+    result = run_compare(ExperimentConfig(out_dir=str(tmp_path), **fields))
+    return np.genfromtxt(result.rows_path, delimiter=",", names=True, skip_header=1, dtype=None, encoding="utf-8")
 
-    def test_gaussian_medians_within_factor_two(self):
+
+class TestCompareEstimators:
+    def test_no_trim_gives_identical_columns(self, tmp_path):
+        rows = compare_rows(tmp_path, dist="gaussian", dim=3, n=500, p=2.0, directions=10, trials=3,
+                            theta=0.001, seed=3)
+        assert rows.size == 3
+        for col in ("q50", "q95", "max"):
+            assert np.array_equal(rows[f"{col}_trimmed"], rows[f"{col}_mean"])
+        assert all(rows["winner"] == "tie")
+
+    def test_gaussian_medians_within_factor_two(self, tmp_path):
         # light tails: a trim of a few points costs little (theta calibrated
         # so the trim bias sits at the sampling-noise scale)
-        spec = DistributionSpec("gaussian", 5)
-        rep = compare_estimators(spec, n=5000, p=2.0, m_directions=50, trials=10, theta=0.001, seed=9)
-        med_t = np.median([r.q50_trimmed for r in rep.rows])
-        med_m = np.median([r.q50_mean for r in rep.rows])
+        rows = compare_rows(tmp_path, dist="gaussian", dim=5, n=5000, p=2.0, directions=50, trials=10,
+                            theta=0.001, seed=9)
+        med_t = np.median(rows["q50_trimmed"])
+        med_m = np.median(rows["q50_mean"])
         assert med_t <= 2 * med_m
         assert med_m <= 2 * med_t
 
-    def test_winner_column_semantics(self):
-        spec = DistributionSpec("product_student_t", 4, nu=4.5)
-        rep = compare_estimators(spec, n=400, p=2.0, m_directions=20, trials=5, theta=0.01, seed=5)
-        for row in rep.rows:
-            if row.q95_trimmed < row.q95_mean:
-                assert row.winner == "trimmed"
-            elif row.q95_mean < row.q95_trimmed:
-                assert row.winner == "mean"
+    def test_winner_column_semantics(self, tmp_path):
+        rows = compare_rows(tmp_path, dist="product_student_t", nu=4.5, dim=4, n=400, p=2.0, directions=20,
+                            trials=5, theta=0.01, seed=5)
+        for row in rows:
+            if row["q95_trimmed"] < row["q95_mean"]:
+                assert row["winner"] == "trimmed"
+            elif row["q95_mean"] < row["q95_trimmed"]:
+                assert row["winner"] == "mean"

@@ -76,14 +76,22 @@ class TestExitCodes:
         ])
         assert code == 3
 
-    @pytest.mark.parametrize("command", ["compare", "sandwich"])
-    def test_overflowing_closed_form_moment_is_three(self, tmp_path, capsys, command):
-        code = main([
-            command, "--dist", "gaussian", "--dim", "1", "--p", "400", "--n", "50",
-            "--directions", "2", "--trials", "1", "--out-dir", str(tmp_path),
-        ])
+    @pytest.mark.parametrize("args", [
+        ["compare", "--dist", "gaussian", "--dim", "1", "--p", "400", "--n", "50", "--directions", "2", "--trials", "1"],
+        ["sandwich", "--dist", "gaussian", "--dim", "1", "--p", "400", "--n", "50", "--directions", "2", "--trials", "1"],
+        ["oracle", "--dist", "gaussian", "--query", "tail-moment", "--p", "400"],
+        ["oracle", "--dist", "gaussian", "--query", "upper-moment", "--p", "400", "--kappa", "0.1"],
+        ["lemma-check", "--n", "500", "--trials", "1"],
+    ], ids=["compare", "sandwich", "oracle-tail-moment", "oracle-upper-moment", "lemma-check"])
+    def test_overflowing_moment_is_three(self, tmp_path, capsys, args):
+        # compare and sandwich overflow a closed form; the oracle queries and the
+        # lemma-check config (p=400) overflow the quadrature integrand p t^(p-1)
+        config = tmp_path / "f.json"
+        config.write_text(json.dumps({"lemma_ps": [400], "lemma_dists": ["gaussian"]}))
+        code = main(args + ["--config", str(config), "--out-dir", str(tmp_path)])
+        err = capsys.readouterr().err
         assert code == 3
-        assert "p=400" in capsys.readouterr().err
+        assert err.startswith("infeasible:") and "p=400" in err
 
     @pytest.mark.parametrize("args", [
         ["ratio-check", "--dist", "gaussian", "--dim", "2", "--n", "500", "--directions", "3", "--trials", "1"],

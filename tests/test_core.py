@@ -1,7 +1,11 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import lptrim
 from helpers import fraction_trimmed_mean
 from lptrim.core import (
     RatioParams,
@@ -278,3 +282,10 @@ def test_ratio_params_validation():
         RatioParams(delta=0.1, lam=1.0, big_c=2.0)
     with pytest.raises(ValueError):
         RatioParams(delta=0.1, lam=0.5, big_c=0.5)
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(lptrim.__path__)))
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"lptrim.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing

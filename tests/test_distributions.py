@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import monte_carlo_moment
 from lptrim import distributions
 from lptrim.distributions import (
     DistributionSpec,
@@ -21,7 +22,6 @@ from lptrim.distributions import (
     spec_from_label,
     sphere_directions,
     student_abs_moment,
-    true_p_moment,
     _draw_matrix,
 )
 from lptrim.seeding import child_rng
@@ -74,30 +74,37 @@ class TestDrawSample:
         assert np.max(np.abs(cov - np.eye(spec.dim))) < 0.05
 
 
+def oracle_moment(spec, v, p):
+    return MomentOracle(spec).moments([v], p)[0]
+
+
 class TestTrueMoment:
     def test_gaussian_isotropic_second_moment(self):
         spec = DistributionSpec("gaussian", 4)
         v = np.array([0.5, 0.5, 0.5, 0.5])
-        assert float(true_p_moment(spec, v, 2)) == pytest.approx(1.0)
+        assert oracle_moment(spec, v, 2) == pytest.approx(1.0)
 
     def test_gaussian_fourth_moment(self):
         spec = DistributionSpec("gaussian", 2)
-        assert float(true_p_moment(spec, [1.0, 0.0], 4)) == pytest.approx(3.0)
+        assert oracle_moment(spec, [1.0, 0.0], 4) == pytest.approx(3.0)
 
     def test_student_fourth_moment_coordinate(self):
         # unit-variance scaling leaves E x^4 = 3 (nu - 2) / (nu - 4)
         spec = DistributionSpec("product_student_t", 3, nu=10.0)
         v = np.array([1.0, 0.0, 0.0])
-        analytic = true_p_moment(spec, v, 4)
-        assert analytic.method == "analytic"
-        assert analytic.value == pytest.approx(4.0, rel=1e-12)
-        mc = true_p_moment(spec, v, 4, mc_size=400_000, force_mc=True)
-        assert abs(mc.value - analytic.value) < 3 * mc.stderr
+        analytic = oracle_moment(spec, v, 4)
+        assert analytic == pytest.approx(4.0, rel=1e-12)
+        mc, stderr = monte_carlo_moment(spec, v, 4, 400_000, seed=1)
+        assert abs(mc - analytic) < 3 * stderr
 
     def test_nonexistent_moment_raises(self):
         spec = DistributionSpec("product_student_t", 2, nu=4.5)
         with pytest.raises(MomentDoesNotExistError):
-            true_p_moment(spec, [1.0, 0.0], 5)
+            oracle_moment(spec, [1.0, 0.0], 5)
+
+    def test_p_below_one_rejected(self):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            oracle_moment(DistributionSpec("gaussian", 2), [1.0, 0.0], 0.5)
 
     @pytest.mark.parametrize(
         "moment, p",
@@ -120,24 +127,21 @@ class TestTrueMoment:
     def test_gaussian_analytic_matches_monte_carlo(self, p):
         spec = DistributionSpec("gaussian", 3)
         v = np.array([0.6, -0.3, 1.1])
-        analytic = true_p_moment(spec, v, p)
-        mc = true_p_moment(spec, v, p, mc_size=500_000, force_mc=True)
-        assert abs(mc.value - analytic.value) < 3 * mc.stderr
+        analytic = oracle_moment(spec, v, p)
+        mc, stderr = monte_carlo_moment(spec, v, p, 500_000, seed=2)
+        assert abs(mc - analytic) < 3 * stderr
 
     def test_isotropy_shortcut_all_specs(self):
         for spec in ALL_SPECS:
             v = np.full(spec.dim, 1.0 / math.sqrt(spec.dim))
-            got = true_p_moment(spec, v, 2)
-            assert got.method == "analytic"
-            assert got.value == pytest.approx(1.0, rel=1e-12)
+            assert oracle_moment(spec, v, 2) == pytest.approx(1.0, rel=1e-12)
 
     def test_product_fourth_moment_cumulant_formula(self):
         spec = DistributionSpec("product_laplace", 4)
         v = np.array([0.5, -0.5, 0.5, 0.5])
-        analytic = true_p_moment(spec, v, 4)
-        mc = true_p_moment(spec, v, 4, mc_size=400_000, force_mc=True)
-        assert analytic.method == "analytic"
-        assert abs(mc.value - analytic.value) < 3 * mc.stderr
+        analytic = oracle_moment(spec, v, 4)
+        mc, stderr = monte_carlo_moment(spec, v, 4, 400_000, seed=3)
+        assert abs(mc - analytic) < 3 * stderr
 
 
 class TestMomentEquivalenceMetadata:
@@ -150,11 +154,9 @@ class TestMomentEquivalenceMetadata:
         q, stored = spec.moment_equiv
         assert q == 4.0
         directions = sphere_directions(spec.dim, 100, 17)
-        for v in directions:
-            m4 = float(true_p_moment(spec, v, 4))
-            m2 = float(true_p_moment(spec, v, 2))
-            ratio = m4 ** 0.25 / m2 ** 0.5
-            assert ratio <= stored * (1 + 1e-12)
+        oracle = MomentOracle(spec)
+        ratio = oracle.moments(directions, 4) ** 0.25 / oracle.moments(directions, 2) ** 0.5
+        assert np.all(ratio <= stored * (1 + 1e-12))
 
     def test_student_metadata(self):
         assert DistributionSpec("product_student_t", 2, nu=4.0).moment_equiv is None
@@ -223,7 +225,7 @@ class TestMarginalCDF:
         spec = DistributionSpec("product_laplace", 4)
         v = np.array([0.5, 0.5, 0.5, 0.5])
         cdf = marginal_cdf(spec, v, ref_size=200_000)
-        exact_m2 = float(true_p_moment(spec, v, 2))
+        exact_m2 = oracle_moment(spec, v, 2)
         assert cdf.exact_moment(2.0) == pytest.approx(exact_m2, abs=0.02)
 
 
@@ -247,9 +249,9 @@ class TestMomentOracle:
         dirs = sphere_directions(3, 8, 21)
         batch = MomentOracle(spec, ref_size=300_000, seed=4).moments(dirs, 3.0)
         for j, v in enumerate(dirs):
-            single = true_p_moment(spec, v, 3.0, mc_size=300_000)
+            single, stderr = monte_carlo_moment(spec, v, 3.0, 300_000, seed=4)
             # both sides are Monte Carlo; allow 5 combined standard errors
-            assert abs(batch[j] - single.value) < 5 * math.sqrt(2.0) * single.stderr
+            assert abs(batch[j] - single) < 5 * math.sqrt(2.0) * stderr
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 5.0])
     @pytest.mark.parametrize("m", [1, 7])

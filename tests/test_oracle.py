@@ -103,6 +103,15 @@ class TestTailIntegralMoment:
         with pytest.raises(MomentDoesNotExistError):
             raw_moment(heavy, 5.0)
 
+    @pytest.mark.parametrize("integral", [
+        lambda: raw_moment(FOLDED_NORMAL, 400.0),
+        lambda: error_functional(FOLDED_NORMAL, 400.0, 10.0, 0.01),
+    ], ids=["tail_integral", "sqrt_tail_integral"])
+    def test_overflowing_quadrature_raises_naming_p(self, integral):
+        # p t^(p-1) overflows a float inside the integrand
+        with pytest.raises(MomentDoesNotExistError, match="p=400"):
+            integral()
+
 
 class TestErrorFunctional:
     def test_zero_cap(self):

@@ -9,6 +9,7 @@ from helpers import (
     grid_ratio_deviation,
     interval_excess_by_masses,
 )
+from lptrim.config import ConfigError, ExperimentConfig
 from lptrim.core import RatioParams, project_abs
 from lptrim.distributions import (
     DistributionSpec,
@@ -24,10 +25,10 @@ from lptrim.ratio import (
     interval_excess_sup,
     rademacher_interval_complexity,
     ratio_floor,
-    ratio_properties_failure_rate,
     ratio_properties_report,
     tail_ratio_check,
 )
+from lptrim.runner import run_ratio_check
 from lptrim.seeding import child_seed
 
 UNIFORM01 = HalfUniformCDF(width=1.0)
@@ -221,27 +222,25 @@ class TestRademacher:
             rademacher_interval_complexity([1, 2], [1, 0])
 
 
+def ratio_summary(tmp_path, **fields):
+    return run_ratio_check(ExperimentConfig(dist="gaussian", out_dir=str(tmp_path), **fields)).summary
+
+
 class TestFailureRate:
-    def test_gaussian_small_run_zero_failures(self):
-        spec = DistributionSpec("gaussian", 3)
-        rep = ratio_properties_failure_rate(spec, n=2000, delta=0.05, m_directions=10, trials=5, seed=11)
-        assert rep.failure_rate == 0.0
-        assert rep.n_directions == 10 + 2 * 3
-        assert rep.floor_ok
+    def test_gaussian_small_run_zero_failures(self, tmp_path):
+        summary = ratio_summary(tmp_path, dim=3, n=2000, delta=0.05, directions=10, trials=5, seed=11)
+        assert summary["failure_rate"] == 0.0
+        assert summary["n_directions"] == 10 + 2 * 3
+        assert summary["delta_above_floor"]
 
-    def test_delta_above_half_rejected(self):
-        spec = DistributionSpec("gaussian", 3)
-        with pytest.raises(ValueError):
-            ratio_properties_failure_rate(spec, n=100, delta=0.6, m_directions=2, trials=1, seed=0)
+    def test_delta_above_half_rejected(self, tmp_path):
+        with pytest.raises(ConfigError):
+            ratio_summary(tmp_path, dim=3, n=100, delta=0.6, directions=2, trials=1, seed=0)
 
-    def test_floor_violation_warns_but_runs(self):
-        spec = DistributionSpec("gaussian", 4)
-        with pytest.warns(UserWarning):
-            rep = ratio_properties_failure_rate(
-                spec, n=300, delta=0.011, m_directions=2, trials=1, seed=0
-            )
-        assert not rep.floor_ok
-        assert 0.0 <= rep.failure_rate <= 1.0
+    def test_below_floor_flagged_but_runs(self, tmp_path):
+        summary = ratio_summary(tmp_path, dim=4, n=300, delta=0.011, directions=2, trials=1, seed=0)
+        assert not summary["delta_above_floor"]
+        assert 0.0 <= summary["failure_rate"] <= 1.0
 
     def test_floor_formula(self):
         assert ratio_floor(10, 5000) == pytest.approx((10 / 5000) * math.log(math.e * 500))
