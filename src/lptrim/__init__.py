@@ -40,11 +40,9 @@ from .oracle import (
     upper_quantile,
 )
 from .ratio import (
-    dyadic_ratio_check,
     interval_excess_sup,
     rademacher_interval_complexity,
     ratio_properties_report,
-    tail_ratio_check,
 )
 from .checks import (
     CheckOutcome,

@@ -1,7 +1,8 @@
 """Validators for the trimmed-estimator bracket inequalities on concrete samples.
 
-Each validator first re-verifies its own preconditions (the ratio properties
-plus the trim-level arithmetic they need) and returns a three-valued outcome:
+Each validator takes the sample's :class:`RatioReport`, reads the ratio
+parameters from it, checks its own preconditions (the ratio properties plus
+the trim-level arithmetic they need) and returns a three-valued outcome:
 PASS, FAIL, or NOT_APPLICABLE when a gate does not hold.  A FAIL on a sample
 whose gates all pass indicates an implementation defect, never sampling noise;
 the inequalities are deterministic consequences of the gates.
@@ -21,7 +22,6 @@ from enum import Enum
 import numpy as np
 
 from .core import (
-    RatioParams,
     TrimSpec,
     adjusted_trim_levels,
     stated_theta_gate,
@@ -44,7 +44,7 @@ from .oracle import (
     truncated_upper_moment,
     upper_quantile,
 )
-from .ratio import RatioReport, dyadic_ratio_check, ratio_properties_report
+from .ratio import RatioReport
 
 __all__ = [
     "Verdict",
@@ -85,8 +85,9 @@ def _tol(rel: float, *magnitudes: float) -> float:
     return rel * max(1.0, *(abs(m) for m in magnitudes))
 
 
-def _level_gate(theta: float, params: RatioParams) -> str | None:
-    """Reason string when the trim-level arithmetic is not applicable."""
+def _gate(theta: float, report: RatioReport) -> str | None:
+    """Reason string when the trim-level arithmetic or a ratio property fails."""
+    params = report.params
     if theta <= 2.0 * params.big_c * params.delta:
         return f"theta={theta} <= 2*C*delta={2.0 * params.big_c * params.delta}: deflated level nonpositive"
     if theta < (params.big_c + 1.5) * params.delta:
@@ -94,19 +95,14 @@ def _level_gate(theta: float, params: RatioParams) -> str | None:
             f"theta={theta} < (C + 3/2)*delta={(params.big_c + 1.5) * params.delta}: "
             "threshold tail mass not guaranteed"
         )
-    return None
-
-
-def _properties_gate(values, cdf, params, properties: RatioReport | None) -> tuple[RatioReport, str | None]:
-    rep = properties if properties is not None else ratio_properties_report(values, cdf, params)
-    if not rep.all_pass:
+    if not report.all_pass:
         failing = [
             name
-            for name, ok in (("tail", rep.tail.ok), ("dyadic", rep.dyadic.ok), ("interval", rep.interval.ok))
+            for name, ok in (("tail", report.tail.ok), ("dyadic", report.dyadic.ok), ("interval", report.interval.ok))
             if not ok
         ]
-        return rep, "ratio properties fail: " + ", ".join(failing)
-    return rep, None
+        return "ratio properties fail: " + ", ".join(failing)
+    return None
 
 
 def _bracket_quantiles(cdf, theta, params):
@@ -116,20 +112,13 @@ def _bracket_quantiles(cdf, theta, params):
     return theta_plus, theta_minus, q_lo, q_hi
 
 
-def check_trim_threshold_sandwich(
-    values_abs,
-    cdf: MarginalCDF,
-    theta: float,
-    params: RatioParams,
-    properties: RatioReport | None = None,
-) -> CheckOutcome:
+def check_trim_threshold_sandwich(values_abs, cdf: MarginalCDF, theta: float, report: RatioReport) -> CheckOutcome:
     """The empirical trim threshold lies strictly between the true quantiles
     at the inflated and deflated levels."""
     name = "trim_threshold_sandwich"
+    params = report.params
     values = np.abs(_as_finite_1d(values_abs))
-    gate = _level_gate(theta, params)
-    if gate is None:
-        _, gate = _properties_gate(values, cdf, params, properties)
+    gate = _gate(theta, report)
     if gate is not None:
         return CheckOutcome(name, Verdict.NOT_APPLICABLE, reason=gate)
     theta_plus, theta_minus, q_lo, q_hi = _bracket_quantiles(cdf, theta, params)
@@ -146,21 +135,14 @@ def check_trim_threshold_sandwich(
     return CheckOutcome(name, Verdict.PASS if ok else Verdict.FAIL, witnesses)
 
 
-def check_trimmed_sum_brackets(
-    values_abs,
-    cdf: MarginalCDF,
-    trim: TrimSpec,
-    params: RatioParams,
-    properties: RatioReport | None = None,
-) -> CheckOutcome:
+def check_trimmed_sum_brackets(values_abs, cdf: MarginalCDF, trim: TrimSpec, report: RatioReport) -> CheckOutcome:
     """The trimmed mean sits between the exact empirical tail integrals taken
     up to the bracketing quantiles (with the theta * threshold^p correction
     on the lower side)."""
     name = "trimmed_sum_brackets"
+    params = report.params
     values = np.abs(_as_finite_1d(values_abs))
-    gate = _level_gate(trim.theta, params)
-    if gate is None:
-        _, gate = _properties_gate(values, cdf, params, properties)
+    gate = _gate(trim.theta, report)
     if gate is not None:
         return CheckOutcome(name, Verdict.NOT_APPLICABLE, reason=gate)
     _, _, q_lo, q_hi = _bracket_quantiles(cdf, trim.theta, params)
@@ -181,28 +163,20 @@ def check_trimmed_sum_brackets(
 
 
 def check_empirical_integral_sandwich(
-    values_abs,
-    cdf: MarginalCDF,
-    p: float,
-    t_cap: float,
-    delta: float,
-    properties: RatioReport | None = None,
+    values_abs, cdf: MarginalCDF, p: float, t_cap: float, report: RatioReport
 ) -> CheckOutcome:
     """The exact empirical tail integral up to t_cap is sandwiched between the
     capped true moment minus the error functional and the full true moment
     plus the error functional."""
     name = "empirical_integral_sandwich"
+    delta = report.params.delta
     values = np.abs(_as_finite_1d(values_abs))
     tail_at_cap = float(cdf.sf(t_cap))
     if tail_at_cap < delta:
         return CheckOutcome(
             name, Verdict.NOT_APPLICABLE, reason=f"P(f > t_cap)={tail_at_cap} below delta={delta}"
         )
-    if properties is not None:
-        dyadic_ok = properties.dyadic.ok
-    else:
-        dyadic_ok = dyadic_ratio_check(values, cdf, delta).ok
-    if not dyadic_ok:
+    if not report.dyadic.ok:
         return CheckOutcome(name, Verdict.NOT_APPLICABLE, reason="dyadic ratio property fails")
     empirical = truncated_power_mean(values, p, t_cap)
     err = error_functional(cdf, p, t_cap, delta)
@@ -221,13 +195,7 @@ def check_empirical_integral_sandwich(
     return CheckOutcome(name, Verdict.PASS if ok else Verdict.FAIL, witnesses)
 
 
-def check_moment_sandwich(
-    values_abs,
-    cdf: MarginalCDF,
-    trim: TrimSpec,
-    params: RatioParams,
-    properties: RatioReport | None = None,
-) -> CheckOutcome:
+def check_moment_sandwich(values_abs, cdf: MarginalCDF, trim: TrimSpec, report: RatioReport) -> CheckOutcome:
     """The constant-free two-sided bound on the trimmed mean.
 
     Upper: trimmed mean <= E f^p + err(q_hi).
@@ -235,10 +203,9 @@ def check_moment_sandwich(
     with q_lo, q_hi the quantiles at the inflated and deflated trim levels.
     """
     name = "moment_sandwich"
+    params = report.params
     values = np.abs(_as_finite_1d(values_abs))
-    gate = _level_gate(trim.theta, params)
-    if gate is None:
-        _, gate = _properties_gate(values, cdf, params, properties)
+    gate = _gate(trim.theta, report)
     if gate is not None:
         return CheckOutcome(name, Verdict.NOT_APPLICABLE, reason=gate)
     theta_plus, theta_minus, q_lo, q_hi = _bracket_quantiles(cdf, trim.theta, params)

@@ -8,6 +8,7 @@ request (a moment that does not exist).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -88,15 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CONFIG_KEYS = (
-    "seed", "out_dir", "threads", "format", "dist", "nu", "dim", "n", "p", "epsilon", "theta",
-    "delta", "lam", "big_c", "directions", "trials", "ref_size", "theta_c0", "sample_c1",
-    "pass_rate_threshold", "ratio_fail_threshold", "sample_file", "t_level", "min_win_rate",
-)
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = {key: getattr(args, key) for key in _CONFIG_KEYS if hasattr(args, key)}
+    """The config file's entries, overridden by every flag that names a config field."""
+    fields = (f.name for f in dataclasses.fields(ExperimentConfig))
+    overrides = {name: getattr(args, name) for name in fields if hasattr(args, name)}
     return ExperimentConfig.from_sources(args.config, overrides)
 
 

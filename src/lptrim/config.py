@@ -65,6 +65,10 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            entries = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.dist not in DIST_NAMES:
             raise ConfigError(f"unknown dist {self.dist!r}; expected one of {DIST_NAMES}")
         if self.dist == "product_student_t" and not self.nu > 2:
@@ -111,6 +115,10 @@ class ExperimentConfig:
         for p in self.lemma_ps:
             if p < 1:
                 raise ConfigError(f"lemma p values must be >= 1, got {p}")
+        try:
+            self.resolved_n, self.resolved_theta
+        except (ValueError, OverflowError) as exc:  # e.g. theta_c0 * epsilon^2 at or above 1
+            raise ConfigError(str(exc)) from None
 
     # -- derived quantities -------------------------------------------------
 

@@ -120,7 +120,8 @@ def cut_rank(theta: float, n: int) -> int:
 
     The k - 1 largest values are discarded and the k-th largest is the
     threshold.  Float round-off just above an integer is forgiven so that
-    e.g. theta=0.1, n=10**4 yields k=1000 rather than 1001.
+    e.g. theta=0.1, n=10**4 yields k=1000 rather than 1001.  Since theta < 1,
+    1 <= k <= n: at least one value is always kept.
     """
     if not (0 < theta < 1):
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
@@ -146,6 +147,19 @@ def nonincreasing_rearrangement(z) -> np.ndarray:
     return np.sort(np.abs(z))[::-1]
 
 
+def _sorted_power_sums(z: np.ndarray, p: float, keep: int) -> np.ndarray:
+    """Sum of the ``keep`` smallest p-th powers of each row of z, over the row length.
+
+    z is a C-contiguous (m, n) working copy of nonnegative values; it is sorted
+    and powered in place.  Summing along a contiguous row runs in the order of
+    the 1-d sum, so a one-row call and a row of a many-row call agree bit for
+    bit.  Every p-mean in this module is one call of this kernel.
+    """
+    z.sort(axis=1)
+    z **= p
+    return z[:, :keep].sum(axis=1) / z.shape[1]
+
+
 def trimmed_p_mean(values_abs, spec: TrimSpec) -> float:
     """Mean of the p-th powers after discarding the cut_rank - 1 largest values.
 
@@ -154,22 +168,16 @@ def trimmed_p_mean(values_abs, spec: TrimSpec) -> float:
     the untrimmed case agrees bit for bit with ``empirical_p_mean``.
     """
     z = np.abs(_as_finite_1d(values_abs))
-    n = z.size
-    k = spec.cut_rank(n)
-    if k > n:
-        raise ValueError(f"trim rank {k} exceeds sample size {n}: nothing kept")
-    powered = np.sort(z) ** spec.p
-    return float(np.sum(powered[: n - k + 1]) / n)
+    return float(_sorted_power_sums(z[None, :], spec.p, z.size - spec.cut_rank(z.size) + 1)[0])
 
 
 def trimmed_p_means(rows_abs, spec: TrimSpec) -> np.ndarray:
     """:func:`trimmed_p_mean` of every row of an (m, n) matrix, in one sort.
 
-    Each row is sorted and powered on its own and its kept prefix is summed
-    along the row, so every entry equals ``trimmed_p_mean`` of that row bit
-    for bit.  Pass one row per direction; the working copy is made
-    C-contiguous whatever the input's layout, because a row sum only runs in
-    the order of the 1-d sum when the row is contiguous.
+    Every entry equals ``trimmed_p_mean`` of that row bit for bit.  Pass one
+    row per direction; the working copy is made C-contiguous whatever the
+    input's layout, because a row sum only runs in the order of the 1-d sum
+    when the row is contiguous.
     """
     z = np.abs(np.asarray(rows_abs, dtype=np.float64), order="C")
     if z.ndim != 2:
@@ -179,12 +187,7 @@ def trimmed_p_means(rows_abs, spec: TrimSpec) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise ValueError("values must be finite")
     n = z.shape[1]
-    k = spec.cut_rank(n)
-    if k > n:
-        raise ValueError(f"trim rank {k} exceeds sample size {n}: nothing kept")
-    z.sort(axis=1)
-    z **= spec.p
-    return z[:, : n - k + 1].sum(axis=1) / n
+    return _sorted_power_sums(z, spec.p, n - spec.cut_rank(n) + 1)
 
 
 def empirical_p_mean(values_abs, p: float) -> float:
@@ -196,7 +199,7 @@ def empirical_p_mean(values_abs, p: float) -> float:
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     z = np.abs(_as_finite_1d(values_abs))
-    return float(np.sum(np.sort(z) ** p) / z.size)
+    return float(_sorted_power_sums(z[None, :], p, z.size)[0])
 
 
 def trim_threshold(values_abs, theta: float) -> float:
@@ -215,8 +218,8 @@ def truncated_power_mean(values_abs, p: float, cap: float) -> float:
     """
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
-    z = np.abs(_as_finite_1d(values_abs))
-    return float(np.sum(np.sort(np.minimum(z, cap)) ** p) / z.size)
+    z = np.minimum(np.abs(_as_finite_1d(values_abs)), cap)
+    return float(_sorted_power_sums(z[None, :], p, z.size)[0])
 
 
 def adjusted_trim_levels(theta: float, params: RatioParams) -> tuple[float, float]:

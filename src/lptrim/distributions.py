@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .core import SampleMatrix
+from .core import SampleMatrix, empirical_p_mean
 from .seeding import child_rng, child_seed
 
 __all__ = [
@@ -185,7 +185,6 @@ class MarginalCDF:
     immutable after construction and safe for concurrent queries.
     """
 
-    mode = "analytic"
     #: moments of order >= this bound diverge (math.inf when all exist)
     max_finite_moment: float = math.inf
 
@@ -314,15 +313,12 @@ class FoldedStudentTCDF(MarginalCDF):
 class EmpiricalCDF(MarginalCDF):
     """Step CDF over a sorted reference sample; queries are O(log M)."""
 
-    mode = "empirical"
-
-    def __init__(self, values, seed: int, source: str = ""):
+    def __init__(self, values, seed: int):
         xs = np.sort(np.abs(np.asarray(values, dtype=np.float64)))
         if xs.size < 1 or not np.all(np.isfinite(xs)):
             raise ValueError("reference sample must be nonempty and finite")
         self.values = xs
         self.seed = int(seed)
-        self.source = source
 
     @property
     def size(self) -> int:
@@ -375,7 +371,7 @@ class EmpiricalCDF(MarginalCDF):
         return float(xs[lo])
 
     def exact_moment(self, p: float) -> float:
-        return float(np.mean(np.sort(self.values ** p)))
+        return empirical_p_mean(self.values, p)
 
 
 def _coordinate_abs_cdf(spec: DistributionSpec, weight: float) -> MarginalCDF:
@@ -398,7 +394,7 @@ def _single_coordinate_weight(v: np.ndarray) -> float | None:
 
 _MARGINAL_CACHE: OrderedDict[tuple, EmpiricalCDF] = OrderedDict()
 _MARGINAL_CACHE_MAX = 32
-# Fixed root for derived reference seeds; explicit seeds bypass it.
+# Fixed root of the reference seeds, which derive from (law, v, ref_size).
 _REF_SEED_ROOT = 20_260_810
 
 
@@ -411,7 +407,7 @@ def _reference_seed(spec: DistributionSpec, v: np.ndarray, ref_size: int) -> int
     return child_seed(_REF_SEED_ROOT, "marginal-ref", spec.label, ref_size, digest)
 
 
-def marginal_cdf(spec: DistributionSpec, v, ref_size: int = 1_000_000, seed: int | None = None) -> MarginalCDF:
+def marginal_cdf(spec: DistributionSpec, v, ref_size: int = 1_000_000) -> MarginalCDF:
     """The law of |<X, v>|; analytic where known, cached empirical otherwise."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (spec.dim,):
@@ -425,21 +421,21 @@ def marginal_cdf(spec: DistributionSpec, v, ref_size: int = 1_000_000, seed: int
     if weight is not None:
         return _coordinate_abs_cdf(spec, weight)
 
-    resolved_seed = _reference_seed(spec, v, ref_size) if seed is None else int(seed)
-    key = (spec.label, spec.dim, ref_size, resolved_seed, v.tobytes())
+    key = (spec.label, ref_size, v.tobytes())
     hit = _MARGINAL_CACHE.get(key)
     if hit is not None:
         _MARGINAL_CACHE.move_to_end(key)
         return hit
 
-    rng = np.random.default_rng(resolved_seed)
+    seed = _reference_seed(spec, v, ref_size)
+    rng = np.random.default_rng(seed)
     parts = []
     remaining = ref_size
     while remaining > 0:
         rows = min(_CHUNK_ROWS, remaining)
         parts.append(np.abs(_draw_matrix(spec, rows, rng) @ v))
         remaining -= rows
-    out = EmpiricalCDF(np.concatenate(parts), seed=resolved_seed, source=spec.label)
+    out = EmpiricalCDF(np.concatenate(parts), seed=seed)
     _MARGINAL_CACHE[key] = out
     if len(_MARGINAL_CACHE) > _MARGINAL_CACHE_MAX:
         _MARGINAL_CACHE.popitem(last=False)

@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
+from .core import truncated_power_mean
 from .distributions import EmpiricalCDF, MarginalCDF, MomentDoesNotExistError, _closed_form
 
 __all__ = [
@@ -92,12 +93,6 @@ def _quad(fn, lo: float, hi: float, p: float) -> float:
     )
 
 
-def _empirical_moment_below(cdf: EmpiricalCDF, p: float, t_max: float) -> float:
-    # integral of p t^(p-1) P(f > t) over (0, t_max), exact for a step tail
-    xs = np.sort(np.minimum(cdf.values, t_max) ** p)
-    return float(np.sum(xs) / cdf.size)
-
-
 def tail_integral_moment(cdf: MarginalCDF, p: float, t_max: float) -> float:
     """Integral of p t^(p-1) P(f > t) dt over (0, t_max).
 
@@ -111,7 +106,8 @@ def tail_integral_moment(cdf: MarginalCDF, p: float, t_max: float) -> float:
     if t_max == 0:
         return 0.0
     if isinstance(cdf, EmpiricalCDF):
-        return _empirical_moment_below(cdf, p, t_max)
+        # exact for a step tail: the mean of min(f, t_max)^p over the reference
+        return truncated_power_mean(cdf.values, p, t_max)
     return _tail_integral(cdf, p, 0.0, t_max)
 
 

@@ -39,8 +39,6 @@ __all__ = [
     "IntervalExcessResult",
     "RatioReport",
     "DirectionCheckRow",
-    "tail_ratio_check",
-    "dyadic_ratio_check",
     "interval_excess_sup",
     "ratio_properties_report",
     "rademacher_interval_complexity",
@@ -146,23 +144,6 @@ class TailRatioResult:
         return self.worst_dev <= self.lam
 
 
-def tail_ratio_check(values_abs, cdf: MarginalCDF, delta: float, lam: float) -> TailRatioResult:
-    """Property 1: exact worst tail-ratio deviation over masses >= delta."""
-    if not (0 < delta <= 0.5):
-        raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    xs, pn, pr = _candidate_devs(_distinct_pass(values_abs, cdf), cdf)
-    return _tail_ratio(xs, pn, pr, cdf, delta, lam)
-
-
-def _tail_ratio(xs, pn, pr, cdf: MarginalCDF, delta: float, lam: float) -> TailRatioResult:
-    worst = _sup_dev_at_level(xs, pn, pr, cdf, delta)
-    if worst is None:
-        raise ValueError(f"no tail mass reaches delta={delta}; empty admissible range")
-    return TailRatioResult(worst_dev=worst, lam=lam, delta=delta)
-
-
 @dataclass(frozen=True)
 class DyadicLevel:
     j: int
@@ -206,14 +187,6 @@ def _dyadic_levels(xs, pn, pr, cdf: MarginalCDF, delta: float) -> tuple[DyadicLe
         levels.append(DyadicLevel(j=j, level=level, bound=2.0 ** (-j / 2.0), worst_dev=worst))
         j += 1
     return tuple(levels)
-
-
-def dyadic_ratio_check(values_abs, cdf: MarginalCDF, delta: float) -> DyadicRatioResult:
-    """Property 2: per-level worst deviations against the 2^(-j/2) bounds."""
-    if not (0 < delta <= 0.5):
-        raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
-    xs, pn, pr = _candidate_devs(_distinct_pass(values_abs, cdf), cdf)
-    return DyadicRatioResult(levels=_dyadic_levels(xs, pn, pr, cdf, delta), delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +272,22 @@ class RatioReport:
 
 
 def ratio_properties_report(values_abs, cdf: MarginalCDF, params: RatioParams) -> RatioReport:
+    """All three properties against one (lam, C, delta): the only way to check them.
+
+    One sort and one evaluation of the law serve all three properties, and
+    the candidate pairs serve both ratio properties; the tail-ratio supremum
+    is the dyadic supremum at level j = 0.
+    """
     if params.delta <= 0:
         raise ValueError("property checks need delta > 0")
-    # One sort and one evaluation of the law serve all three properties, and
-    # the candidate pairs serve both ratio properties.
     d = _distinct_pass(values_abs, cdf)
     xs, pn, pr = _candidate_devs(d, cdf)
+    levels = _dyadic_levels(xs, pn, pr, cdf, params.delta)
+    if not levels:
+        raise ValueError(f"no tail mass reaches delta={params.delta}; empty admissible range")
     return RatioReport(
-        tail=_tail_ratio(xs, pn, pr, cdf, params.delta, params.lam),
-        dyadic=DyadicRatioResult(levels=_dyadic_levels(xs, pn, pr, cdf, params.delta), delta=params.delta),
+        tail=TailRatioResult(worst_dev=levels[0].worst_dev, lam=params.lam, delta=params.delta),
+        dyadic=DyadicRatioResult(levels=levels, delta=params.delta),
         interval=_interval_excess(d, params.big_c, params.delta),
         params=params,
     )

@@ -161,16 +161,16 @@ def lemma_trial_rows(
     sample = draw_sample(spec, n, trial_seed)
     values = project_abs(sample, np.ones(1))
     cdf = marginal_cdf(spec, np.ones(1))
-    properties = ratio_properties_report(values, cdf, params)
+    report = ratio_properties_report(values, cdf, params)
     t_cap = upper_quantile(cdf, cap_level)
     rows = []
     for p in ps:
         trim = TrimSpec(p=p, theta=theta)
         outcomes = [
-            check_trim_threshold_sandwich(values, cdf, theta, params, properties=properties),
-            check_trimmed_sum_brackets(values, cdf, trim, params, properties=properties),
-            check_empirical_integral_sandwich(values, cdf, p, t_cap, params.delta, properties=properties),
-            check_moment_sandwich(values, cdf, trim, params, properties=properties),
+            check_trim_threshold_sandwich(values, cdf, theta, report),
+            check_trimmed_sum_brackets(values, cdf, trim, report),
+            check_empirical_integral_sandwich(values, cdf, p, t_cap, report),
+            check_moment_sandwich(values, cdf, trim, report),
         ]
         for outcome in outcomes:
             detail = ";".join(f"{k}={_fmt(v)}" for k, v in outcome.witnesses.items())
@@ -387,8 +387,8 @@ def save_sample(sample: SampleMatrix, path) -> Path:
     return path
 
 
-def load_sample(path, verify: bool = True) -> SampleMatrix:
-    """Load a stored sample; verification regenerates it bit for bit.
+def load_sample(path) -> SampleMatrix:
+    """Load a stored sample and verify it by regenerating it bit for bit.
 
     Raises :class:`SampleIntegrityError` when the stored entries do not match
     what (dist_name, seed, n, dim) regenerate.
@@ -398,12 +398,10 @@ def load_sample(path, verify: bool = True) -> SampleMatrix:
         seed = int(payload["seed"])
         dist_name = str(payload["dist_name"])
     sample = SampleMatrix(data=data, seed=seed, dist_name=dist_name)
-    if verify:
-        spec = spec_from_label(dist_name, sample.dim)
-        regenerated = draw_sample(spec, sample.n, seed)
-        if not np.array_equal(regenerated.data, sample.data):
-            raise SampleIntegrityError(
-                f"stored sample at {path} does not reproduce from its metadata "
-                f"({dist_name}, seed={seed}, n={sample.n}, dim={sample.dim})"
-            )
+    regenerated = draw_sample(spec_from_label(dist_name, sample.dim), sample.n, seed)
+    if not np.array_equal(regenerated.data, sample.data):
+        raise SampleIntegrityError(
+            f"stored sample at {path} does not reproduce from its metadata "
+            f"({dist_name}, seed={seed}, n={sample.n}, dim={sample.dim})"
+        )
     return sample

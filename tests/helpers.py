@@ -38,6 +38,12 @@ def fraction_trimmed_mean(values: list[int], p: int, k0: int) -> Fraction:
     return sum(kept, Fraction(0)) / len(values)
 
 
+def naive_power_mean(values, p: float, cap: float = np.inf, drop: int = 0) -> float:
+    """(1/n) times the sum of min(|x|, cap)^p in ascending order, without the ``drop`` largest terms."""
+    x = np.sort(np.minimum(np.abs(np.asarray(values, dtype=float)), cap))
+    return float(np.sum(x[: x.size - drop] ** p) / x.size)
+
+
 def grid_ratio_deviation(values, cdf, level: float, t_grid) -> float:
     """Worst ratio deviation over an explicit grid of admissible t values."""
     xs = np.sort(np.abs(np.asarray(values, dtype=float)))

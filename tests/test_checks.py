@@ -15,10 +15,20 @@ from lptrim.config import ExperimentConfig
 from lptrim.core import RatioParams, TrimSpec, project_abs, trim_threshold, trimmed_p_mean, truncated_power_mean
 from lptrim.distributions import DistributionSpec, EmpiricalCDF, HalfUniformCDF, draw_sample, marginal_cdf
 from lptrim.oracle import upper_quantile
+from lptrim.ratio import ratio_properties_report
 from lptrim.runner import run_compare
 
 PARAMS = RatioParams(delta=0.01, lam=0.5, big_c=2.0)
 UNIFORM01 = HalfUniformCDF(width=1.0)
+
+
+def report(values, cdf, params=PARAMS):
+    return ratio_properties_report(values, cdf, params)
+
+
+def at_delta(delta):
+    """PARAMS with another tail mass delta."""
+    return RatioParams(delta=delta, lam=PARAMS.lam, big_c=PARAMS.big_c)
 
 
 def gaussian_values(n=10_000, seed=7):
@@ -30,7 +40,7 @@ def gaussian_values(n=10_000, seed=7):
 class TestThresholdSandwich:
     def test_gaussian_sandwich_holds(self):
         values, cdf = gaussian_values()
-        out = check_trim_threshold_sandwich(values, cdf, 0.1, PARAMS)
+        out = check_trim_threshold_sandwich(values, cdf, 0.1, report(values, cdf))
         assert out.verdict is Verdict.PASS
         w = out.witnesses
         assert w["quantile_at_inflated_level"] < w["trim_threshold"] < w["quantile_at_deflated_level"]
@@ -40,7 +50,7 @@ class TestThresholdSandwich:
     def test_exact_sample_threshold_is_the_quantile(self, rng):
         values = rng.uniform(0, 1, 400)
         cdf = EmpiricalCDF(values, seed=0)
-        out = check_trim_threshold_sandwich(values, cdf, 0.1, PARAMS)
+        out = check_trim_threshold_sandwich(values, cdf, 0.1, report(values, cdf))
         assert out.verdict is Verdict.PASS
         assert trim_threshold(values, 0.1) == upper_quantile(cdf, 0.1)
 
@@ -49,20 +59,20 @@ class TestThresholdSandwich:
         # deflated-level one: 2 C delta = 0.024 < theta < (C + 3/2) delta = 0.027
         params = RatioParams(delta=0.01, lam=0.5, big_c=1.2)
         values, cdf = gaussian_values(2000)
-        out = check_trim_threshold_sandwich(values, cdf, 0.025, params)
+        out = check_trim_threshold_sandwich(values, cdf, 0.025, report(values, cdf, params))
         assert out.verdict is Verdict.NOT_APPLICABLE
         assert "threshold tail mass" in out.reason
 
     def test_theta_below_level_floor_not_applicable(self):
         values, cdf = gaussian_values(2000)
-        out = check_trim_threshold_sandwich(values, cdf, 0.015, PARAMS)
+        out = check_trim_threshold_sandwich(values, cdf, 0.015, report(values, cdf))
         assert out.verdict is Verdict.NOT_APPLICABLE
         assert "2*C*delta" in out.reason
 
     def test_property_violation_is_not_a_failure(self):
         # a flat sample has a huge interval atom: the gates fail, never the check
         values = np.full(200, 0.5)
-        out = check_trim_threshold_sandwich(values, UNIFORM01, 0.1, PARAMS)
+        out = check_trim_threshold_sandwich(values, UNIFORM01, 0.1, report(values, UNIFORM01))
         assert out.verdict is Verdict.NOT_APPLICABLE
         assert "ratio properties fail" in out.reason
 
@@ -71,7 +81,7 @@ class TestTrimmedSumBrackets:
     def test_gaussian_brackets_hold(self):
         values, cdf = gaussian_values()
         for p in (1.0, 2.0, 3.0):
-            out = check_trimmed_sum_brackets(values, cdf, TrimSpec(p=p, theta=0.1), PARAMS)
+            out = check_trimmed_sum_brackets(values, cdf, TrimSpec(p=p, theta=0.1), report(values, cdf))
             assert out.verdict is Verdict.PASS
             w = out.witnesses
             assert w["lower"] <= w["trimmed_mean"] <= w["upper"]
@@ -104,26 +114,26 @@ class TestIntegralSandwich:
     def test_gaussian_passes(self):
         values, cdf = gaussian_values()
         t_cap = upper_quantile(cdf, 0.1)
-        out = check_empirical_integral_sandwich(values, cdf, 2.0, t_cap, 0.02)
+        out = check_empirical_integral_sandwich(values, cdf, 2.0, t_cap, report(values, cdf, at_delta(0.02)))
         assert out.verdict is Verdict.PASS
 
     def test_exact_sample_slack_at_least_error_term(self, rng):
         values = rng.uniform(0, 1, 500)
         cdf = EmpiricalCDF(values, seed=0)
         t_cap = upper_quantile(cdf, 0.2)
-        out = check_empirical_integral_sandwich(values, cdf, 2.0, t_cap, 0.05)
+        out = check_empirical_integral_sandwich(values, cdf, 2.0, t_cap, report(values, cdf, at_delta(0.05)))
         assert out.verdict is Verdict.PASS
         assert out.witnesses["slack_upper"] >= out.witnesses["error_term"] - 1e-12
         assert out.witnesses["slack_lower"] >= out.witnesses["error_term"] - 1e-12
 
     def test_cap_beyond_admissible_mass_not_applicable(self):
         values, cdf = gaussian_values(2000)
-        out = check_empirical_integral_sandwich(values, cdf, 2.0, 5.0, 0.02)
+        out = check_empirical_integral_sandwich(values, cdf, 2.0, 5.0, report(values, cdf, at_delta(0.02)))
         assert out.verdict is Verdict.NOT_APPLICABLE
 
     def test_property_violation_gates_the_check(self):
         values = np.full(300, 0.5)
-        out = check_empirical_integral_sandwich(values, UNIFORM01, 2.0, 0.7, 0.05)
+        out = check_empirical_integral_sandwich(values, UNIFORM01, 2.0, 0.7, report(values, UNIFORM01, at_delta(0.05)))
         assert out.verdict is Verdict.NOT_APPLICABLE
 
 
@@ -131,7 +141,7 @@ class TestMomentSandwich:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     def test_gaussian_passes(self, p):
         values, cdf = gaussian_values()
-        out = check_moment_sandwich(values, cdf, TrimSpec(p=p, theta=0.1), PARAMS)
+        out = check_moment_sandwich(values, cdf, TrimSpec(p=p, theta=0.1), report(values, cdf))
         assert out.verdict is Verdict.PASS
         w = out.witnesses
         assert w["lower"] <= w["trimmed_mean"] <= w["upper"]
@@ -141,18 +151,18 @@ class TestMomentSandwich:
         sample = draw_sample(spec, 10_000, 13)
         values = project_abs(sample, [1.0])
         cdf = marginal_cdf(spec, [1.0])
-        out = check_moment_sandwich(values, cdf, TrimSpec(p=2.0, theta=0.1), PARAMS)
+        out = check_moment_sandwich(values, cdf, TrimSpec(p=2.0, theta=0.1), report(values, cdf))
         assert out.verdict is Verdict.PASS
 
     def test_exact_sample_within_oracle_error_terms(self, rng):
         values = rng.uniform(0, 1, 1000)
         cdf = EmpiricalCDF(values, seed=0)
-        out = check_moment_sandwich(values, cdf, TrimSpec(p=2.0, theta=0.1), PARAMS)
+        out = check_moment_sandwich(values, cdf, TrimSpec(p=2.0, theta=0.1), report(values, cdf))
         assert out.verdict is Verdict.PASS
 
     def test_gate_violation_not_applicable(self):
         values, cdf = gaussian_values(2000)
-        out = check_moment_sandwich(values, cdf, TrimSpec(p=2.0, theta=0.015), PARAMS)
+        out = check_moment_sandwich(values, cdf, TrimSpec(p=2.0, theta=0.015), report(values, cdf))
         assert out.verdict is Verdict.NOT_APPLICABLE
 
 

@@ -1,9 +1,11 @@
+import argparse
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from lptrim.cli import main
+from lptrim.cli import _build_parser, main
 from lptrim.config import ConfigError, ExperimentConfig
 from lptrim.distributions import DistributionSpec, draw_sample
 from lptrim.runner import SampleIntegrityError, load_sample, run_sandwich, save_sample
@@ -49,6 +51,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_sources(None, {"mc_size": 1000})
 
+    def test_every_flag_is_a_config_field_or_a_query_name(self):
+        # the CLI passes on exactly the flags that name config fields, so a
+        # flag outside both sets would be dropped silently
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        query_names = {"command", "config", "query", "eta", "t", "kappa", "q", "out_file"}
+        parser = _build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for command, subparser in [("lptrim", parser), *sub.choices.items()]:
+            dests = {a.dest for a in subparser._actions if not isinstance(a, argparse._HelpAction)}
+            assert dests <= fields | query_names, command
+
     def test_echo_contains_resolved_constants(self):
         echo = ExperimentConfig().echo()
         for key in ("resolved_n", "resolved_theta", "theta_c0", "sample_c1", "delta_floor_c0"):
@@ -67,6 +80,25 @@ class TestExitCodes:
     def test_zero_trials_is_two(self, tmp_path):
         code = main(["lemma-check", "--trials", "0", "--out-dir", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["compare", "--p", "nan"],
+        ["compare", "--dist", "product_student_t", "--nu", "inf"],
+        ["sandwich", "--theta-c0", "inf"],
+        ["oracle", "--query", "tail-moment", "--p", "nan"],
+        ["ratio-check", "--big-c", "inf"],
+        ["sandwich", "--theta-c0", "100"],
+    ], ids=["compare-p-nan", "compare-nu-inf", "sandwich-theta-c0-inf", "oracle-p-nan", "ratio-big-c-inf",
+            "sandwich-derived-theta-above-one"])
+    def test_non_finite_or_out_of_range_config_is_two(self, tmp_path, capsys, args):
+        out_dir = tmp_path / "out"
+        code = main(args + ["--dim", "2", "--n", "50", "--directions", "2", "--trials", "1",
+                            "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_nonexistent_moment_is_three(self, tmp_path):
         code = main([

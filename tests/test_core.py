@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lptrim
-from helpers import fraction_trimmed_mean
+from helpers import fraction_trimmed_mean, naive_power_mean
 from lptrim.core import (
     RatioParams,
     SampleMatrix,
@@ -23,6 +23,8 @@ from lptrim.core import (
     trimmed_p_means,
     truncated_power_mean,
 )
+from lptrim.distributions import EmpiricalCDF
+from lptrim.oracle import tail_integral_moment
 
 finite_values = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False),
@@ -219,6 +221,54 @@ class TestTruncatedPowerMean:
 # Invariants
 # ---------------------------------------------------------------------------
 
+
+
+F_ORDERED = np.asfortranarray(np.random.default_rng(12).standard_normal((6, 50)))
+
+
+def _kernel_cases():
+    local = np.random.default_rng(11)
+    return {
+        "ties_and_zeros": local.integers(0, 5, size=40) / 3.0,
+        "zeros_then_tail": np.append(np.zeros(7), local.exponential(size=30)),
+        "negative": local.standard_normal(57),
+        "f_ordered_row": F_ORDERED[3],
+        "n_equals_one": np.array([-2.5]),
+        "heavy_tail": local.standard_t(3.0, size=200),
+    }
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+class TestSortedPowerKernel:
+    """Every p-mean equals the naive sort-then-power sum of tests/helpers.py exactly."""
+
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    @pytest.mark.parametrize("p", [1.0, 1.7, 2.0, 3.0, 7.3])
+    def test_p_means_equal_the_naive_sum(self, name, p):
+        values = KERNEL_CASES[name]
+        before = values.copy()
+        x = np.abs(values)
+        n = values.size
+        assert empirical_p_mean(values, p) == naive_power_mean(values, p)
+        assert EmpiricalCDF(values, seed=0).exact_moment(p) == naive_power_mean(values, p)
+        for cap in (0.5 * x.min(), float(np.median(x)), 2.0 * x.max(), np.inf):
+            assert truncated_power_mean(values, p, cap) == naive_power_mean(values, p, cap)
+            reference = EmpiricalCDF(values, seed=0)
+            assert tail_integral_moment(reference, p, cap) == naive_power_mean(values, p, cap)
+        for drop in sorted({0, min(1, n - 1), n // 3, n - 1}):
+            # theta inside ((drop) / n, (drop + 1) / n] discards exactly ``drop`` values
+            spec = TrimSpec(p=p, theta=(drop + 0.5) / n)
+            assert trimmed_p_mean(values, spec) == naive_power_mean(values, p, drop=drop)
+        assert np.array_equal(values, before)
+
+    @pytest.mark.parametrize("p", [1.0, 1.7, 2.0, 3.0, 7.3])
+    @pytest.mark.parametrize("drop", [0, 1, 17])
+    def test_rows_of_the_batched_mean_equal_the_naive_sum(self, p, drop):
+        spec = TrimSpec(p=p, theta=(drop + 0.5) / F_ORDERED.shape[1])
+        expected = [naive_power_mean(row, p, drop=drop) for row in F_ORDERED]
+        assert trimmed_p_means(F_ORDERED, spec).tolist() == expected
 
 @given(values=finite_values, theta=thetas, p=exponents)
 def test_trim_never_exceeds_plain_mean(values, theta, p):

@@ -21,13 +21,12 @@ from lptrim.distributions import (
 )
 from lptrim.ratio import (
     _distinct_pass,
-    dyadic_ratio_check,
     interval_excess_sup,
     rademacher_interval_complexity,
     ratio_floor,
     ratio_properties_report,
-    tail_ratio_check,
 )
+from lptrim.oracle import upper_quantile
 from lptrim.runner import run_ratio_check
 from lptrim.seeding import child_seed
 
@@ -39,16 +38,21 @@ def exact_sample_cdf(values):
     return EmpiricalCDF(values, seed=0)
 
 
+def report(values, cdf, delta, lam=0.5):
+    """The ratio report at (delta, lam); the ratio suprema do not depend on lam or C."""
+    return ratio_properties_report(values, cdf, RatioParams(delta=delta, lam=lam, big_c=2.0))
+
+
 class TestTailRatio:
     def test_identity_sample_has_zero_deviation(self, rng):
         values = rng.uniform(0, 1, 200)
-        res = tail_ratio_check(values, exact_sample_cdf(values), 0.1, 0.5)
+        res = report(values, exact_sample_cdf(values), 0.1).tail
         assert res.worst_dev == 0.0
         assert res.ok
 
     def test_two_point_sample_against_uniform(self):
         # exact supremum is 1, attained on [0.75, quantile(0.2)]
-        res = tail_ratio_check([0.25, 0.75], UNIFORM01, 0.2, 0.5)
+        res = report([0.25, 0.75], UNIFORM01, 0.2).tail
         assert res.worst_dev == pytest.approx(1.0, abs=1e-9)
         assert not res.ok
         # brute force over a dense admissible grid never exceeds the reported sup
@@ -56,7 +60,7 @@ class TestTailRatio:
         assert grid_ratio_deviation([0.25, 0.75], UNIFORM01, 0.2, grid) <= res.worst_dev + 1e-9
 
     def test_single_point_at_median(self):
-        res = tail_ratio_check([0.5], UNIFORM01, 0.4, 0.5)
+        res = report([0.5], UNIFORM01, 0.4).tail
         assert res.worst_dev == pytest.approx(1.0, abs=1e-9)
         assert not res.ok
 
@@ -66,14 +70,14 @@ class TestTailRatio:
             values = rng.exponential(size=n)
             delta = float(rng.uniform(0.05, 0.4))
             cdf = EmpiricalCDF(rng.exponential(size=1000), seed=0)
-            res = tail_ratio_check(values, cdf, delta, 0.5)
+            res = report(values, cdf, delta).tail
             grid = rng.uniform(0, np.max(values) * 1.5, size=400)
             assert grid_ratio_deviation(values, cdf, delta, grid) <= res.worst_dev + 1e-9
 
     def test_empty_admissible_range_rejected(self):
         sub_unit = EmpiricalCDF([0.0, 0.0, 1.0], seed=0)  # sf(0) = 1/3
         with pytest.raises(ValueError):
-            tail_ratio_check([0.5], sub_unit, 0.5, 0.5)
+            report([0.5], sub_unit, 0.5)
 
 
 class TestDyadicRatio:
@@ -81,14 +85,14 @@ class TestDyadicRatio:
         values = rng.exponential(size=150)
         cdf = EmpiricalCDF(rng.exponential(size=2000), seed=0)
         delta = 0.07
-        levels = dyadic_ratio_check(values, cdf, delta).levels
+        levels = report(values, cdf, delta).dyadic.levels
         assert levels[0].j == 0
         assert levels[0].bound == 1.0
-        assert levels[0].worst_dev == tail_ratio_check(values, cdf, delta, 1.0).worst_dev
+        assert levels[0].worst_dev == report(values, cdf, delta, lam=0.9).tail.worst_dev
 
     def test_identity_sample_all_levels_zero(self, rng):
         values = rng.uniform(0, 1, 300)
-        res = dyadic_ratio_check(values, exact_sample_cdf(values), 0.02)
+        res = report(values, exact_sample_cdf(values), 0.02).dyadic
         assert all(level.worst_dev == 0.0 for level in res.levels)
         assert len(res.levels) == 6  # 0.02 * 2^5 = 0.64 <= 1 < 1.28
 
@@ -99,7 +103,7 @@ class TestDyadicRatio:
         sample = draw_sample(spec, 10_000, child_seed(2024, "golden"))
         values = project_abs(sample, [1.0])
         cdf = marginal_cdf(spec, [1.0])
-        res = dyadic_ratio_check(values, cdf, 0.05)
+        res = report(values, cdf, 0.05).dyadic
         expected = [
             (0, 0.04007691082639531),
             (1, 0.026308637522789002),
@@ -115,9 +119,9 @@ class TestDyadicRatio:
         for trial in range(20):
             values = np.random.default_rng(trial).standard_normal(500) ** 2
             cdf = EmpiricalCDF(np.random.default_rng(1000 + trial).standard_normal(20_000) ** 2, seed=0)
-            res = dyadic_ratio_check(values, cdf, 0.03)
+            res = report(values, cdf, 0.03).dyadic
             if len(res.levels) > 1 and res.levels[1].ok:
-                assert tail_ratio_check(values, cdf, 2 * 0.03, 2.0 ** -0.5).ok
+                assert report(values, cdf, 2 * 0.03, lam=2.0 ** -0.5).tail.ok
 
 
     def test_level_one_region_of_a_reference_law(self, rng):
@@ -125,7 +129,7 @@ class TestDyadicRatio:
         # (0, 0.5): with delta = 2^-3 the last dyadic level is that region
         values = rng.exponential(size=200)
         cdf = EmpiricalCDF(0.5 + rng.exponential(size=500), seed=0)
-        levels = dyadic_ratio_check(values, cdf, 0.125).levels
+        levels = report(values, cdf, 0.125).dyadic.levels
         assert [level.level for level in levels] == [0.125, 0.25, 0.5, 1.0]
         r_min = float(cdf.values[0])
         grid = np.append(np.linspace(1e-9, r_min, 10_001)[:-1], np.nextafter(r_min, 0.0))
@@ -140,7 +144,7 @@ class TestDyadicRatio:
     def test_level_one_region_empty(self, rng, cdf):
         # a continuous tail, or a reference with mass at 0, is below 1 for every t > 0
         values = rng.exponential(size=300)
-        levels = dyadic_ratio_check(values, cdf, 0.125).levels
+        levels = report(values, cdf, 0.125).dyadic.levels
         assert all(level.level < 1.0 for level in levels)
         assert grid_ratio_deviation(values, cdf, 1.0, np.linspace(1e-9, 5.0, 2001)) == 0.0
 
@@ -250,7 +254,7 @@ class TestFailureRate:
         cdf = EmpiricalCDF(rng.standard_normal(20_000) ** 2, seed=0)
         params = RatioParams(delta=0.05, lam=0.5, big_c=2.0)
         rep = ratio_properties_report(values, cdf, params)
-        assert rep.tail.worst_dev == tail_ratio_check(values, cdf, 0.05, 0.5).worst_dev
+        assert rep.tail.worst_dev == rep.dyadic.levels[0].worst_dev
         assert rep.interval.sup == interval_excess_sup(values, cdf, 2.0, 0.05).sup
         assert rep.all_pass == (rep.tail.ok and rep.dyadic.ok and rep.interval.ok)
 
@@ -275,8 +279,16 @@ class TestSharedDistinctPass:
     def test_report_equals_the_standalone_checkers(self, name, values, cdf, delta):
         params = RatioParams(delta=delta, lam=0.5, big_c=2.0)
         rep = ratio_properties_report(values, cdf, params)
-        assert rep.tail == tail_ratio_check(values, cdf, delta, 0.5)
-        assert rep.dyadic == dyadic_ratio_check(values, cdf, delta)
+        assert rep.tail.worst_dev == rep.dyadic.levels[0].worst_dev
+        assert (rep.tail.delta, rep.tail.lam, rep.dyadic.delta) == (delta, 0.5, delta)
+        # a grid holding the one-sided limits at sample points and region
+        # boundaries attains the reported suprema
+        xs = np.abs(np.asarray(values, dtype=float))
+        qs = np.array([upper_quantile(cdf, level.level) for level in rep.dyadic.levels if level.level < 1])
+        grid = np.concatenate([np.linspace(1e-9, 1.5 * xs.max(), 3001), xs, np.nextafter(xs, 0.0),
+                               qs, np.nextafter(qs, 0.0), qs - 2e-9])
+        for level in rep.dyadic.levels:
+            assert grid_ratio_deviation(values, cdf, level.level, grid) == pytest.approx(level.worst_dev, abs=1e-12)
         assert rep.interval == interval_excess_sup(values, cdf, 2.0, delta)
         assert rep.interval.sup == max(0.0, exhaustive_interval_excess(values, cdf))
 
