@@ -1,11 +1,12 @@
 """Validators for the trimmed-estimator bracket inequalities on concrete samples.
 
-Each validator takes the sample's :class:`RatioReport`, reads the ratio
-parameters from it, checks its own preconditions (the ratio properties plus
-the trim-level arithmetic they need) and returns a three-valued outcome:
-PASS, FAIL, or NOT_APPLICABLE when a gate does not hold.  A FAIL on a sample
-whose gates all pass indicates an implementation defect, never sampling noise;
-the inequalities are deterministic consequences of the gates.
+Each validator takes the sample's :class:`RatioReport`, reads the sorted
+sample, the law and the ratio parameters from it, checks its own
+preconditions (the ratio properties plus the trim-level arithmetic they need)
+and returns a three-valued outcome: PASS, FAIL, or NOT_APPLICABLE when a gate
+does not hold.  A FAIL on a sample whose gates all pass indicates an
+implementation defect, never sampling noise; the inequalities are
+deterministic consequences of the gates.
 
 Gates are evaluated in their direct form (theta >= (C + 3/2) delta,
 theta > 2 C delta, and a concrete tail-mass check at the deflated quantile).
@@ -76,10 +77,6 @@ class CheckOutcome:
     witnesses: dict = field(default_factory=dict)
     reason: str = ""
 
-    @property
-    def hard_fail(self) -> bool:
-        return self.verdict is Verdict.FAIL
-
 
 def _tol(rel: float, *magnitudes: float) -> float:
     return rel * max(1.0, *(abs(m) for m in magnitudes))
@@ -112,12 +109,11 @@ def _bracket_quantiles(cdf, theta, params):
     return theta_plus, theta_minus, q_lo, q_hi
 
 
-def check_trim_threshold_sandwich(values_abs, cdf: MarginalCDF, theta: float, report: RatioReport) -> CheckOutcome:
+def check_trim_threshold_sandwich(report: RatioReport, theta: float) -> CheckOutcome:
     """The empirical trim threshold lies strictly between the true quantiles
     at the inflated and deflated levels."""
     name = "trim_threshold_sandwich"
-    params = report.params
-    values = np.abs(_as_finite_1d(values_abs))
+    params, values, cdf = report.params, report.values, report.cdf
     gate = _gate(theta, report)
     if gate is not None:
         return CheckOutcome(name, Verdict.NOT_APPLICABLE, reason=gate)
@@ -135,13 +131,12 @@ def check_trim_threshold_sandwich(values_abs, cdf: MarginalCDF, theta: float, re
     return CheckOutcome(name, Verdict.PASS if ok else Verdict.FAIL, witnesses)
 
 
-def check_trimmed_sum_brackets(values_abs, cdf: MarginalCDF, trim: TrimSpec, report: RatioReport) -> CheckOutcome:
+def check_trimmed_sum_brackets(report: RatioReport, trim: TrimSpec) -> CheckOutcome:
     """The trimmed mean sits between the exact empirical tail integrals taken
     up to the bracketing quantiles (with the theta * threshold^p correction
     on the lower side)."""
     name = "trimmed_sum_brackets"
-    params = report.params
-    values = np.abs(_as_finite_1d(values_abs))
+    params, values, cdf = report.params, report.values, report.cdf
     gate = _gate(trim.theta, report)
     if gate is not None:
         return CheckOutcome(name, Verdict.NOT_APPLICABLE, reason=gate)
@@ -162,15 +157,12 @@ def check_trimmed_sum_brackets(values_abs, cdf: MarginalCDF, trim: TrimSpec, rep
     return CheckOutcome(name, Verdict.PASS if ok else Verdict.FAIL, witnesses)
 
 
-def check_empirical_integral_sandwich(
-    values_abs, cdf: MarginalCDF, p: float, t_cap: float, report: RatioReport
-) -> CheckOutcome:
+def check_empirical_integral_sandwich(report: RatioReport, p: float, t_cap: float) -> CheckOutcome:
     """The exact empirical tail integral up to t_cap is sandwiched between the
     capped true moment minus the error functional and the full true moment
     plus the error functional."""
     name = "empirical_integral_sandwich"
-    delta = report.params.delta
-    values = np.abs(_as_finite_1d(values_abs))
+    delta, values, cdf = report.params.delta, report.values, report.cdf
     tail_at_cap = float(cdf.sf(t_cap))
     if tail_at_cap < delta:
         return CheckOutcome(
@@ -195,7 +187,7 @@ def check_empirical_integral_sandwich(
     return CheckOutcome(name, Verdict.PASS if ok else Verdict.FAIL, witnesses)
 
 
-def check_moment_sandwich(values_abs, cdf: MarginalCDF, trim: TrimSpec, report: RatioReport) -> CheckOutcome:
+def check_moment_sandwich(report: RatioReport, trim: TrimSpec) -> CheckOutcome:
     """The constant-free two-sided bound on the trimmed mean.
 
     Upper: trimmed mean <= E f^p + err(q_hi).
@@ -203,8 +195,7 @@ def check_moment_sandwich(values_abs, cdf: MarginalCDF, trim: TrimSpec, report: 
     with q_lo, q_hi the quantiles at the inflated and deflated trim levels.
     """
     name = "moment_sandwich"
-    params = report.params
-    values = np.abs(_as_finite_1d(values_abs))
+    params, values, cdf = report.params, report.values, report.cdf
     gate = _gate(trim.theta, report)
     if gate is not None:
         return CheckOutcome(name, Verdict.NOT_APPLICABLE, reason=gate)
@@ -260,17 +251,10 @@ class ScanRow:
     lower_slack: float
 
 
-_DEFAULT_SCAN_GRID = (0.25, 0.5, 1.0, 2.0)
+_SCAN_GRID = (0.25, 0.5, 1.0, 2.0)  # the values of both c2 and c3
 
 
-def scan_error_constant_grid(
-    values_abs,
-    cdf: MarginalCDF,
-    p: float,
-    delta: float,
-    c2_grid=_DEFAULT_SCAN_GRID,
-    c3_grid=_DEFAULT_SCAN_GRID,
-) -> list[ScanRow]:
+def scan_error_constant_grid(values_abs, cdf: MarginalCDF, p: float, delta: float) -> list[ScanRow]:
     """Diagnostic sweep of the scaled form theta = c2 delta, cap = Q at c3 delta.
 
     Evaluates, with unit leading constants, whether the trimmed mean stays
@@ -282,12 +266,12 @@ def scan_error_constant_grid(
     n = values.size
     moment = raw_moment(cdf, p)
     rows = []
-    for c2 in c2_grid:
+    for c2 in _SCAN_GRID:
         theta = max(c2 * delta, 1.0 / n)
         if not theta < 1.0:
             continue
         estimate = trimmed_p_mean(values, TrimSpec(p=p, theta=theta))
-        for c3 in c3_grid:
+        for c3 in _SCAN_GRID:
             level = c3 * delta
             if not 0 < level < 1:
                 continue

@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig
+from .config import MAX_THREADS, ConfigError, ExperimentConfig
 from .distributions import MomentDoesNotExistError, marginal_cdf
 from .oracle import (
     check_tail_moment_bounds,
@@ -36,7 +37,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a JSON config file; flags override its entries")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--out-dir", help="output directory (default: $LPTRIM_OUT_DIR or ./lptrim-out)")
-    parser.add_argument("--threads", type=int, help="worker processes (results are worker-count independent)")
+    parser.add_argument("--threads", type=int,
+                        help=f"worker processes, at most {MAX_THREADS} (results are worker-count independent)")
     parser.add_argument("--format", choices=("csv", "json"), help="row file format")
     parser.add_argument("--dist", help="distribution name")
     parser.add_argument("--nu", type=float, help="degrees of freedom for product_student_t")
@@ -104,7 +106,22 @@ def _report(result: RunResult) -> None:
     print(f"runtime: {result.runtime_s:.2f}s", file=sys.stderr, flush=True)
 
 
+def _check_oracle_flags(args: argparse.Namespace) -> None:
+    """Reject a non-finite oracle flag, a tail level outside (0, 1) and a negative cap."""
+    for name in ("eta", "t", "kappa", "q"):
+        value = getattr(args, name)
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"--{name} must be finite, got {value}")
+    for name in ("eta", "kappa"):
+        value = getattr(args, name)
+        if value is not None and not (0 < value < 1):
+            raise ConfigError(f"--{name} must lie in (0, 1), got {value}")
+    if args.t is not None and args.t < 0:
+        raise ConfigError(f"--t must be nonnegative, got {args.t}")
+
+
 def _run_oracle(args: argparse.Namespace, config: ExperimentConfig) -> int:
+    _check_oracle_flags(args)
     spec = config.spec(dim=1)
     cdf = marginal_cdf(spec, np.ones(1), ref_size=config.ref_size)
     query = args.query

@@ -12,12 +12,14 @@ from pathlib import Path
 from .core import theta_from_epsilon
 from .distributions import DIST_NAMES, DistributionSpec
 
-__all__ = ["ExperimentConfig", "ConfigError", "ENV_OUT_DIR"]
+__all__ = ["ExperimentConfig", "ConfigError", "ENV_OUT_DIR", "MAX_THREADS"]
 
 ENV_OUT_DIR = "LPTRIM_OUT_DIR"
 
-LEMMA_DEFAULT_DISTS = ("gaussian", "cube_uniform", "product_laplace", "product_student_t")
 LEMMA_DEFAULT_PS = (1.0, 2.0, 3.0)
+# Under the fork start method a process pool starts every worker at the first
+# submit, so the worker count is bounded by a constant, not by the host's cores.
+MAX_THREADS = 64
 
 
 class ConfigError(ValueError):
@@ -51,13 +53,12 @@ class ExperimentConfig:
     format: str = "csv"
     theta_c0: float = 0.25
     sample_c1: float = 8.0
-    delta_floor_c0: float = 1.0
     pass_rate_threshold: float = 0.95
     ratio_fail_threshold: float = 0.05
     min_win_rate: float | None = None
     ref_size: int = 1_000_000
     t_level: float | None = None
-    lemma_dists: tuple[str, ...] = LEMMA_DEFAULT_DISTS
+    lemma_dists: tuple[str, ...] = DIST_NAMES
     lemma_ps: tuple[float, ...] = LEMMA_DEFAULT_PS
     sample_file: str | None = None
 
@@ -93,8 +94,8 @@ class ExperimentConfig:
             raise ConfigError(f"directions must be >= 1, got {self.directions}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if not (1 <= self.threads <= MAX_THREADS):
+            raise ConfigError(f"threads must lie in [1, {MAX_THREADS}], got {self.threads}")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"format must be 'csv' or 'json', got {self.format!r}")
         if not (0 <= self.pass_rate_threshold <= 1):
@@ -105,7 +106,7 @@ class ExperimentConfig:
             raise ConfigError(f"min_win_rate must lie in [0, 1], got {self.min_win_rate}")
         if self.ref_size < 1:
             raise ConfigError(f"ref_size must be >= 1, got {self.ref_size}")
-        if self.theta_c0 <= 0 or self.sample_c1 <= 0 or self.delta_floor_c0 <= 0:
+        if self.theta_c0 <= 0 or self.sample_c1 <= 0:
             raise ConfigError("constant overrides must be positive")
         if self.t_level is not None and not (0 < self.t_level < 1):
             raise ConfigError(f"t_level must lie in (0, 1), got {self.t_level}")
@@ -115,10 +116,10 @@ class ExperimentConfig:
         for p in self.lemma_ps:
             if p < 1:
                 raise ConfigError(f"lemma p values must be >= 1, got {p}")
-        try:
+        try:  # fails when theta_c0 * epsilon^2 reaches 1 or epsilon^2 underflows to 0
             self.resolved_n, self.resolved_theta
-        except (ValueError, OverflowError) as exc:  # e.g. theta_c0 * epsilon^2 at or above 1
-            raise ConfigError(str(exc)) from None
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
+            raise ConfigError(f"cannot derive n and theta from epsilon={self.epsilon}: {exc}") from None
 
     # -- derived quantities -------------------------------------------------
 

@@ -148,16 +148,17 @@ def nonincreasing_rearrangement(z) -> np.ndarray:
 
 
 def _sorted_power_sums(z: np.ndarray, p: float, keep: int) -> np.ndarray:
-    """Sum of the ``keep`` smallest p-th powers of each row of z, over the row length.
+    """Sum of the ``keep`` smallest p-th powers of each row of z.
 
     z is a C-contiguous (m, n) working copy of nonnegative values; it is sorted
     and powered in place.  Summing along a contiguous row runs in the order of
     the 1-d sum, so a one-row call and a row of a many-row call agree bit for
-    bit.  Every p-mean in this module is one call of this kernel.
+    bit.  Every p-mean is one call of this kernel; its caller divides by the
+    sample size.
     """
     z.sort(axis=1)
     z **= p
-    return z[:, :keep].sum(axis=1) / z.shape[1]
+    return z[:, :keep].sum(axis=1)
 
 
 def trimmed_p_mean(values_abs, spec: TrimSpec) -> float:
@@ -168,7 +169,7 @@ def trimmed_p_mean(values_abs, spec: TrimSpec) -> float:
     the untrimmed case agrees bit for bit with ``empirical_p_mean``.
     """
     z = np.abs(_as_finite_1d(values_abs))
-    return float(_sorted_power_sums(z[None, :], spec.p, z.size - spec.cut_rank(z.size) + 1)[0])
+    return float(_sorted_power_sums(z[None, :], spec.p, z.size - spec.cut_rank(z.size) + 1)[0]) / z.size
 
 
 def trimmed_p_means(rows_abs, spec: TrimSpec) -> np.ndarray:
@@ -187,7 +188,7 @@ def trimmed_p_means(rows_abs, spec: TrimSpec) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise ValueError("values must be finite")
     n = z.shape[1]
-    return _sorted_power_sums(z, spec.p, n - spec.cut_rank(n) + 1)
+    return _sorted_power_sums(z, spec.p, n - spec.cut_rank(n) + 1) / n
 
 
 def empirical_p_mean(values_abs, p: float) -> float:
@@ -199,7 +200,7 @@ def empirical_p_mean(values_abs, p: float) -> float:
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     z = np.abs(_as_finite_1d(values_abs))
-    return float(_sorted_power_sums(z[None, :], p, z.size)[0])
+    return float(_sorted_power_sums(z[None, :], p, z.size)[0]) / z.size
 
 
 def trim_threshold(values_abs, theta: float) -> float:
@@ -219,7 +220,7 @@ def truncated_power_mean(values_abs, p: float, cap: float) -> float:
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
     z = np.minimum(np.abs(_as_finite_1d(values_abs)), cap)
-    return float(_sorted_power_sums(z[None, :], p, z.size)[0])
+    return float(_sorted_power_sums(z[None, :], p, z.size)[0]) / z.size
 
 
 def adjusted_trim_levels(theta: float, params: RatioParams) -> tuple[float, float]:

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
 
-from .core import SampleMatrix, empirical_p_mean
+from .core import SampleMatrix
 from .seeding import child_rng, child_seed
 
 __all__ = [
@@ -313,12 +313,11 @@ class FoldedStudentTCDF(MarginalCDF):
 class EmpiricalCDF(MarginalCDF):
     """Step CDF over a sorted reference sample; queries are O(log M)."""
 
-    def __init__(self, values, seed: int):
+    def __init__(self, values):
         xs = np.sort(np.abs(np.asarray(values, dtype=np.float64)))
         if xs.size < 1 or not np.all(np.isfinite(xs)):
             raise ValueError("reference sample must be nonempty and finite")
         self.values = xs
-        self.seed = int(seed)
 
     @property
     def size(self) -> int:
@@ -370,9 +369,6 @@ class EmpiricalCDF(MarginalCDF):
                 lo = mid + 1
         return float(xs[lo])
 
-    def exact_moment(self, p: float) -> float:
-        return empirical_p_mean(self.values, p)
-
 
 def _coordinate_abs_cdf(spec: DistributionSpec, weight: float) -> MarginalCDF:
     if spec.name == "gaussian":
@@ -392,19 +388,8 @@ def _single_coordinate_weight(v: np.ndarray) -> float | None:
     return None
 
 
-_MARGINAL_CACHE: OrderedDict[tuple, EmpiricalCDF] = OrderedDict()
-_MARGINAL_CACHE_MAX = 32
 # Fixed root of the reference seeds, which derive from (law, v, ref_size).
 _REF_SEED_ROOT = 20_260_810
-
-
-def clear_marginal_cache() -> None:
-    _MARGINAL_CACHE.clear()
-
-
-def _reference_seed(spec: DistributionSpec, v: np.ndarray, ref_size: int) -> int:
-    digest = hashlib.blake2s(v.tobytes()).hexdigest()
-    return child_seed(_REF_SEED_ROOT, "marginal-ref", spec.label, ref_size, digest)
 
 
 def marginal_cdf(spec: DistributionSpec, v, ref_size: int = 1_000_000) -> MarginalCDF:
@@ -421,25 +406,29 @@ def marginal_cdf(spec: DistributionSpec, v, ref_size: int = 1_000_000) -> Margin
     if weight is not None:
         return _coordinate_abs_cdf(spec, weight)
 
-    key = (spec.label, ref_size, v.tobytes())
-    hit = _MARGINAL_CACHE.get(key)
-    if hit is not None:
-        _MARGINAL_CACHE.move_to_end(key)
-        return hit
+    # The direction is keyed by its bytes: -0.0 == 0.0 would merge two
+    # directions whose reference seeds differ.  The label, which seeds the
+    # reference, is keyed beside the spec: equal specs (nu=5 and nu=5.0) can
+    # carry different labels.
+    return _reference_law(spec, spec.label, ref_size, v.tobytes())
 
-    seed = _reference_seed(spec, v, ref_size)
-    rng = np.random.default_rng(seed)
+
+@lru_cache(maxsize=32)
+def _reference_law(spec: DistributionSpec, label: str, ref_size: int, v_bytes: bytes) -> EmpiricalCDF:
+    """The law of |<X, v>| over ``ref_size`` reference rows, seeded by (label, ref_size, v)."""
+    digest = hashlib.blake2s(v_bytes).hexdigest()
+    rng = np.random.default_rng(child_seed(_REF_SEED_ROOT, "marginal-ref", label, ref_size, digest))
+    v = np.frombuffer(v_bytes)
     parts = []
     remaining = ref_size
     while remaining > 0:
         rows = min(_CHUNK_ROWS, remaining)
         parts.append(np.abs(_draw_matrix(spec, rows, rng) @ v))
         remaining -= rows
-    out = EmpiricalCDF(np.concatenate(parts), seed=seed)
-    _MARGINAL_CACHE[key] = out
-    if len(_MARGINAL_CACHE) > _MARGINAL_CACHE_MAX:
-        _MARGINAL_CACHE.popitem(last=False)
-    return out
+    return EmpiricalCDF(np.concatenate(parts))
+
+
+clear_marginal_cache = _reference_law.cache_clear
 
 
 # ---------------------------------------------------------------------------

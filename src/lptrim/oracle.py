@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from .core import truncated_power_mean
+from .core import _sorted_power_sums, truncated_power_mean
 from .distributions import EmpiricalCDF, MarginalCDF, MomentDoesNotExistError, _closed_form
 
 __all__ = [
@@ -68,20 +68,20 @@ def _bisect_quantile(cdf: MarginalCDF, eta: float) -> float:
 
 
 @lru_cache(maxsize=1024)
-def _tail_cutoff_cached(cdf: MarginalCDF, tail_mass: float) -> float:
+def _tail_cutoff_cached(cdf: MarginalCDF) -> float:
     hi = 1.0
     for _ in range(200):
-        if cdf.sf(hi) < tail_mass:
+        if cdf.sf(hi) < TAIL_MASS_CUTOFF:
             return hi
         hi *= 2.0
-    raise ValueError(f"tail mass never drops below {tail_mass}")
+    raise ValueError(f"tail mass never drops below {TAIL_MASS_CUTOFF}")
 
 
-def tail_cutoff(cdf: MarginalCDF, tail_mass: float = TAIL_MASS_CUTOFF) -> float:
-    """A point beyond which the tail mass is below ``tail_mass``."""
+def tail_cutoff(cdf: MarginalCDF) -> float:
+    """A point beyond which P(f > t) < TAIL_MASS_CUTOFF; a reference law's largest value."""
     if isinstance(cdf, EmpiricalCDF):
         return float(cdf.values[-1])
-    return _tail_cutoff_cached(cdf, tail_mass)
+    return _tail_cutoff_cached(cdf)
 
 
 def _quad(fn, lo: float, hi: float, p: float) -> float:
@@ -128,13 +128,15 @@ def _sqrt_tail_integral(cdf: MarginalCDF, p: float, t_max: float) -> float:
 
 
 def raw_moment(cdf: MarginalCDF, p: float) -> float:
-    """E f^p via tail integration up to the cutoff where P(f > t) < 1e-12."""
+    """E f^p via tail integration up to the cutoff where P(f > t) < 1e-12.
+
+    A reference law's cutoff is its largest value, so its moment is the exact
+    mean of the p-th powers.
+    """
     if p >= cdf.max_finite_moment:
         raise MomentDoesNotExistError(
             f"p={p} moment diverges (finite only below {cdf.max_finite_moment})"
         )
-    if isinstance(cdf, EmpiricalCDF):
-        return cdf.exact_moment(p)
     return tail_integral_moment(cdf, p, tail_cutoff(cdf))
 
 
@@ -175,11 +177,8 @@ def truncated_upper_moment(cdf: MarginalCDF, p: float, kappa: float) -> float:
         )
     q = upper_quantile(cdf, kappa)
     if isinstance(cdf, EmpiricalCDF):
-        xs = cdf.values
-        above = xs[xs > q]
-        if above.size == 0:
-            return 0.0
-        return float(np.sum(np.sort(above ** p)) / cdf.size)
+        above = cdf.values[cdf.values > q]
+        return float(_sorted_power_sums(above[None, :], p, above.size)[0]) / cdf.size
     hi = max(tail_cutoff(cdf), q)
     tail_part = _tail_integral(cdf, p, q, hi)
     return q ** p * cdf.sf(q) + tail_part

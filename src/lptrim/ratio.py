@@ -17,7 +17,7 @@ boundary) and is computed exactly rather than on a grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -259,12 +259,18 @@ def rademacher_interval_complexity(values_abs, signs) -> float:
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Results of all three property checks against one (lam, C, delta)."""
+    """Results of all three property checks against one (lam, C, delta).
+
+    ``values`` is the sorted |sample| and ``cdf`` the law it was checked
+    against, so the validators read both from the report itself.
+    """
 
     tail: TailRatioResult
     dyadic: DyadicRatioResult
     interval: IntervalExcessResult
     params: RatioParams
+    values: np.ndarray = field(compare=False, repr=False)
+    cdf: MarginalCDF = field(compare=False, repr=False)
 
     @property
     def all_pass(self) -> bool:
@@ -290,12 +296,14 @@ def ratio_properties_report(values_abs, cdf: MarginalCDF, params: RatioParams) -
         dyadic=DyadicRatioResult(levels=levels, delta=params.delta),
         interval=_interval_excess(d, params.big_c, params.delta),
         params=params,
+        values=d.xs,
+        cdf=cdf,
     )
 
 
-def ratio_floor(dim: int, n: int, floor_c0: float = 1.0) -> float:
-    """The smallest delta at which uniform ratio control is expected: c0 (d/n) log(en/d)."""
-    return floor_c0 * (dim / n) * math.log(math.e * n / dim)
+def ratio_floor(dim: int, n: int) -> float:
+    """The smallest delta at which uniform ratio control is expected: (d/n) log(en/d)."""
+    return (dim / n) * math.log(math.e * n / dim)
 
 
 def probe_directions(dim: int, m: int, seed: int) -> np.ndarray:

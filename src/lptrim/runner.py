@@ -133,7 +133,7 @@ def _map_tasks(task_fn, arg_tuples: list[tuple], threads: int) -> list:
     """Ordered ``task_fn(*args)`` over the work units; results never depend on the worker count."""
     if threads <= 1 or len(arg_tuples) <= 1:
         return [task_fn(*args) for args in arg_tuples]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(arg_tuples))) as pool:
         return list(pool.map(task_fn, *zip(*arg_tuples)))
 
 
@@ -159,18 +159,17 @@ def lemma_trial_rows(
     quantile at ``cap_level``.
     """
     sample = draw_sample(spec, n, trial_seed)
-    values = project_abs(sample, np.ones(1))
     cdf = marginal_cdf(spec, np.ones(1))
-    report = ratio_properties_report(values, cdf, params)
+    report = ratio_properties_report(project_abs(sample, np.ones(1)), cdf, params)
     t_cap = upper_quantile(cdf, cap_level)
     rows = []
     for p in ps:
         trim = TrimSpec(p=p, theta=theta)
         outcomes = [
-            check_trim_threshold_sandwich(values, cdf, theta, report),
-            check_trimmed_sum_brackets(values, cdf, trim, report),
-            check_empirical_integral_sandwich(values, cdf, p, t_cap, report),
-            check_moment_sandwich(values, cdf, trim, report),
+            check_trim_threshold_sandwich(report, theta),
+            check_trimmed_sum_brackets(report, trim),
+            check_empirical_integral_sandwich(report, p, t_cap),
+            check_moment_sandwich(report, trim),
         ]
         for outcome in outcomes:
             detail = ";".join(f"{k}={_fmt(v)}" for k, v in outcome.witnesses.items())
@@ -234,7 +233,7 @@ def run_ratio_check(config: ExperimentConfig) -> RunResult:
     spec = config.spec()
     n = config.resolved_n
     params = RatioParams(delta=config.delta, lam=config.lam, big_c=config.big_c)
-    floor = ratio_floor(spec.dim, n, config.delta_floor_c0)
+    floor = ratio_floor(spec.dim, n)
     directions = probe_directions(spec.dim, config.directions, child_seed(config.seed, "directions"))
     tasks = [
         (spec, n, child_seed(config.seed, "trial", t), directions, params, config.ref_size)

@@ -44,6 +44,12 @@ def naive_power_mean(values, p: float, cap: float = np.inf, drop: int = 0) -> fl
     return float(np.sum(x[: x.size - drop] ** p) / x.size)
 
 
+def naive_upper_power_mean(values, p: float, q: float) -> float:
+    """(1/n) times the sum of |x|^p over |x| > q, in ascending order."""
+    x = np.sort(np.abs(np.asarray(values, dtype=float)))
+    return float(np.sum(x[x > q] ** p) / x.size)
+
+
 def grid_ratio_deviation(values, cdf, level: float, t_grid) -> float:
     """Worst ratio deviation over an explicit grid of admissible t values."""
     xs = np.sort(np.abs(np.asarray(values, dtype=float)))

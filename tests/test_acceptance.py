@@ -105,7 +105,7 @@ def test_criterion_3_scan_vs_brute_force():
             cdf = uniform
         else:
             values = local.exponential(size=n)
-            cdf = EmpiricalCDF(local.exponential(size=300), seed=0)
+            cdf = EmpiricalCDF(local.exponential(size=300))
         got = interval_excess_sup(values, cdf, 2.0, 0.05).sup
         ok &= got == max(0.0, exhaustive_interval_excess(values, cdf))
         signs = local.choice([-1, 1], size=n)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lptrim.cli import _build_parser, main
-from lptrim.config import ConfigError, ExperimentConfig
+from lptrim.config import MAX_THREADS, ConfigError, ExperimentConfig
 from lptrim.distributions import DistributionSpec, draw_sample
 from lptrim.runner import SampleIntegrityError, load_sample, run_sandwich, save_sample
 
@@ -46,6 +46,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(epsilon=1.5)
 
+    def test_threads_above_the_ceiling_rejected(self):
+        # validation only: no config here ever reaches a worker pool
+        assert ExperimentConfig(threads=MAX_THREADS).threads == MAX_THREADS
+        with pytest.raises(ConfigError):
+            ExperimentConfig(threads=MAX_THREADS + 1)
+
     def test_removed_mc_size_is_an_unknown_key(self):
         assert "mc_size" not in ExperimentConfig().echo()
         with pytest.raises(ConfigError):
@@ -64,7 +70,7 @@ class TestConfig:
 
     def test_echo_contains_resolved_constants(self):
         echo = ExperimentConfig().echo()
-        for key in ("resolved_n", "resolved_theta", "theta_c0", "sample_c1", "delta_floor_c0"):
+        for key in ("resolved_n", "resolved_theta", "theta_c0", "sample_c1"):
             assert key in echo
 
 
@@ -88,17 +94,41 @@ class TestExitCodes:
         ["oracle", "--query", "tail-moment", "--p", "nan"],
         ["ratio-check", "--big-c", "inf"],
         ["sandwich", "--theta-c0", "100"],
+        ["sandwich", "--epsilon", "1e-200"],
+        ["compare", "--epsilon", "5e-324"],
+        ["sandwich", "--threads", "100000"],
     ], ids=["compare-p-nan", "compare-nu-inf", "sandwich-theta-c0-inf", "oracle-p-nan", "ratio-big-c-inf",
-            "sandwich-derived-theta-above-one"])
+            "sandwich-derived-theta-above-one", "sandwich-epsilon-squared-underflows",
+            "compare-epsilon-squared-underflows", "sandwich-threads-above-ceiling"])
     def test_non_finite_or_out_of_range_config_is_two(self, tmp_path, capsys, args):
+        # n is left to derive from epsilon, so that a tiny epsilon reaches the derivation
         out_dir = tmp_path / "out"
-        code = main(args + ["--dim", "2", "--n", "50", "--directions", "2", "--trials", "1",
-                            "--out-dir", str(out_dir)])
+        code = main(args + ["--dim", "2", "--directions", "2", "--trials", "1", "--out-dir", str(out_dir)])
         err = capsys.readouterr().err
         assert code == 2
         assert "config error" in err
         assert "Traceback" not in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--query", "tail-moment", "--p", "2", "--t", "nan"],
+        ["--query", "tail-moment", "--p", "2", "--t", "inf"],
+        ["--query", "tail-moment", "--p", "2", "--t", "-1"],
+        ["--query", "error-functional", "--t", "nan"],
+        ["--query", "quantile", "--eta", "nan"],
+        ["--query", "quantile", "--eta", "1.5"],
+        ["--query", "upper-moment", "--kappa", "nan"],
+        ["--query", "upper-moment", "--kappa", "1"],
+        ["--query", "moment-bounds", "--q", "nan", "--kappa", "0.1"],
+    ], ids=["t-nan", "t-inf", "t-negative", "error-functional-t-nan", "eta-nan", "eta-above-one",
+            "kappa-nan", "kappa-one", "q-nan"])
+    def test_invalid_oracle_flag_is_two(self, capsys, args):
+        code = main(["oracle", "--dist", "gaussian", *args])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "config error" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_nonexistent_moment_is_three(self, tmp_path):
         code = main([

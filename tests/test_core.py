@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import lptrim
-from helpers import fraction_trimmed_mean, naive_power_mean
+from helpers import fraction_trimmed_mean, naive_power_mean, naive_upper_power_mean
 from lptrim.core import (
     RatioParams,
     SampleMatrix,
@@ -24,7 +24,7 @@ from lptrim.core import (
     truncated_power_mean,
 )
 from lptrim.distributions import EmpiricalCDF
-from lptrim.oracle import tail_integral_moment
+from lptrim.oracle import raw_moment, tail_integral_moment, truncated_upper_moment, upper_quantile
 
 finite_values = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False),
@@ -251,12 +251,15 @@ class TestSortedPowerKernel:
         before = values.copy()
         x = np.abs(values)
         n = values.size
+        reference = EmpiricalCDF(values)
         assert empirical_p_mean(values, p) == naive_power_mean(values, p)
-        assert EmpiricalCDF(values, seed=0).exact_moment(p) == naive_power_mean(values, p)
+        assert raw_moment(reference, p) == naive_power_mean(values, p)
         for cap in (0.5 * x.min(), float(np.median(x)), 2.0 * x.max(), np.inf):
             assert truncated_power_mean(values, p, cap) == naive_power_mean(values, p, cap)
-            reference = EmpiricalCDF(values, seed=0)
             assert tail_integral_moment(reference, p, cap) == naive_power_mean(values, p, cap)
+        for kappa in (0.9, 0.5, 0.1, 0.01):
+            q = upper_quantile(reference, kappa)
+            assert truncated_upper_moment(reference, p, kappa) == naive_upper_power_mean(values, p, q)
         for drop in sorted({0, min(1, n - 1), n // 3, n - 1}):
             # theta inside ((drop) / n, (drop + 1) / n] discards exactly ``drop`` values
             spec = TrimSpec(p=p, theta=(drop + 0.5) / n)

@@ -24,6 +24,7 @@ from lptrim.distributions import (
     student_abs_moment,
     _draw_matrix,
 )
+from lptrim.oracle import raw_moment
 from lptrim.seeding import child_rng
 
 ALL_SPECS = [
@@ -185,7 +186,7 @@ class TestMarginalCDF:
             HalfUniformCDF: HalfUniformCDF(width=2.0),
             ExponentialCDF: ExponentialCDF(scale=0.7),
             FoldedStudentTCDF: FoldedStudentTCDF(nu=4.5, scale=0.8),
-            EmpiricalCDF: EmpiricalCDF([0.5, 1.0, 1.0], seed=0),
+            EmpiricalCDF: EmpiricalCDF([0.5, 1.0, 1.0]),
         }
         types = {
             obj for obj in vars(distributions).values()
@@ -197,7 +198,7 @@ class TestMarginalCDF:
         assert hash(FoldedNormalCDF(scale=1.5)) == hash(examples[FoldedNormalCDF])
 
     def test_empirical_below_minimum_is_zero(self):
-        cdf = EmpiricalCDF([1.0, 2.0, 3.0], seed=0)
+        cdf = EmpiricalCDF([1.0, 2.0, 3.0])
         assert cdf.cdf(0.5) == 0.0
         assert cdf.sf(0.5) == 1.0
 
@@ -208,7 +209,6 @@ class TestMarginalCDF:
         a = marginal_cdf(spec, v, ref_size=5_000)
         clear_marginal_cache()
         b = marginal_cdf(spec, v, ref_size=5_000)
-        assert a.seed == b.seed
         assert np.array_equal(a.values, b.values)
 
     def test_coordinate_marginals_are_analytic(self):
@@ -226,7 +226,7 @@ class TestMarginalCDF:
         v = np.array([0.5, 0.5, 0.5, 0.5])
         cdf = marginal_cdf(spec, v, ref_size=200_000)
         exact_m2 = oracle_moment(spec, v, 2)
-        assert cdf.exact_moment(2.0) == pytest.approx(exact_m2, abs=0.02)
+        assert raw_moment(cdf, 2.0) == pytest.approx(exact_m2, abs=0.02)
 
 
 class TestSphereDirections:

@@ -63,7 +63,7 @@ class TestUpperQuantile:
 
     def test_empirical_quantile_consistency(self, rng):
         values = rng.exponential(size=997)
-        cdf = EmpiricalCDF(values, seed=0)
+        cdf = EmpiricalCDF(values)
         for eta in (0.5, 0.25, 0.03):
             q = upper_quantile(cdf, eta)
             assert cdf.sf(q) < eta
@@ -93,7 +93,7 @@ class TestTailIntegralMoment:
 
     def test_empirical_is_exact_finite_sum(self, rng):
         values = rng.uniform(0, 2, size=101)
-        cdf = EmpiricalCDF(values, seed=0)
+        cdf = EmpiricalCDF(values)
         cap = 1.2
         exact = np.mean(np.minimum(values, cap) ** 3)
         assert tail_integral_moment(cdf, 3, cap) == pytest.approx(exact, rel=1e-15)
@@ -130,7 +130,7 @@ class TestErrorFunctional:
 
     def test_empirical_step_exactness(self, rng):
         values = rng.uniform(0, 1, size=40)
-        cdf = EmpiricalCDF(values, seed=0)
+        cdf = EmpiricalCDF(values)
         cap = 0.7
         # brute force over the step pieces with its own arithmetic
         xs = np.sort(values)
@@ -170,7 +170,7 @@ class TestTruncatedUpperMoment:
 
     def test_empirical_exact(self, rng):
         values = rng.exponential(size=200)
-        cdf = EmpiricalCDF(values, seed=0)
+        cdf = EmpiricalCDF(values)
         kappa = 0.25
         q = upper_quantile(cdf, kappa)
         exact = values[values > q].sum() / values.size
@@ -254,7 +254,7 @@ class TestMemoisedQuadrature:
         assert per_run[0] == per_run[1]
 
     def test_empirical_laws_never_enter_the_caches(self, rng):
-        cdf = EmpiricalCDF(rng.exponential(size=500), seed=0)
+        cdf = EmpiricalCDF(rng.exponential(size=500))
         before = (oracle._tail_integral.cache_info().currsize, oracle._sqrt_tail_integral.cache_info().currsize)
         for p in (1.0, 2.0, 3.0):
             raw_moment(cdf, p)

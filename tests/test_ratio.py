@@ -35,7 +35,7 @@ UNIFORM01 = HalfUniformCDF(width=1.0)
 
 def exact_sample_cdf(values):
     """Reference law equal to the empirical law of the sample itself."""
-    return EmpiricalCDF(values, seed=0)
+    return EmpiricalCDF(values)
 
 
 def report(values, cdf, delta, lam=0.5):
@@ -69,13 +69,13 @@ class TestTailRatio:
             n = int(rng.integers(5, 80))
             values = rng.exponential(size=n)
             delta = float(rng.uniform(0.05, 0.4))
-            cdf = EmpiricalCDF(rng.exponential(size=1000), seed=0)
+            cdf = EmpiricalCDF(rng.exponential(size=1000))
             res = report(values, cdf, delta).tail
             grid = rng.uniform(0, np.max(values) * 1.5, size=400)
             assert grid_ratio_deviation(values, cdf, delta, grid) <= res.worst_dev + 1e-9
 
     def test_empty_admissible_range_rejected(self):
-        sub_unit = EmpiricalCDF([0.0, 0.0, 1.0], seed=0)  # sf(0) = 1/3
+        sub_unit = EmpiricalCDF([0.0, 0.0, 1.0])  # sf(0) = 1/3
         with pytest.raises(ValueError):
             report([0.5], sub_unit, 0.5)
 
@@ -83,7 +83,7 @@ class TestTailRatio:
 class TestDyadicRatio:
     def test_level_zero_matches_tail_check(self, rng):
         values = rng.exponential(size=150)
-        cdf = EmpiricalCDF(rng.exponential(size=2000), seed=0)
+        cdf = EmpiricalCDF(rng.exponential(size=2000))
         delta = 0.07
         levels = report(values, cdf, delta).dyadic.levels
         assert levels[0].j == 0
@@ -118,7 +118,7 @@ class TestDyadicRatio:
     def test_passing_level_one_implies_tail_at_inverse_sqrt2(self, rng):
         for trial in range(20):
             values = np.random.default_rng(trial).standard_normal(500) ** 2
-            cdf = EmpiricalCDF(np.random.default_rng(1000 + trial).standard_normal(20_000) ** 2, seed=0)
+            cdf = EmpiricalCDF(np.random.default_rng(1000 + trial).standard_normal(20_000) ** 2)
             res = report(values, cdf, 0.03).dyadic
             if len(res.levels) > 1 and res.levels[1].ok:
                 assert report(values, cdf, 2 * 0.03, lam=2.0 ** -0.5).tail.ok
@@ -128,7 +128,7 @@ class TestDyadicRatio:
         # the reference's smallest value is 0.5, so P(f > t) = 1 exactly on
         # (0, 0.5): with delta = 2^-3 the last dyadic level is that region
         values = rng.exponential(size=200)
-        cdf = EmpiricalCDF(0.5 + rng.exponential(size=500), seed=0)
+        cdf = EmpiricalCDF(0.5 + rng.exponential(size=500))
         levels = report(values, cdf, 0.125).dyadic.levels
         assert [level.level for level in levels] == [0.125, 0.25, 0.5, 1.0]
         r_min = float(cdf.values[0])
@@ -139,7 +139,7 @@ class TestDyadicRatio:
         for level in levels:
             assert grid_ratio_deviation(values, cdf, level.level, wide) <= level.worst_dev + 1e-12
 
-    @pytest.mark.parametrize("cdf", [FoldedNormalCDF(scale=1.0), EmpiricalCDF([0.0, 0.3, 1.0, 2.0], seed=0)],
+    @pytest.mark.parametrize("cdf", [FoldedNormalCDF(scale=1.0), EmpiricalCDF([0.0, 0.3, 1.0, 2.0])],
                              ids=["analytic", "reference_with_zero"])
     def test_level_one_region_empty(self, rng, cdf):
         # a continuous tail, or a reference with mass at 0, is below 1 for every t > 0
@@ -174,11 +174,11 @@ class TestIntervalExcess:
                 cdf = UNIFORM01
             elif trial % 3 == 1:
                 values = local.exponential(size=n)
-                cdf = EmpiricalCDF(local.exponential(size=500), seed=0)
+                cdf = EmpiricalCDF(local.exponential(size=500))
             else:
                 # duplicated values exercise the atom merging
                 values = local.integers(0, 8, size=n) / 7.0
-                cdf = EmpiricalCDF(local.integers(0, 8, size=300) / 7.0, seed=0)
+                cdf = EmpiricalCDF(local.integers(0, 8, size=300) / 7.0)
             got = interval_excess_sup(values, cdf, 2.0, 0.05).sup
             assert got == max(0.0, exhaustive_interval_excess(values, cdf))
 
@@ -186,7 +186,7 @@ class TestIntervalExcess:
         for trial in range(30):
             local = np.random.default_rng(200 + trial)
             values = local.exponential(size=int(local.integers(2, 60)))
-            cdf = EmpiricalCDF(local.exponential(size=400), seed=0)
+            cdf = EmpiricalCDF(local.exponential(size=400))
             got = interval_excess_sup(values, cdf, 2.0, 0.05).sup
             brute = max(0.0, interval_excess_by_masses(values, cdf))
             assert got == pytest.approx(brute, abs=1e-10)
@@ -251,7 +251,7 @@ class TestFailureRate:
 
     def test_report_bundle_consistency(self, rng):
         values = rng.standard_normal(500) ** 2
-        cdf = EmpiricalCDF(rng.standard_normal(20_000) ** 2, seed=0)
+        cdf = EmpiricalCDF(rng.standard_normal(20_000) ** 2)
         params = RatioParams(delta=0.05, lam=0.5, big_c=2.0)
         rep = ratio_properties_report(values, cdf, params)
         assert rep.tail.worst_dev == rep.dyadic.levels[0].worst_dev
@@ -263,10 +263,10 @@ def _report_cases():
     local = np.random.default_rng(7)
     ties = local.integers(0, 8, size=400) / 7.0  # ties and a point mass at 0
     return [
-        ("ties_vs_reference_with_atoms", ties, EmpiricalCDF(local.integers(0, 8, size=3000) / 7.0, seed=0)),
+        ("ties_vs_reference_with_atoms", ties, EmpiricalCDF(local.integers(0, 8, size=3000) / 7.0)),
         ("ties_vs_half_uniform", np.round(local.uniform(0, 1, 500), 2), UNIFORM01),
         ("zeros_vs_folded_normal", np.append(local.standard_normal(600), np.zeros(5)), FoldedNormalCDF(scale=1.0)),
-        ("continuous_vs_reference", local.exponential(size=700), EmpiricalCDF(local.exponential(size=5000), seed=0)),
+        ("continuous_vs_reference", local.exponential(size=700), EmpiricalCDF(local.exponential(size=5000))),
     ]
 
 
@@ -312,7 +312,7 @@ class TestSharedDistinctPass:
         assert np.array_equal(d.sf_left, UNIFORM01.sf_left(u))
 
     def test_reference_law_tails_are_counted_exactly(self):
-        cdf = EmpiricalCDF(np.random.default_rng(5).integers(0, 6, size=999) / 5.0, seed=0)
+        cdf = EmpiricalCDF(np.random.default_rng(5).integers(0, 6, size=999) / 5.0)
         d = _distinct_pass([0.0, 0.2, 0.2, 0.7, 1.0], cdf)
         assert np.array_equal(d.sf, cdf.sf(d.u))
         assert np.array_equal(d.atom, cdf.atom(d.u))
