@@ -85,20 +85,16 @@ def _tol(rel: float, *magnitudes: float) -> float:
 def _gate(theta: float, report: RatioReport) -> str | None:
     """Reason string when the trim-level arithmetic or a ratio property fails."""
     params = report.params
-    if theta <= 2.0 * params.big_c * params.delta:
-        return f"theta={theta} <= 2*C*delta={2.0 * params.big_c * params.delta}: deflated level nonpositive"
+    slack = 2.0 * (params.big_c * params.delta)  # 2*C*delta, finite for every finite C
+    if theta <= slack:
+        return f"theta={theta} <= 2*C*delta={slack}: deflated level nonpositive"
     if theta < (params.big_c + 1.5) * params.delta:
         return (
             f"theta={theta} < (C + 3/2)*delta={(params.big_c + 1.5) * params.delta}: "
             "threshold tail mass not guaranteed"
         )
-    if not report.all_pass:
-        failing = [
-            name
-            for name, ok in (("tail", report.tail.ok), ("dyadic", report.dyadic.ok), ("interval", report.interval.ok))
-            if not ok
-        ]
-        return "ratio properties fail: " + ", ".join(failing)
+    if report.failing:
+        return "ratio properties fail: " + ", ".join(report.failing)
     return None
 
 
@@ -168,7 +164,7 @@ def check_empirical_integral_sandwich(report: RatioReport, p: float, t_cap: floa
         return CheckOutcome(
             name, Verdict.NOT_APPLICABLE, reason=f"P(f > t_cap)={tail_at_cap} below delta={delta}"
         )
-    if not report.dyadic.ok:
+    if "dyadic" in report.failing:
         return CheckOutcome(name, Verdict.NOT_APPLICABLE, reason="dyadic ratio property fails")
     empirical = truncated_power_mean(values, p, t_cap)
     err = error_functional(cdf, p, t_cap, delta)

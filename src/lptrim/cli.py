@@ -151,6 +151,8 @@ def _run_oracle(args: argparse.Namespace, config: ExperimentConfig) -> int:
     else:  # moment-bounds
         if args.q is None or args.kappa is None:
             raise ConfigError("moment-bounds query needs --q and --kappa")
+        if not args.q > 2 * config.p:
+            raise ConfigError(f"moment-bounds query needs --q above 2p={2 * config.p}, got {args.q}")
         params.update({"p": config.p, "q": args.q, "kappa": args.kappa, "delta": config.delta})
         bounds = check_tail_moment_bounds(cdf, config.p, args.q, args.kappa, config.delta)
         value = [

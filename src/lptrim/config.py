@@ -72,8 +72,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.dist not in DIST_NAMES:
             raise ConfigError(f"unknown dist {self.dist!r}; expected one of {DIST_NAMES}")
-        if self.dist == "product_student_t" and not self.nu > 2:
-            raise ConfigError(f"product_student_t requires nu > 2, got {self.nu}")
+        if not self.nu > 2:  # lemma-check runs product_student_t whatever dist is
+            raise ConfigError(f"nu must exceed 2, got {self.nu}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not (0 < self.epsilon < 1):
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if self.p < 1:

@@ -349,25 +349,14 @@ class EmpiricalCDF(MarginalCDF):
         return _scalar_or_array(t, tail)
 
     def quantile_upper(self, eta: float) -> float:
-        """Smallest t with P(f > t) < eta, by order statistics."""
+        """Smallest t with P(f > t) < eta: the k-th largest value, k = ceil(eta * size).
+
+        Fewer than eta * size values exceed it, and at least k exceed anything
+        below it.  Since 0 < eta < 1, 1 <= k <= size.
+        """
         if not (0 < eta < 1):
             raise ValueError(f"eta must lie in (0, 1), got {eta}")
-        xs, m = self.values, self.values.size
-        target = eta * m
-
-        def count_gt(j: int) -> int:
-            return m - int(np.searchsorted(xs, xs[j], side="right"))
-
-        lo, hi = 0, m - 1
-        if count_gt(lo) < target:
-            return float(xs[0])
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if count_gt(mid) < target:
-                hi = mid
-            else:
-                lo = mid + 1
-        return float(xs[lo])
+        return float(self.values[self.size - math.ceil(eta * self.size)])
 
 
 def _coordinate_abs_cdf(spec: DistributionSpec, weight: float) -> MarginalCDF:

@@ -57,7 +57,7 @@ def _bisect_quantile(cdf: MarginalCDF, eta: float) -> float:
             break
         lo, hi = hi, 2.0 * hi
     else:
-        raise ValueError(f"could not bracket the {eta} upper quantile")
+        raise MomentDoesNotExistError(f"the {eta} upper quantile lies beyond {hi:g}, too far out to bisect")
     while hi - lo > _QUANTILE_ABS_TOL:
         mid = 0.5 * (lo + hi)
         if cdf.sf(mid) >= eta:
@@ -108,23 +108,48 @@ def tail_integral_moment(cdf: MarginalCDF, p: float, t_max: float) -> float:
     if isinstance(cdf, EmpiricalCDF):
         # exact for a step tail: the mean of min(f, t_max)^p over the reference
         return truncated_power_mean(cdf.values, p, t_max)
-    return _tail_integral(cdf, p, 0.0, t_max)
+    return _split_at_cutoff(_tail_integral, cdf, p, t_max)
+
+
+def _split_at_cutoff(integral, cdf: MarginalCDF, p: float, t_max: float) -> float:
+    """``integral(cdf, p, lo, hi)`` over (0, t_max), split at the tail cutoff.
+
+    Adaptive quadrature over (0, t_max) with t_max far beyond the cutoff
+    never samples the mass near 0; a cap within the cutoff is one integral.
+    """
+    cutoff = tail_cutoff(cdf)
+    value = integral(cdf, p, 0.0, min(t_max, cutoff))
+    if t_max > cutoff:
+        value += integral(cdf, p, cutoff, t_max)
+    return value
 
 
 # The quadratures of analytic laws are memoised: a law is a hashable frozen
 # dataclass and its quantiles are cached, so repeated trials ask for
 # bit-identical points.  Empirical laws never reach these caches; a key would
-# pin a reference array of up to 10^6 rows.
+# pin a reference array of up to 10^6 rows.  Both integrands are 0 where the
+# tail is 0, so that an overflowing t^(p-1) far beyond the cutoff never meets
+# a zero tail as inf * 0.
 @lru_cache(maxsize=4096)
 def _tail_integral(cdf: MarginalCDF, p: float, lo: float, hi: float) -> float:
     """Integral of p t^(p-1) P(f > t) over (lo, hi)."""
-    return _quad(lambda t: p * t ** (p - 1.0) * cdf.sf(t), lo, hi, p)
+
+    def integrand(t):
+        tail = cdf.sf(t)
+        return p * t ** (p - 1.0) * tail if tail > 0 else 0.0
+
+    return _quad(integrand, lo, hi, p)
 
 
 @lru_cache(maxsize=4096)
-def _sqrt_tail_integral(cdf: MarginalCDF, p: float, t_max: float) -> float:
-    """Integral of p t^(p-1) sqrt(P(f > t)) over (0, t_max)."""
-    return _quad(lambda t: p * t ** (p - 1.0) * math.sqrt(max(cdf.sf(t), 0.0)), 0.0, t_max, p)
+def _sqrt_tail_integral(cdf: MarginalCDF, p: float, lo: float, hi: float) -> float:
+    """Integral of p t^(p-1) sqrt(P(f > t)) over (lo, hi)."""
+
+    def integrand(t):
+        tail = cdf.sf(t)
+        return p * t ** (p - 1.0) * math.sqrt(tail) if tail > 0 else 0.0
+
+    return _quad(integrand, lo, hi, p)
 
 
 def raw_moment(cdf: MarginalCDF, p: float) -> float:
@@ -153,7 +178,7 @@ def error_functional(cdf: MarginalCDF, p: float, t_max: float, delta: float) -> 
     factor = 2.0 * math.sqrt(delta)
     if isinstance(cdf, EmpiricalCDF):
         return factor * _empirical_sqrt_tail_integral(cdf, p, t_max)
-    return factor * _sqrt_tail_integral(cdf, p, t_max)
+    return factor * _split_at_cutoff(_sqrt_tail_integral, cdf, p, t_max)
 
 
 def _empirical_sqrt_tail_integral(cdf: EmpiricalCDF, p: float, t_max: float) -> float:
@@ -239,7 +264,7 @@ def check_tail_moment_bounds(
         BoundCheck(
             "error_fn_log_bound",
             err,
-            factor * (m_p + math.sqrt(math.log(1.0 / kappa) / 2.0) * l2p_p),
+            factor * (m_p + math.sqrt(-math.log(kappa) / 2.0) * l2p_p),
         ),
         BoundCheck(
             "error_fn_qnorm_bound",

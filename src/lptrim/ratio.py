@@ -33,10 +33,7 @@ from .distributions import (
 from .oracle import upper_quantile
 
 __all__ = [
-    "TailRatioResult",
     "DyadicLevel",
-    "DyadicRatioResult",
-    "IntervalExcessResult",
     "RatioReport",
     "DirectionCheckRow",
     "interval_excess_sup",
@@ -134,17 +131,6 @@ def _sup_dev_at_level(xs, pn, pr, cdf: MarginalCDF, level: float) -> float | Non
 
 
 @dataclass(frozen=True)
-class TailRatioResult:
-    worst_dev: float
-    lam: float
-    delta: float
-
-    @property
-    def ok(self) -> bool:
-        return self.worst_dev <= self.lam
-
-
-@dataclass(frozen=True)
 class DyadicLevel:
     j: int
     level: float
@@ -160,25 +146,11 @@ class DyadicLevel:
         return self.bound - self.worst_dev
 
 
-@dataclass(frozen=True)
-class DyadicRatioResult:
-    levels: tuple[DyadicLevel, ...]
-    delta: float
-
-    @property
-    def ok(self) -> bool:
-        return all(level.ok for level in self.levels)
-
-    @property
-    def worst_margin(self) -> float:
-        return min((level.margin for level in self.levels), default=math.inf)
-
-
 def _dyadic_levels(xs, pn, pr, cdf: MarginalCDF, delta: float) -> tuple[DyadicLevel, ...]:
     levels = []
     j = 0
     while True:
-        level = delta * 2.0 ** j
+        level = math.ldexp(delta, j)  # delta * 2^j without forming 2^j, which overflows at j = 1024
         if level > 1.0:
             break
         worst = _sup_dev_at_level(xs, pn, pr, cdf, level)
@@ -194,17 +166,7 @@ def _dyadic_levels(xs, pn, pr, cdf: MarginalCDF, delta: float) -> tuple[DyadicLe
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntervalExcessResult:
-    sup: float
-    bound: float
-
-    @property
-    def ok(self) -> bool:
-        return self.sup <= self.bound
-
-
-def interval_excess_sup(values_abs, cdf: MarginalCDF, big_c: float, delta: float) -> IntervalExcessResult:
+def interval_excess_sup(values_abs, cdf: MarginalCDF) -> float:
     """Exact sup over generalized intervals I of P_N(f in I) - (3/2) P(f in I).
 
     The optimum is attained by a closed interval whose endpoints are sample
@@ -213,14 +175,10 @@ def interval_excess_sup(values_abs, cdf: MarginalCDF, big_c: float, delta: float
     of the true open-gap mass, and the best contiguous stretch is found by a
     prefix-sum scan.  Intervals containing no sample point are bounded by 0.
     """
-    if big_c < 1:
-        raise ValueError(f"big_c must be >= 1, got {big_c}")
-    if not (0 <= delta <= 0.5):
-        raise ValueError(f"delta must lie in [0, 1/2], got {delta}")
-    return _interval_excess(_distinct_pass(values_abs, cdf), big_c, delta)
+    return _interval_excess(_distinct_pass(values_abs, cdf))
 
 
-def _interval_excess(d: _Distinct, big_c: float, delta: float) -> IntervalExcessResult:
+def _interval_excess(d: _Distinct) -> float:
     gains = d.counts / d.xs.size - 1.5 * d.atom
     gaps = 1.5 * np.maximum(d.sf[:-1] - d.sf[1:] - d.atom[1:], 0.0)
     # prefix form: value(i..j) = Q[j] - (Q[i] - gains[i])
@@ -228,8 +186,7 @@ def _interval_excess(d: _Distinct, big_c: float, delta: float) -> IntervalExcess
     e[1:] -= gaps
     q_pref = np.cumsum(e)
     start_cost = np.minimum.accumulate(q_pref - gains)
-    best = float(np.max(q_pref - start_cost))
-    return IntervalExcessResult(sup=max(0.0, best), bound=big_c * delta)
+    return max(0.0, float(np.max(q_pref - start_cost)))
 
 
 def rademacher_interval_complexity(values_abs, signs) -> float:
@@ -259,22 +216,37 @@ def rademacher_interval_complexity(values_abs, signs) -> float:
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Results of all three property checks against one (lam, C, delta).
+    """The three property suprema of one sample against one (lam, C, delta).
 
-    ``values`` is the sorted |sample| and ``cdf`` the law it was checked
-    against, so the validators read both from the report itself.
+    ``levels[0]`` is the tail property: level j = 0 is delta itself, checked
+    against ``lam``.  ``values`` is the sorted |sample| and ``cdf`` the law it
+    was checked against, so the validators read both from the report itself.
     """
 
-    tail: TailRatioResult
-    dyadic: DyadicRatioResult
-    interval: IntervalExcessResult
+    levels: tuple[DyadicLevel, ...]
+    interval_sup: float
     params: RatioParams
     values: np.ndarray = field(compare=False, repr=False)
     cdf: MarginalCDF = field(compare=False, repr=False)
 
     @property
-    def all_pass(self) -> bool:
-        return self.tail.ok and self.dyadic.ok and self.interval.ok
+    def tail_dev(self) -> float:
+        return self.levels[0].worst_dev
+
+    @property
+    def worst_margin(self) -> float:
+        return min(level.margin for level in self.levels)
+
+    @property
+    def failing(self) -> tuple[str, ...]:
+        """The names of the failing properties, in the order tail, dyadic, interval."""
+        params = self.params
+        fails = (
+            ("tail", self.tail_dev > params.lam),
+            ("dyadic", not all(level.ok for level in self.levels)),
+            ("interval", self.interval_sup > params.big_c * params.delta),
+        )
+        return tuple(name for name, failed in fails if failed)
 
 
 def ratio_properties_report(values_abs, cdf: MarginalCDF, params: RatioParams) -> RatioReport:
@@ -291,14 +263,7 @@ def ratio_properties_report(values_abs, cdf: MarginalCDF, params: RatioParams) -
     levels = _dyadic_levels(xs, pn, pr, cdf, params.delta)
     if not levels:
         raise ValueError(f"no tail mass reaches delta={params.delta}; empty admissible range")
-    return RatioReport(
-        tail=TailRatioResult(worst_dev=levels[0].worst_dev, lam=params.lam, delta=params.delta),
-        dyadic=DyadicRatioResult(levels=levels, delta=params.delta),
-        interval=_interval_excess(d, params.big_c, params.delta),
-        params=params,
-        values=d.xs,
-        cdf=cdf,
-    )
+    return RatioReport(levels=levels, interval_sup=_interval_excess(d), params=params, values=d.xs, cdf=cdf)
 
 
 def ratio_floor(dim: int, n: int) -> float:
@@ -318,10 +283,7 @@ class DirectionCheckRow:
     prop1_dev: float
     prop2_margin: float
     prop3_sup: float
-    passed: bool
-    tail_ok: bool
-    dyadic_ok: bool
-    interval_ok: bool
+    failing: tuple[str, ...]
 
 
 def ratio_trial_rows(
@@ -338,17 +300,6 @@ def ratio_trial_rows(
     for idx, v in enumerate(directions):
         cdf = marginal_cdf(spec, v, ref_size=ref_size)
         rep = ratio_properties_report(project_abs(sample, v), cdf, params)
-        rows.append(
-            DirectionCheckRow(
-                direction=idx,
-                prop1_dev=rep.tail.worst_dev,
-                prop2_margin=rep.dyadic.worst_margin,
-                prop3_sup=rep.interval.sup,
-                passed=rep.all_pass,
-                tail_ok=rep.tail.ok,
-                dyadic_ok=rep.dyadic.ok,
-                interval_ok=rep.interval.ok,
-            )
-        )
+        rows.append(DirectionCheckRow(idx, rep.tail_dev, rep.worst_margin, rep.interval_sup, rep.failing))
     return rows
 

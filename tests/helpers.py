@@ -50,6 +50,27 @@ def naive_upper_power_mean(values, p: float, q: float) -> float:
     return float(np.sum(x[x > q] ** p) / x.size)
 
 
+def binary_search_quantile_upper(values, eta: float) -> float:
+    """Smallest sample value with fewer than eta * size values above it, by binary search."""
+    xs = np.sort(np.abs(np.asarray(values, dtype=float)))
+    m = xs.size
+    target = eta * m
+
+    def count_gt(j: int) -> int:
+        return m - int(np.searchsorted(xs, xs[j], side="right"))
+
+    lo, hi = 0, m - 1
+    if count_gt(lo) < target:
+        return float(xs[0])
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if count_gt(mid) < target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(xs[lo])
+
+
 def grid_ratio_deviation(values, cdf, level: float, t_grid) -> float:
     """Worst ratio deviation over an explicit grid of admissible t values."""
     xs = np.sort(np.abs(np.asarray(values, dtype=float)))

@@ -106,7 +106,7 @@ def test_criterion_3_scan_vs_brute_force():
         else:
             values = local.exponential(size=n)
             cdf = EmpiricalCDF(local.exponential(size=300))
-        got = interval_excess_sup(values, cdf, 2.0, 0.05).sup
+        got = interval_excess_sup(values, cdf)
         ok &= got == max(0.0, exhaustive_interval_excess(values, cdf))
         signs = local.choice([-1, 1], size=n)
         ok &= rademacher_interval_complexity(values, signs) == exhaustive_rademacher(values, signs)

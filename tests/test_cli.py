@@ -68,6 +68,21 @@ class TestConfig:
             dests = {a.dest for a in subparser._actions if not isinstance(a, argparse._HelpAction)}
             assert dests <= fields | query_names, command
 
+    @pytest.mark.parametrize("flags, theta, t_level", [([], 0.1, 0.1), (["--theta", "0.2"], 0.2, 0.2),
+                                                       (["--t-level", "0.05"], 0.1, 0.05)],
+                             ids=["defaults", "theta", "t-level"])
+    def test_lemma_echo_records_the_settings_it_ran(self, tmp_path, flags, theta, t_level):
+        config = tmp_path / "f.json"
+        config.write_text(json.dumps({"lemma_dists": ["gaussian"], "lemma_ps": [2.0]}))
+        code, out_dir = run_cli(["lemma-check", "--trials", "1", "--config", str(config), *flags], tmp_path)
+        assert code == 0
+        line = (out_dir / "lemma_rows.csv").read_text().splitlines()[0]
+        echoes = [json.loads(line[len("# config: "):]),
+                  json.loads((out_dir / "lemma_summary.json").read_text())["config"]]
+        for echo in echoes:
+            assert (echo["dim"], echo["n"], echo["resolved_n"]) == (1, 10_000, 10_000)
+            assert (echo["theta"], echo["resolved_theta"], echo["t_level"]) == (theta, theta, t_level)
+
     def test_echo_contains_resolved_constants(self):
         echo = ExperimentConfig().echo()
         for key in ("resolved_n", "resolved_theta", "theta_c0", "sample_c1"):
@@ -317,6 +332,20 @@ class TestOracleCommand:
     def test_missing_parameter_is_two(self):
         code = main(["oracle", "--dist", "gaussian", "--query", "quantile"])
         assert code == 2
+
+    @pytest.mark.parametrize("t", ["1e6", "1e308"])
+    def test_cap_far_beyond_the_tail_cutoff_keeps_the_moment(self, capsys, t):
+        # E|Z|^2 = 1; quadrature over (0, t) alone never sees the mass near 0
+        code = main(["oracle", "--dist", "gaussian", "--query", "tail-moment", "--p", "2", "--t", t])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(1.0, abs=1e-8)
+
+    def test_error_functional_cap_far_beyond_the_tail_cutoff(self, capsys):
+        values = []
+        for t in ("64", "1e6"):
+            assert main(["oracle", "--dist", "gaussian", "--query", "error-functional", "--p", "2", "--t", t]) == 0
+            values.append(json.loads(capsys.readouterr().out)["value"])
+        assert values[1] == pytest.approx(values[0], rel=1e-6)
 
 
 class TestLargeNConsistency:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from helpers import trapezoid_sqrt_tail_integral, trapezoid_tail_integral
+from helpers import binary_search_quantile_upper, trapezoid_sqrt_tail_integral, trapezoid_tail_integral
 from lptrim import oracle
 from lptrim.config import ExperimentConfig
 from lptrim.distributions import (
@@ -69,6 +69,24 @@ class TestUpperQuantile:
             assert cdf.sf(q) < eta
             assert cdf.sf_left(q) >= eta
             assert q in cdf.values
+
+    @pytest.mark.parametrize("values", [
+        [0.7],
+        [2.0, 2.0, 2.0, 2.0],
+        [0.0, 0.0, 0.0, 1.0, 1.0, 3.0],
+        np.random.default_rng(11).integers(0, 4, size=37) / 3.0,
+        np.random.default_rng(12).exponential(size=50),
+        np.random.default_rng(13).integers(0, 50, size=1000) / 7.0,
+    ], ids=["size_one", "all_equal", "atoms", "ties", "no_ties", "many_ties"])
+    def test_reference_law_quantile_equals_the_binary_search(self, values):
+        # eta at k/size, one ulp either side of it, and the extremes of (0, 1)
+        cdf = EmpiricalCDF(values)
+        ks = np.arange(1, cdf.size)
+        etas = [5e-324, 1e-300, np.nextafter(1.0, 0.0)]
+        for eta in ks / cdf.size:
+            etas += [eta, np.nextafter(eta, 1.0), np.nextafter(eta, 0.0)]
+        for eta in map(float, etas):
+            assert cdf.quantile_upper(eta) == binary_search_quantile_upper(values, eta), eta
 
 
 class TestTailIntegralMoment:

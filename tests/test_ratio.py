@@ -46,23 +46,23 @@ def report(values, cdf, delta, lam=0.5):
 class TestTailRatio:
     def test_identity_sample_has_zero_deviation(self, rng):
         values = rng.uniform(0, 1, 200)
-        res = report(values, exact_sample_cdf(values), 0.1).tail
-        assert res.worst_dev == 0.0
-        assert res.ok
+        rep = report(values, exact_sample_cdf(values), 0.1)
+        assert rep.tail_dev == 0.0
+        assert "tail" not in rep.failing
 
     def test_two_point_sample_against_uniform(self):
         # exact supremum is 1, attained on [0.75, quantile(0.2)]
-        res = report([0.25, 0.75], UNIFORM01, 0.2).tail
-        assert res.worst_dev == pytest.approx(1.0, abs=1e-9)
-        assert not res.ok
+        rep = report([0.25, 0.75], UNIFORM01, 0.2)
+        assert rep.tail_dev == pytest.approx(1.0, abs=1e-9)
+        assert "tail" in rep.failing
         # brute force over a dense admissible grid never exceeds the reported sup
         grid = np.linspace(1e-6, 0.8, 40_001)
-        assert grid_ratio_deviation([0.25, 0.75], UNIFORM01, 0.2, grid) <= res.worst_dev + 1e-9
+        assert grid_ratio_deviation([0.25, 0.75], UNIFORM01, 0.2, grid) <= rep.tail_dev + 1e-9
 
     def test_single_point_at_median(self):
-        res = report([0.5], UNIFORM01, 0.4).tail
-        assert res.worst_dev == pytest.approx(1.0, abs=1e-9)
-        assert not res.ok
+        rep = report([0.5], UNIFORM01, 0.4)
+        assert rep.tail_dev == pytest.approx(1.0, abs=1e-9)
+        assert "tail" in rep.failing
 
     def test_breakpoint_completeness_random_grids(self, rng):
         for _ in range(20):
@@ -70,9 +70,9 @@ class TestTailRatio:
             values = rng.exponential(size=n)
             delta = float(rng.uniform(0.05, 0.4))
             cdf = EmpiricalCDF(rng.exponential(size=1000))
-            res = report(values, cdf, delta).tail
+            rep = report(values, cdf, delta)
             grid = rng.uniform(0, np.max(values) * 1.5, size=400)
-            assert grid_ratio_deviation(values, cdf, delta, grid) <= res.worst_dev + 1e-9
+            assert grid_ratio_deviation(values, cdf, delta, grid) <= rep.tail_dev + 1e-9
 
     def test_empty_admissible_range_rejected(self):
         sub_unit = EmpiricalCDF([0.0, 0.0, 1.0])  # sf(0) = 1/3
@@ -85,16 +85,16 @@ class TestDyadicRatio:
         values = rng.exponential(size=150)
         cdf = EmpiricalCDF(rng.exponential(size=2000))
         delta = 0.07
-        levels = report(values, cdf, delta).dyadic.levels
+        levels = report(values, cdf, delta).levels
         assert levels[0].j == 0
         assert levels[0].bound == 1.0
-        assert levels[0].worst_dev == report(values, cdf, delta, lam=0.9).tail.worst_dev
+        assert levels[0].worst_dev == report(values, cdf, delta, lam=0.9).tail_dev
 
     def test_identity_sample_all_levels_zero(self, rng):
         values = rng.uniform(0, 1, 300)
-        res = report(values, exact_sample_cdf(values), 0.02).dyadic
-        assert all(level.worst_dev == 0.0 for level in res.levels)
-        assert len(res.levels) == 6  # 0.02 * 2^5 = 0.64 <= 1 < 1.28
+        rep = report(values, exact_sample_cdf(values), 0.02)
+        assert all(level.worst_dev == 0.0 for level in rep.levels)
+        assert len(rep.levels) == 6  # 0.02 * 2^5 = 0.64 <= 1 < 1.28
 
     def test_golden_record_reproduces_bit_for_bit(self):
         # frozen from a fixed-seed gaussian run; any drift in the candidate
@@ -103,7 +103,7 @@ class TestDyadicRatio:
         sample = draw_sample(spec, 10_000, child_seed(2024, "golden"))
         values = project_abs(sample, [1.0])
         cdf = marginal_cdf(spec, [1.0])
-        res = report(values, cdf, 0.05).dyadic
+        rep = report(values, cdf, 0.05)
         expected = [
             (0, 0.04007691082639531),
             (1, 0.026308637522789002),
@@ -111,17 +111,17 @@ class TestDyadicRatio:
             (3, 0.011749113278906487),
             (4, 0.0035906456740379955),
         ]
-        got = [(level.j, level.worst_dev) for level in res.levels]
+        got = [(level.j, level.worst_dev) for level in rep.levels]
         assert got == expected
-        assert res.ok
+        assert "dyadic" not in rep.failing
 
     def test_passing_level_one_implies_tail_at_inverse_sqrt2(self, rng):
         for trial in range(20):
             values = np.random.default_rng(trial).standard_normal(500) ** 2
             cdf = EmpiricalCDF(np.random.default_rng(1000 + trial).standard_normal(20_000) ** 2)
-            res = report(values, cdf, 0.03).dyadic
-            if len(res.levels) > 1 and res.levels[1].ok:
-                assert report(values, cdf, 2 * 0.03, lam=2.0 ** -0.5).tail.ok
+            rep = report(values, cdf, 0.03)
+            if len(rep.levels) > 1 and rep.levels[1].ok:
+                assert "tail" not in report(values, cdf, 2 * 0.03, lam=2.0 ** -0.5).failing
 
 
     def test_level_one_region_of_a_reference_law(self, rng):
@@ -129,7 +129,7 @@ class TestDyadicRatio:
         # (0, 0.5): with delta = 2^-3 the last dyadic level is that region
         values = rng.exponential(size=200)
         cdf = EmpiricalCDF(0.5 + rng.exponential(size=500))
-        levels = report(values, cdf, 0.125).dyadic.levels
+        levels = report(values, cdf, 0.125).levels
         assert [level.level for level in levels] == [0.125, 0.25, 0.5, 1.0]
         r_min = float(cdf.values[0])
         grid = np.append(np.linspace(1e-9, r_min, 10_001)[:-1], np.nextafter(r_min, 0.0))
@@ -144,26 +144,25 @@ class TestDyadicRatio:
     def test_level_one_region_empty(self, rng, cdf):
         # a continuous tail, or a reference with mass at 0, is below 1 for every t > 0
         values = rng.exponential(size=300)
-        levels = report(values, cdf, 0.125).dyadic.levels
+        levels = report(values, cdf, 0.125).levels
         assert all(level.level < 1.0 for level in levels)
         assert grid_ratio_deviation(values, cdf, 1.0, np.linspace(1e-9, 5.0, 2001)) == 0.0
 
 
 class TestIntervalExcess:
     def test_three_point_example(self):
-        res = interval_excess_sup([0.1, 0.2, 0.9], UNIFORM01, 2.0, 0.05)
-        assert res.sup == pytest.approx(2 / 3 - 1.5 * 0.1, rel=1e-12)
+        sup = interval_excess_sup([0.1, 0.2, 0.9], UNIFORM01)
+        assert sup == pytest.approx(2 / 3 - 1.5 * 0.1, rel=1e-12)
 
     def test_single_far_point(self):
-        res = interval_excess_sup([0.95], UNIFORM01, 2.0, 0.05)
+        sup = interval_excess_sup([0.95], UNIFORM01)
         # the singleton interval keeps 1/N and pays (3/2) * 0 point mass
-        assert res.sup == pytest.approx(1.0 - 1.5 * 0.0, rel=1e-12) or res.sup <= 1.0
-        assert res.sup >= 0.0
+        assert sup == pytest.approx(1.0 - 1.5 * 0.0, rel=1e-12) or sup <= 1.0
+        assert sup >= 0.0
 
     def test_identity_sample_sup_is_zero(self, rng):
         values = rng.uniform(0, 1, 100)
-        res = interval_excess_sup(values, exact_sample_cdf(values), 2.0, 0.05)
-        assert res.sup == 0.0
+        assert interval_excess_sup(values, exact_sample_cdf(values)) == 0.0
 
     def test_scan_equals_exhaustive_exactly(self, rng):
         for trial in range(100):
@@ -179,7 +178,7 @@ class TestIntervalExcess:
                 # duplicated values exercise the atom merging
                 values = local.integers(0, 8, size=n) / 7.0
                 cdf = EmpiricalCDF(local.integers(0, 8, size=300) / 7.0)
-            got = interval_excess_sup(values, cdf, 2.0, 0.05).sup
+            got = interval_excess_sup(values, cdf)
             assert got == max(0.0, exhaustive_interval_excess(values, cdf))
 
     def test_scan_matches_mass_based_search(self, rng):
@@ -187,7 +186,7 @@ class TestIntervalExcess:
             local = np.random.default_rng(200 + trial)
             values = local.exponential(size=int(local.integers(2, 60)))
             cdf = EmpiricalCDF(local.exponential(size=400))
-            got = interval_excess_sup(values, cdf, 2.0, 0.05).sup
+            got = interval_excess_sup(values, cdf)
             brute = max(0.0, interval_excess_by_masses(values, cdf))
             assert got == pytest.approx(brute, abs=1e-10)
 
@@ -254,9 +253,12 @@ class TestFailureRate:
         cdf = EmpiricalCDF(rng.standard_normal(20_000) ** 2)
         params = RatioParams(delta=0.05, lam=0.5, big_c=2.0)
         rep = ratio_properties_report(values, cdf, params)
-        assert rep.tail.worst_dev == rep.dyadic.levels[0].worst_dev
-        assert rep.interval.sup == interval_excess_sup(values, cdf, 2.0, 0.05).sup
-        assert rep.all_pass == (rep.tail.ok and rep.dyadic.ok and rep.interval.ok)
+        assert rep.tail_dev == rep.levels[0].worst_dev
+        assert rep.interval_sup == interval_excess_sup(values, cdf)
+        assert rep.worst_margin == min(level.bound - level.worst_dev for level in rep.levels)
+        fails = (("tail", rep.tail_dev > 0.5), ("dyadic", not all(level.ok for level in rep.levels)),
+                 ("interval", rep.interval_sup > 2.0 * 0.05))
+        assert rep.failing == tuple(name for name, failed in fails if failed)
 
 
 def _report_cases():
@@ -279,18 +281,18 @@ class TestSharedDistinctPass:
     def test_report_equals_the_standalone_checkers(self, name, values, cdf, delta):
         params = RatioParams(delta=delta, lam=0.5, big_c=2.0)
         rep = ratio_properties_report(values, cdf, params)
-        assert rep.tail.worst_dev == rep.dyadic.levels[0].worst_dev
-        assert (rep.tail.delta, rep.tail.lam, rep.dyadic.delta) == (delta, 0.5, delta)
+        assert rep.tail_dev == rep.levels[0].worst_dev
+        assert (rep.levels[0].level, rep.params.lam, rep.params.delta) == (delta, 0.5, delta)
         # a grid holding the one-sided limits at sample points and region
         # boundaries attains the reported suprema
         xs = np.abs(np.asarray(values, dtype=float))
-        qs = np.array([upper_quantile(cdf, level.level) for level in rep.dyadic.levels if level.level < 1])
+        qs = np.array([upper_quantile(cdf, level.level) for level in rep.levels if level.level < 1])
         grid = np.concatenate([np.linspace(1e-9, 1.5 * xs.max(), 3001), xs, np.nextafter(xs, 0.0),
                                qs, np.nextafter(qs, 0.0), qs - 2e-9])
-        for level in rep.dyadic.levels:
+        for level in rep.levels:
             assert grid_ratio_deviation(values, cdf, level.level, grid) == pytest.approx(level.worst_dev, abs=1e-12)
-        assert rep.interval == interval_excess_sup(values, cdf, 2.0, delta)
-        assert rep.interval.sup == max(0.0, exhaustive_interval_excess(values, cdf))
+        assert rep.interval_sup == interval_excess_sup(values, cdf)
+        assert rep.interval_sup == max(0.0, exhaustive_interval_excess(values, cdf))
 
     @pytest.mark.parametrize("values", [
         [3.0],
