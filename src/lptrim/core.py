@@ -36,7 +36,7 @@ def _as_finite_1d(values) -> np.ndarray:
         raise ValueError("expected a 1-d array of values")
     if z.size == 0:
         raise ValueError("expected at least one value")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("values must be finite")
     return z
 
@@ -59,7 +59,7 @@ class SampleMatrix:
             raise ValueError("sample data must be a 2-d array")
         if data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError("sample must have at least one row and one column")
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise ValueError("sample entries must be finite")
         object.__setattr__(self, "data", data)
 
@@ -136,7 +136,7 @@ def project_abs(sample: SampleMatrix, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (sample.dim,):
         raise ValueError(f"direction has shape {v.shape}, expected ({sample.dim},)")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("direction must be finite")
     return np.abs(sample.data @ v)
 
@@ -185,7 +185,7 @@ def trimmed_p_means(rows_abs, spec: TrimSpec) -> np.ndarray:
         raise ValueError("expected a 2-d array of values, one row per direction")
     if z.size == 0:
         raise ValueError("expected at least one value")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("values must be finite")
     n = z.shape[1]
     return _sorted_power_sums(z, spec.p, n - spec.cut_rank(n) + 1) / n

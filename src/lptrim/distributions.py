@@ -315,7 +315,7 @@ class EmpiricalCDF(MarginalCDF):
 
     def __init__(self, values):
         xs = np.sort(np.abs(np.asarray(values, dtype=np.float64)))
-        if xs.size < 1 or not np.all(np.isfinite(xs)):
+        if xs.size < 1 or not np.isfinite(xs).all():
             raise ValueError("reference sample must be nonempty and finite")
         self.values = xs
 

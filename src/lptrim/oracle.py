@@ -115,13 +115,19 @@ def _split_at_cutoff(integral, cdf: MarginalCDF, p: float, t_max: float) -> floa
     """``integral(cdf, p, lo, hi)`` over (0, t_max), split at the tail cutoff.
 
     Adaptive quadrature over (0, t_max) with t_max far beyond the cutoff
-    never samples the mass near 0; a cap within the cutoff is one integral.
+    never samples the mass near 0, and one piece over (cutoff, t_max) misses
+    a heavy tail's mass just as it would.  A cap within the cutoff is one
+    integral; beyond it the tail is integrated in doubling pieces
+    (c 2^k, c 2^(k+1)) up to t_max or the first point where the tail is 0.
     """
     cutoff = tail_cutoff(cdf)
     value = integral(cdf, p, 0.0, min(t_max, cutoff))
-    if t_max > cutoff:
-        value += integral(cdf, p, cutoff, t_max)
-    return value
+    lo = cutoff
+    while lo < t_max and cdf.sf(lo) > 0:
+        hi = min(2.0 * lo, t_max)
+        value += integral(cdf, p, lo, hi)
+        lo = hi
+    return _closed_form(p, lambda: value)
 
 
 # The quadratures of analytic laws are memoised: a law is a hashable frozen

@@ -59,17 +59,21 @@ class _Distinct:
     starts: np.ndarray  # index in xs of each distinct value's first copy
     counts: np.ndarray  # multiplicity of each distinct value
     sf: np.ndarray  # P(f > u)
-    atom: np.ndarray  # P(f = u)
-    sf_left: np.ndarray  # P(f >= u)
+    atom: np.ndarray | None  # P(f = u); None for a law without point masses
+    sf_left: np.ndarray  # P(f >= u); ``sf`` itself when ``atom`` is None
 
 
 def _distinct_pass(values_abs, cdf: MarginalCDF) -> _Distinct:
     """Sort once, group equal values, and evaluate the law once per distinct value."""
-    xs = np.sort(np.abs(_as_finite_1d(values_abs)))
+    xs = np.abs(_as_finite_1d(values_abs))
+    xs.sort()
     starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
     u = xs[starts]
     counts = np.diff(np.append(starts, xs.size))
     sf_u = np.asarray(cdf.sf(u), dtype=np.float64)
+    if type(cdf).atom is MarginalCDF.atom:
+        # no point masses: sf + 0 is sf, bit for bit
+        return _Distinct(xs=xs, u=u, starts=starts, counts=counts, sf=sf_u, atom=None, sf_left=sf_u)
     atom_u = np.asarray(cdf.atom(u), dtype=np.float64)
     if isinstance(cdf, EmpiricalCDF):
         # counted exactly, not rounded as a sum of two quotients
@@ -79,41 +83,40 @@ def _distinct_pass(values_abs, cdf: MarginalCDF) -> _Distinct:
     return _Distinct(xs=xs, u=u, starts=starts, counts=counts, sf=sf_u, atom=atom_u, sf_left=sfl_u)
 
 
-def _candidate_devs(d: _Distinct, cdf: MarginalCDF):
-    """Empirical/true tail pairs at both one-sided limits of every sample value.
+def _candidates(d: _Distinct, sf0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical/true tail pairs at every one-sided limit, in increasing t.
 
-    Returns (xs, pn, pr) where xs is the sorted sample and (pn[i], pr[i]) are
-    matched empirical and true tail probabilities; the supremum of the ratio
-    deviation over any admissible region {t : P(f > t) >= level} is attained
-    among these pairs plus the region-boundary pairs added per level.
+    Returns (pn, pr): first the t -> 0+ pair, then for each distinct value
+    its left limit (none at 0) and its right limit.  The supremum of the
+    ratio deviation over any admissible region {t : P(f > t) >= level} is
+    attained among these pairs plus the region-boundary pairs added per
+    level.  The true tail is nonincreasing in t, so each region's pairs are
+    a prefix whenever the float tail is too.
     """
     xs, n = d.xs, d.xs.size
-    right_pn = (n - d.starts - d.counts) / n
-    left_pn = (n - d.starts) / n
-    pos = d.u > 0
-    pn0 = (n - np.searchsorted(xs, 0.0, side="right")) / n
-    pn = np.concatenate([right_pn, left_pn[pos], [pn0]])
-    pr = np.concatenate([d.sf, d.sf_left[pos], [np.asarray(cdf.sf(0.0))]])
-    return xs, pn, pr
+    m = 2 * d.u.size + 1
+    pn = np.empty(m)
+    pr = np.empty(m)
+    above = n - d.starts
+    np.divide(above, n, out=pn[1::2])
+    above -= d.counts
+    np.divide(above, n, out=pn[2::2])
+    pr[1::2] = d.sf_left
+    pr[2::2] = d.sf
+    first = int(d.u[0] == 0.0)  # no left limit at 0: the t -> 0+ pair takes its slot
+    pn[first] = (n - np.searchsorted(xs, 0.0, side="right")) / n
+    pr[first] = sf0
+    return pn[first:], pr[first:]
 
 
-def _sup_dev_at_level(xs, pn, pr, cdf: MarginalCDF, level: float) -> float | None:
-    """Exact sup of |P_N/P - 1| over {t > 0 : P(f > t) >= level}; None if empty."""
-    if cdf.sf(0.0) < level:
-        return None
+def _boundary_dev(xs, cdf: MarginalCDF, level: float, worst: float) -> float:
+    """``worst`` raised to the deviation at the boundary of {t > 0 : P(f > t) >= level}."""
     if level >= 1.0:
-        # The region is {t > 0 : P(f > t) = 1}.  An analytic tail is continuous
-        # and below 1 at every t > 0, so the region is empty; a reference law's
-        # tail is 1 exactly below its smallest value, which is Q(1).
-        if not isinstance(cdf, EmpiricalCDF):
-            return None
+        # The region is {t > 0 : P(f > t) = 1}, reached only by a reference
+        # law, whose tail is 1 exactly below its smallest value, Q(1).
         q = float(cdf.values[0])
     else:
         q = upper_quantile(cdf, level)
-    mask = pr >= level
-    worst = 0.0
-    if np.any(mask):
-        worst = float(np.max(np.abs(pn[mask] / pr[mask] - 1.0)))
     n = xs.size
     pn_ge = (n - np.searchsorted(xs, q, side="left")) / n
     pn_gt = (n - np.searchsorted(xs, q, side="right")) / n
@@ -146,19 +149,51 @@ class DyadicLevel:
         return self.bound - self.worst_dev
 
 
-def _dyadic_levels(xs, pn, pr, cdf: MarginalCDF, delta: float) -> tuple[DyadicLevel, ...]:
+def _admissible_levels(cdf: MarginalCDF, delta: float, sf0: float) -> list[float]:
+    """The levels 2^j delta <= 1 whose region {t > 0 : P(f > t) >= level} is nonempty.
+
+    An analytic tail is continuous and below 1 at every t > 0, so level 1 is
+    admissible only for a reference law.
+    """
     levels = []
-    j = 0
     while True:
-        level = math.ldexp(delta, j)  # delta * 2^j without forming 2^j, which overflows at j = 1024
-        if level > 1.0:
-            break
-        worst = _sup_dev_at_level(xs, pn, pr, cdf, level)
-        if worst is None:
-            break
-        levels.append(DyadicLevel(j=j, level=level, bound=2.0 ** (-j / 2.0), worst_dev=worst))
-        j += 1
-    return tuple(levels)
+        level = math.ldexp(delta, len(levels))  # delta * 2^j without forming 2^j, which overflows at j = 1024
+        if level > 1.0 or sf0 < level or (level >= 1.0 and not isinstance(cdf, EmpiricalCDF)):
+            return levels
+        levels.append(level)
+
+
+def _dyadic_levels(xs, pn, pr, cdf: MarginalCDF, delta: float, sf0: float) -> tuple[DyadicLevel, ...]:
+    """Exact sup of |P_N/P - 1| over every admissible dyadic region, from one pass.
+
+    The regions shrink as the level rises, so each is a prefix of the
+    candidates ordered by falling true tail; a float tail that is not
+    nonincreasing is reordered once.  The prefix for delta is scanned once,
+    from the innermost prefix outwards, one segment per level.
+    """
+    levels = _admissible_levels(cdf, delta, sf0)
+    if not levels:
+        return ()
+    if np.any(pr[1:] > pr[:-1]):
+        order = np.argsort(-pr, kind="stable")
+        pn, pr = pn[order], pr[order]
+    # size of each prefix {i : pr[i] >= level}, nonincreasing in the level
+    sizes = pr.size - np.searchsorted(pr[::-1], levels, side="left")
+    dev = pn[: sizes[0]] / pr[: sizes[0]]
+    dev -= 1.0
+    np.abs(dev, out=dev)
+    sups = [0.0] * len(levels)
+    worst, done = 0.0, 0
+    for j in range(len(levels) - 1, -1, -1):
+        size = int(sizes[j])
+        if size > done:
+            worst = max(worst, float(dev[done:size].max()))
+            done = size
+        sups[j] = worst
+    return tuple(
+        DyadicLevel(j=j, level=level, bound=2.0 ** (-j / 2.0), worst_dev=_boundary_dev(xs, cdf, level, sups[j]))
+        for j, level in enumerate(levels)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +214,12 @@ def interval_excess_sup(values_abs, cdf: MarginalCDF) -> float:
 
 
 def _interval_excess(d: _Distinct) -> float:
-    gains = d.counts / d.xs.size - 1.5 * d.atom
-    gaps = 1.5 * np.maximum(d.sf[:-1] - d.sf[1:] - d.atom[1:], 0.0)
+    gains = d.counts / d.xs.size
+    drops = d.sf[:-1] - d.sf[1:]
+    if d.atom is not None:
+        gains -= 1.5 * d.atom
+        drops -= d.atom[1:]
+    gaps = 1.5 * np.maximum(drops, 0.0)
     # prefix form: value(i..j) = Q[j] - (Q[i] - gains[i])
     e = gains.copy()
     e[1:] -= gaps
@@ -259,8 +298,9 @@ def ratio_properties_report(values_abs, cdf: MarginalCDF, params: RatioParams) -
     if params.delta <= 0:
         raise ValueError("property checks need delta > 0")
     d = _distinct_pass(values_abs, cdf)
-    xs, pn, pr = _candidate_devs(d, cdf)
-    levels = _dyadic_levels(xs, pn, pr, cdf, params.delta)
+    sf0 = float(cdf.sf(0.0))
+    pn, pr = _candidates(d, sf0)
+    levels = _dyadic_levels(d.xs, pn, pr, cdf, params.delta, sf0)
     if not levels:
         raise ValueError(f"no tail mass reaches delta={params.delta}; empty admissible range")
     return RatioReport(levels=levels, interval_sup=_interval_excess(d), params=params, values=d.xs, cdf=cdf)

@@ -141,7 +141,7 @@ def _map_tasks(task_fn, arg_tuples: list[tuple], threads: int) -> list:
 
 def _finite(values, p: float):
     """``values``, unless a moment or an estimate of it overflowed float64."""
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise MomentDoesNotExistError(f"the p={p} moment or its estimate overflows float64")
     return values
 

@@ -7,11 +7,14 @@ checks.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from lptrim.distributions import draw_sample
+from lptrim.distributions import EmpiricalCDF, draw_sample
+from lptrim.oracle import upper_quantile
+from lptrim.ratio import DyadicLevel
 
 
 def trapezoid_tail_integral(sf, p: float, t_max: float, n_grid: int = 200_001) -> float:
@@ -83,6 +86,69 @@ def grid_ratio_deviation(values, cdf, level: float, t_grid) -> float:
         pn = (n - np.searchsorted(xs, t, side="right")) / n
         worst = max(worst, abs(pn / pr - 1.0))
     return worst
+
+
+def masked_dyadic_levels(values, cdf, delta: float) -> tuple[DyadicLevel, ...]:
+    """Every dyadic level's ratio supremum by a fresh mask over all candidate pairs.
+
+    The candidates are the (empirical, true) tail pairs at both one-sided
+    limits of every distinct sample value, plus the t -> 0+ pair, in no
+    particular order; each level masks the pairs whose true tail reaches it
+    and adds the two pairs at its region boundary Q(level).  This is the
+    per-level scan that the one-pass scan in ``lptrim.ratio`` replaced; the
+    two share only the law's upper quantile Q.
+    """
+    xs = np.sort(np.abs(np.asarray(values, dtype=float)))
+    n = xs.size
+    u, starts, counts = np.unique(xs, return_index=True, return_counts=True)
+    sf_u = np.asarray(cdf.sf(u), dtype=np.float64)
+    if isinstance(cdf, EmpiricalCDF):
+        sfl_u = np.asarray(cdf.sf_left(u), dtype=np.float64)
+    else:
+        sfl_u = sf_u + np.asarray(cdf.atom(u), dtype=np.float64)
+    pos = u > 0
+    pn0 = (n - np.searchsorted(xs, 0.0, side="right")) / n
+    pn = np.concatenate([(n - starts - counts) / n, ((n - starts) / n)[pos], [pn0]])
+    pr = np.concatenate([sf_u, sfl_u[pos], [np.asarray(cdf.sf(0.0))]])
+
+    def sup_at(level):
+        if cdf.sf(0.0) < level:
+            return None
+        if level >= 1.0:
+            if not isinstance(cdf, EmpiricalCDF):
+                return None
+            q = float(cdf.values[0])
+        else:
+            q = upper_quantile(cdf, level)
+        mask = pr >= level
+        worst = 0.0
+        if np.any(mask):
+            worst = float(np.max(np.abs(pn[mask] / pr[mask] - 1.0)))
+        pn_ge = (n - np.searchsorted(xs, q, side="left")) / n
+        pn_gt = (n - np.searchsorted(xs, q, side="right")) / n
+        if isinstance(cdf, EmpiricalCDF):
+            pr_left = cdf.sf_left(q)
+            if pr_left >= level and q > 0:
+                worst = max(worst, abs(pn_ge / pr_left - 1.0))
+            pr_right = cdf.sf(q)
+            if pr_right >= level:
+                worst = max(worst, abs(pn_gt / pr_right - 1.0))
+        elif q > 0:
+            worst = max(worst, abs(pn_ge / level - 1.0), abs(pn_gt / level - 1.0))
+        return worst
+
+    levels = []
+    j = 0
+    while True:
+        level = math.ldexp(delta, j)
+        if level > 1.0:
+            break
+        worst = sup_at(level)
+        if worst is None:
+            break
+        levels.append(DyadicLevel(j=j, level=level, bound=2.0 ** (-j / 2.0), worst_dev=worst))
+        j += 1
+    return tuple(levels)
 
 
 def exhaustive_interval_excess(values, cdf) -> float:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,35 @@ class TestTailCutoff:
         cap = tail_cutoff(FOLDED_NORMAL)
         brute = trapezoid_tail_integral(FOLDED_NORMAL.sf, 2.0, cap)
         assert raw_moment(FOLDED_NORMAL, 2.0) == pytest.approx(brute, rel=1e-5)
+
+
+# the product_student_t coordinate law at nu = 4.5: its tail decays as t^-4.5
+HEAVY = FoldedStudentTCDF(nu=4.5, scale=math.sqrt(2.5 / 4.5))
+
+
+class TestBeyondTheTailCutoff:
+    """A cap far beyond the cutoff keeps a heavy tail's mass, with no quadrature warning."""
+
+    @pytest.mark.parametrize("cdf", [HEAVY, FOLDED_NORMAL, ExponentialCDF(scale=1.0 / math.sqrt(2.0))],
+                             ids=["student_t4.5", "folded_normal", "exponential"])
+    @pytest.mark.parametrize("t", [1e6, 1e12, 1e308])
+    def test_tail_moment_reaches_the_closed_form(self, cdf, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = tail_integral_moment(cdf, 3.0, t)
+        assert got == pytest.approx(cdf.exact_moment(3.0), rel=1e-8)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_error_functional_never_decreases_in_the_cap(self, p):
+        # at p = 2 the integral converges; at p = 3 the integrand decays as
+        # t^-1/4 and the value grows without bound, but stays finite
+        caps = [10.0, 1e3, 1e6, 1e12, 1e100, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [error_functional(HEAVY, p, t, 0.05) for t in caps]
+        assert all(math.isfinite(v) for v in values)
+        assert values == sorted(values)
+        assert values[-1] > values[2]
 
 
 def _fresh_quad(integrand, lo, hi):

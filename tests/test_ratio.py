@@ -8,18 +8,23 @@ from helpers import (
     exhaustive_rademacher,
     grid_ratio_deviation,
     interval_excess_by_masses,
+    masked_dyadic_levels,
 )
 from lptrim.config import ConfigError, ExperimentConfig
 from lptrim.core import RatioParams, project_abs
 from lptrim.distributions import (
     DistributionSpec,
     EmpiricalCDF,
+    ExponentialCDF,
     FoldedNormalCDF,
+    FoldedStudentTCDF,
     HalfUniformCDF,
+    MarginalCDF,
     draw_sample,
     marginal_cdf,
 )
 from lptrim.ratio import (
+    _candidates,
     _distinct_pass,
     interval_excess_sup,
     rademacher_interval_complexity,
@@ -147,6 +152,103 @@ class TestDyadicRatio:
         levels = report(values, cdf, 0.125).levels
         assert all(level.level < 1.0 for level in levels)
         assert grid_ratio_deviation(values, cdf, 1.0, np.linspace(1e-9, 5.0, 2001)) == 0.0
+
+
+class OneUlpWigglyCDF(MarginalCDF):
+    """A staircase tail, 1 - floor(4t)/8 on [0, 2), one ulp higher at every t with an odd last bit.
+
+    On each flat step the float tail rises and falls by one ulp as t grows,
+    so the candidates in t order are not nonincreasing.
+    """
+
+    def sf(self, t):
+        a = np.asarray(t, dtype=np.float64)
+        base = np.clip(1.0 - np.floor(4.0 * np.maximum(a, 0.0)) / 8.0, 0.0, 1.0)
+        odd = (a.view(np.int64) & 1) == 1
+        out = np.where(odd & (base > 0.0) & (base < 1.0), np.nextafter(base, 2.0), base)
+        return float(out) if a.ndim == 0 else out
+
+
+def _scan_cases():
+    """(name, values, law) for the differential gate of the level scan."""
+    # Tiny samples leave one candidate between some pairs of levels; against
+    # a small reference with atoms that one can be a left limit alone.
+    tiny = {"single": [0.5], "pair": [0.25, 0.75], "zero_and_one": [0.0, 1.0], "three": [0.1, 0.45, 1.0],
+            "quarter_and_one": [1.0, 0.25]}
+    tiny_laws = {"half_uniform": UNIFORM01, "exponential": ExponentialCDF(scale=0.5),
+                 "small_reference": EmpiricalCDF(np.array([0, 0, 1, 3, 2, 3, 4, 4, 3, 4, 3]) / 4.0)}
+    cases = [(f"{name}-{law_name}", values, cdf) for name, values in tiny.items() for law_name, cdf in tiny_laws.items()]
+    for seed in range(12):
+        local = np.random.default_rng(900 + seed)
+        n = int(local.integers(1, 300))
+        samples = {
+            "ties_and_zeros": local.integers(0, 6, size=n) / 5.0,
+            "rounded_student": np.round(local.standard_t(4.5, size=n), 1),
+            "zeros_then_continuous": np.append(np.zeros(int(local.integers(1, 4))), local.uniform(0, 2, n)),
+            "continuous": local.exponential(size=n),
+        }
+        laws = {
+            "folded_normal": FoldedNormalCDF(scale=1.0),
+            "half_uniform": HalfUniformCDF(width=math.sqrt(3.0)),
+            "exponential": ExponentialCDF(scale=1.0 / math.sqrt(2.0)),
+            "student": FoldedStudentTCDF(nu=4.5, scale=math.sqrt(2.5 / 4.5)),
+            "reference_with_atoms": EmpiricalCDF(local.integers(0, 8, size=500) / 7.0),
+            "reference_above_zero": EmpiricalCDF(0.3 + local.exponential(size=700)),
+        }
+        for sample_name, values in samples.items():
+            for law_name, cdf in laws.items():
+                cases.append((f"{sample_name}-{law_name}-{seed}", values, cdf))
+    return cases
+
+
+SCAN_CASES = _scan_cases()
+
+
+class TestLevelScanAgainstMasks:
+    """The one-pass level scan equals a fresh mask per level, bit for bit."""
+
+    @pytest.mark.parametrize("delta", [1e-4, 0.01, 0.05, 0.1, 0.125, 0.3, 0.5])
+    def test_every_level_equals_the_masked_scan(self, delta):
+        compared = 0
+        for _, values, cdf in SCAN_CASES:
+            if cdf.sf(0.0) < delta:
+                continue
+            assert report(values, cdf, delta).levels == masked_dyadic_levels(values, cdf, delta)
+            compared += 1
+        assert compared >= len(SCAN_CASES) // 2
+
+    def test_interval_sup_equals_the_exhaustive_search(self):
+        for _, values, cdf in SCAN_CASES:
+            assert report(values, cdf, 0.05).interval_sup == max(0.0, exhaustive_interval_excess(values, cdf))
+
+    def test_half_reaches_level_one_on_a_reference_law(self):
+        _, values, cdf = next(c for c in SCAN_CASES if c[0].endswith("reference_above_zero-0"))
+        levels = report(values, cdf, 0.5).levels
+        assert [level.level for level in levels] == [0.5, 1.0]
+        assert levels == masked_dyadic_levels(values, cdf, 0.5)
+
+    @pytest.mark.parametrize("cdf, count", [
+        (EmpiricalCDF(0.3 + np.random.default_rng(1).exponential(size=700)), 1075),
+        (FoldedNormalCDF(scale=1.0), 1074),
+    ], ids=["reference", "analytic"])
+    def test_smallest_subnormal_delta_scans_every_level(self, cdf, count):
+        values = np.random.default_rng(2).exponential(size=150)
+        levels = report(values, cdf, 5e-324).levels
+        assert len(levels) == count
+        assert levels == masked_dyadic_levels(values, cdf, 5e-324)
+
+    # one ulp above 1/8 puts every level one ulp above a step of the staircase,
+    # so each region holds the odd-bit candidates of that step and not the others
+    @pytest.mark.parametrize("delta", [0.01, 0.125, float(np.nextafter(0.125, 1.0))])
+    def test_tail_not_nonincreasing_in_float_is_reordered(self, delta):
+        cdf = OneUlpWigglyCDF()
+        for seed in range(5):
+            local = np.random.default_rng(40 + seed)
+            values = np.append(local.uniform(0.0, 2.0, 400), local.integers(0, 8, 40) / 4.0)
+            d = _distinct_pass(values, cdf)
+            _, pr = _candidates(d, cdf.sf(0.0))
+            assert np.any(pr[1:] > pr[:-1])  # the reorder path runs
+            assert report(values, cdf, delta).levels == masked_dyadic_levels(values, cdf, delta)
 
 
 class TestIntervalExcess:
