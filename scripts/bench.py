@@ -1,19 +1,18 @@
 #!/usr/bin/env python3
 """Write a BENCH_<label>.json file from the unmodified perfbench runner.
 
-    python scripts/bench.py --label L --tree PATH [--tree PATH] [--workload W ...]
-                            [--rounds R] [--seed 30] [--seconds 18]
+    python scripts/bench.py --label L --tree PATH [--tree PATH]
 
 Each tree is a checkout of lptrim (for a before/after pair: the parent
 commit, then the change).  For every workload named in this checkout's
-BENCHMARK.json (or each ``--workload``), every round runs
+BENCHMARK.json, each of 10 rounds runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+    python3 perfbench/run.py --workload W --seed 30 --seconds T --trace 0
 
 once inside each tree, in a fresh process, alternating from round to round
-which tree goes first.  run.py's last two lines are parsed: the per-run
-quartiles of the scaled ``wall_s``, the rows digest and the end-to-end
-metrics.
+which tree goes first; T is BENCHMARK.json's ``run_seconds``.  run.py's
+last two lines are parsed: the per-run quartiles of the scaled ``wall_s``,
+the rows digest and the end-to-end metrics.
 
 ``BENCH_<label>.json``, written at the root of this checkout, holds the
 environment line (cores, python, numpy, scipy, blas), each tree's
@@ -21,8 +20,7 @@ environment line (cores, python, numpy, scipy, blas), each tree's
 per workload and tree (``before`` and ``after`` for a pair, else ``tree``),
 every round's figures plus:
 
-* ``wall_s``: median, q1 and q3 over the rounds' medians, or over the
-  single round's runs when there is one round;
+* ``wall_s``: median, q1 and q3 over the rounds' medians;
 * ``metrics``: the median over rounds of each end-to-end metric.
 
 With two trees each workload also gets ``pairs``: the rounds in which the
@@ -40,18 +38,18 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED = 30
+ROUNDS = 10
 
 
 def _quartiles(values: list[float]) -> dict:
-    if len(values) < 2:
-        return {"median": values[0], "q1": values[0], "q3": values[0], "n": len(values)}
     q1, q2, q3 = statistics.quantiles(values, n=4)
     return {"median": q2, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seconds: float) -> dict:
     """One ``perfbench/run.py`` invocation in ``tree``; its parsed result."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
@@ -78,10 +76,7 @@ def describe(tree: Path) -> str:
 
 def summarise(rounds: list[dict]) -> dict:
     """Quartiles of wall_s and the median of every end-to-end metric over the rounds."""
-    if len(rounds) == 1:
-        wall = _quartiles(rounds[0]["wall_s_runs"])
-    else:
-        wall = _quartiles([r["wall_s"] for r in rounds])
+    wall = _quartiles([r["wall_s"] for r in rounds])
     metrics = {name: statistics.median(r["metrics"][name] for r in rounds)
                for name in rounds[0]["metrics"] if all(r["metrics"][name] is not None for r in rounds)}
     return {"wall_s": wall, "metrics": metrics}
@@ -92,26 +87,24 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--tree", action="append", required=True, type=Path,
                         help="checkout to measure; give two for a before/after pair")
-    parser.add_argument("--workload", action="append", help="default: every workload in BENCHMARK.json")
-    parser.add_argument("--rounds", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=30)
-    parser.add_argument("--seconds", type=float, default=18.0)
     args = parser.parse_args(argv)
-    if len(args.tree) > 2 or args.rounds < 1:
-        parser.error("give one or two trees and at least one round")
+    if len(args.tree) > 2:
+        parser.error("give one or two trees")
     trees = [t.resolve() for t in args.tree]
-    workloads = args.workload or [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    workloads = [w["name"] for w in benchmark["workloads"]]
 
     keys = ["before", "after"] if len(trees) == 2 else ["tree"]
     env = None
-    out = {"label": args.label, "command": f"perfbench/run.py --seed {args.seed} --seconds {args.seconds:g} --trace 0",
-           "trees": {key: describe(t) for key, t in zip(keys, trees)}, "rounds": args.rounds, "workloads": {}}
+    out = {"label": args.label, "command": f"perfbench/run.py --seed {SEED} --seconds {seconds:g} --trace 0",
+           "trees": {key: describe(t) for key, t in zip(keys, trees)}, "rounds": ROUNDS, "workloads": {}}
     for name in workloads:
         per_tree = [[] for _ in trees]
-        for rnd in range(args.rounds):
+        for rnd in range(ROUNDS):
             order = range(len(trees)) if rnd % 2 == 0 else reversed(range(len(trees)))
             for i in order:
-                result = run_once(trees[i], name, args.seed, args.seconds)
+                result = run_once(trees[i], name, seconds)
                 run_env = result.pop("env")
                 env = env or run_env
                 per_tree[i].append(result)
@@ -121,7 +114,7 @@ def main(argv=None) -> int:
             before, after = per_tree
             entry["pairs"] = {
                 "after_faster": sum(a["wall_s"] < b["wall_s"] for b, a in zip(before, after)),
-                "of": args.rounds,
+                "of": ROUNDS,
                 "rows_identical": len({r["rows_sha256"] for r in before + after}) == 1,
             }
         out["workloads"][name] = entry

@@ -108,17 +108,21 @@ def tail_integral_moment(cdf: MarginalCDF, p: float, t_max: float) -> float:
     if isinstance(cdf, EmpiricalCDF):
         # exact for a step tail: the mean of min(f, t_max)^p over the reference
         return truncated_power_mean(cdf.values, p, t_max)
-    return _split_at_cutoff(_tail_integral, cdf, p, t_max)
+    return _split_at_cutoff(_tail_integral, cdf, p, t_max, order=p)
 
 
-def _split_at_cutoff(integral, cdf: MarginalCDF, p: float, t_max: float) -> float:
+def _split_at_cutoff(integral, cdf: MarginalCDF, p: float, t_max: float, order: float) -> float:
     """``integral(cdf, p, lo, hi)`` over (0, t_max), split at the tail cutoff.
 
     Adaptive quadrature over (0, t_max) with t_max far beyond the cutoff
     never samples the mass near 0, and one piece over (cutoff, t_max) misses
     a heavy tail's mass just as it would.  A cap within the cutoff is one
     integral; beyond it the tail is integrated in doubling pieces
-    (c 2^k, c 2^(k+1)) up to t_max or the first point where the tail is 0.
+    (c 2^k, c 2^(k+1)) up to t_max or the first point where the float tail
+    is 0.  The integral over (0, inf) is finite only when the law's moment
+    of order ``order`` is; a divergent one stopped short of t_max by that
+    zero tail would be silently truncated, so it raises
+    MomentDoesNotExistError instead.
     """
     cutoff = tail_cutoff(cdf)
     value = integral(cdf, p, 0.0, min(t_max, cutoff))
@@ -127,6 +131,11 @@ def _split_at_cutoff(integral, cdf: MarginalCDF, p: float, t_max: float) -> floa
         hi = min(2.0 * lo, t_max)
         value += integral(cdf, p, lo, hi)
         lo = hi
+    if lo < t_max and order >= cdf.max_finite_moment:
+        raise MomentDoesNotExistError(
+            f"the p={p} integral diverges as the cap grows (order {order}, finite only below "
+            f"{cdf.max_finite_moment}), and the float tail is 0 beyond {lo:g}, short of the cap {t_max:g}"
+        )
     return _closed_form(p, lambda: value)
 
 
@@ -184,7 +193,8 @@ def error_functional(cdf: MarginalCDF, p: float, t_max: float, delta: float) -> 
     factor = 2.0 * math.sqrt(delta)
     if isinstance(cdf, EmpiricalCDF):
         return factor * _empirical_sqrt_tail_integral(cdf, p, t_max)
-    return factor * _split_at_cutoff(_sqrt_tail_integral, cdf, p, t_max)
+    # p t^(p-1) sqrt(P(f > t)) is integrable at infinity when the 2p-th moment is finite
+    return factor * _split_at_cutoff(_sqrt_tail_integral, cdf, p, t_max, order=2.0 * p)
 
 
 def _empirical_sqrt_tail_integral(cdf: EmpiricalCDF, p: float, t_max: float) -> float:

@@ -59,8 +59,8 @@ class _Distinct:
     starts: np.ndarray  # index in xs of each distinct value's first copy
     counts: np.ndarray  # multiplicity of each distinct value
     sf: np.ndarray  # P(f > u)
-    atom: np.ndarray | None  # P(f = u); None for a law without point masses
-    sf_left: np.ndarray  # P(f >= u); ``sf`` itself when ``atom`` is None
+    atom: np.ndarray  # P(f = u)
+    sf_left: np.ndarray  # P(f >= u)
 
 
 def _distinct_pass(values_abs, cdf: MarginalCDF) -> _Distinct:
@@ -71,9 +71,6 @@ def _distinct_pass(values_abs, cdf: MarginalCDF) -> _Distinct:
     u = xs[starts]
     counts = np.diff(np.append(starts, xs.size))
     sf_u = np.asarray(cdf.sf(u), dtype=np.float64)
-    if type(cdf).atom is MarginalCDF.atom:
-        # no point masses: sf + 0 is sf, bit for bit
-        return _Distinct(xs=xs, u=u, starts=starts, counts=counts, sf=sf_u, atom=None, sf_left=sf_u)
     atom_u = np.asarray(cdf.atom(u), dtype=np.float64)
     if isinstance(cdf, EmpiricalCDF):
         # counted exactly, not rounded as a sum of two quotients
@@ -214,12 +211,8 @@ def interval_excess_sup(values_abs, cdf: MarginalCDF) -> float:
 
 
 def _interval_excess(d: _Distinct) -> float:
-    gains = d.counts / d.xs.size
-    drops = d.sf[:-1] - d.sf[1:]
-    if d.atom is not None:
-        gains -= 1.5 * d.atom
-        drops -= d.atom[1:]
-    gaps = 1.5 * np.maximum(drops, 0.0)
+    gains = d.counts / d.xs.size - 1.5 * d.atom
+    gaps = 1.5 * np.maximum(d.sf[:-1] - d.sf[1:] - d.atom[1:], 0.0)
     # prefix form: value(i..j) = Q[j] - (Q[i] - gains[i])
     e = gains.copy()
     e[1:] -= gaps

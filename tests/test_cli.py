@@ -340,6 +340,16 @@ class TestOracleCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("args", [
+        ["--query", "tail-moment", "--p", "5"],
+        ["--query", "error-functional", "--p", "3"],
+    ], ids=["tail-moment", "error-functional"])
+    def test_divergent_integral_at_a_huge_cap_is_three(self, capsys, args):
+        # product_student_t at nu = 4.5: both integrals grow without bound in the cap
+        code = main(["oracle", "--dist", "product_student_t", "--nu", "4.5", *args, "--t", "1e308"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("infeasible:")
+
     def test_error_functional_cap_far_beyond_the_tail_cutoff(self, capsys):
         values = []
         for t in ("64", "1e6"):

@@ -260,17 +260,31 @@ class TestBeyondTheTailCutoff:
             got = tail_integral_moment(cdf, 3.0, t)
         assert got == pytest.approx(cdf.exact_moment(3.0), rel=1e-8)
 
-    @pytest.mark.parametrize("p", [2.0, 3.0])
-    def test_error_functional_never_decreases_in_the_cap(self, p):
+    @pytest.mark.parametrize("p, caps", [
+        (2.0, [10.0, 1e3, 1e6, 1e12, 1e100, 1e308]),
+        (3.0, [10.0, 1e3, 1e6, 1e12, 1e30]),
+    ], ids=["p2", "p3"])
+    def test_error_functional_never_decreases_in_the_cap(self, p, caps):
         # at p = 2 the integral converges; at p = 3 the integrand decays as
-        # t^-1/4 and the value grows without bound, but stays finite
-        caps = [10.0, 1e3, 1e6, 1e12, 1e100, 1e308]
+        # t^-1/4 and the value grows without bound, finite at every cap the
+        # float tail reaches
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values = [error_functional(HEAVY, p, t, 0.05) for t in caps]
         assert all(math.isfinite(v) for v in values)
         assert values == sorted(values)
         assert values[-1] > values[2]
+
+    @pytest.mark.parametrize("query", [
+        lambda t: tail_integral_moment(HEAVY, 5.0, t),
+        lambda t: error_functional(HEAVY, 3.0, t, 0.05),
+    ], ids=["tail_moment_p5", "error_functional_p3"])
+    def test_divergent_integral_past_the_zero_float_tail_raises(self, query):
+        # the float tail is 0 from about 1e72 on; a divergent integral cut
+        # there would be a finite value far below the one up to the cap
+        assert math.isfinite(query(1e6))
+        with pytest.raises(MomentDoesNotExistError, match="diverges"):
+            query(1e308)
 
 
 def _fresh_quad(integrand, lo, hi):
