@@ -18,14 +18,13 @@ the rows digest and the end-to-end metrics.
 environment line (cores, python, numpy, scipy, blas), each tree's
 ``git describe --always --dirty`` (or its directory name outside git) and,
 per workload and tree (``before`` and ``after`` for a pair, else ``tree``),
-every round's figures plus:
+every round's figures plus ``metrics``: the median, q1 and q3 over the
+rounds of each end-to-end metric (for ``wall_s``, of the rounds' medians).
 
-* ``wall_s``: median, q1 and q3 over the rounds' medians;
-* ``metrics``: the median over rounds of each end-to-end metric.
-
-With two trees each workload also gets ``pairs``: the rounds in which the
-second tree's ``wall_s`` was below the first's, and whether every round of
-both trees wrote the same rows digest.
+With two trees each workload also gets ``pairs``: for each end-to-end metric
+of BENCHMARK.json, the rounds in which the second tree beat the first in the
+metric's ``better`` direction (ties count for neither), and whether every
+round of both trees wrote the same rows digest.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ ROUNDS = 10
 
 def _quartiles(values: list[float]) -> dict:
     q1, q2, q3 = statistics.quantiles(values, n=4)
-    return {"median": q2, "q1": q1, "q3": q3, "n": len(values)}
+    return {"median": q2, "q1": q1, "q3": q3}
 
 
 def run_once(tree: Path, workload: str, seconds: float) -> dict:
@@ -75,11 +74,23 @@ def describe(tree: Path) -> str:
 
 
 def summarise(rounds: list[dict]) -> dict:
-    """Quartiles of wall_s and the median of every end-to-end metric over the rounds."""
-    wall = _quartiles([r["wall_s"] for r in rounds])
-    metrics = {name: statistics.median(r["metrics"][name] for r in rounds)
-               for name in rounds[0]["metrics"] if all(r["metrics"][name] is not None for r in rounds)}
-    return {"wall_s": wall, "metrics": metrics}
+    """The quartiles over the rounds of every end-to-end metric that every round reported."""
+    return {"metrics": {name: _quartiles([r["metrics"][name] for r in rounds])
+                        for name in rounds[0]["metrics"]
+                        if all(r["metrics"][name] is not None for r in rounds)}}
+
+
+def pair_wins(before: list[dict], after: list[dict], better: dict[str, str]) -> dict[str, int]:
+    """Per metric, the rounds in which ``after`` beat ``before`` in the ``better`` direction."""
+    wins = {}
+    for name, direction in better.items():
+        sign = -1.0 if direction == "lower" else 1.0
+        wins[name] = sum(
+            b["metrics"][name] is not None and a["metrics"][name] is not None
+            and sign * (a["metrics"][name] - b["metrics"][name]) > 0
+            for b, a in zip(before, after)
+        )
+    return wins
 
 
 def main(argv=None) -> int:
@@ -94,6 +105,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
     workloads = [w["name"] for w in benchmark["workloads"]]
+    better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
 
     keys = ["before", "after"] if len(trees) == 2 else ["tree"]
     env = None
@@ -113,7 +125,7 @@ def main(argv=None) -> int:
         if len(trees) == 2:
             before, after = per_tree
             entry["pairs"] = {
-                "after_faster": sum(a["wall_s"] < b["wall_s"] for b, a in zip(before, after)),
+                "won": pair_wins(before, after, better),
                 "of": ROUNDS,
                 "rows_identical": len({r["rows_sha256"] for r in before + after}) == 1,
             }

@@ -49,13 +49,13 @@ DIST_NAMES = ("gaussian", "cube_uniform", "product_laplace", "product_student_t"
 CUBE_HALF_WIDTH = math.sqrt(3.0)
 LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
 
-# Chunk size for streamed reference draws; fixed so results never depend on
+# Rows drawn at a time for a reference law; fixed so results never depend on
 # available memory.
 _CHUNK_ROWS = 200_000
-# Rows of a chunk projected at a time by MomentOracle: a 4096 x m block of
-# projections stays in cache through abs, power and column sum, where a whole
-# chunk's three 200_000 x m temporaries are bound by memory traffic.
-_BLOCK_ROWS = 4096
+# Projections per block of MomentOracle's streamed pass: max(1, this // m)
+# rows are drawn, projected onto the m directions, powered and summed while
+# the block and its scratch copy still sit in a 2 MiB L2 cache.
+_BLOCK_ELEMENTS = 1 << 15
 # Largest integer exponent raised by repeated multiplication in place of pow.
 _MAX_MULTIPLY_POWER = 5
 
@@ -436,9 +436,12 @@ class MomentOracle:
     """Batched E |<X, v>|^p over many directions.
 
     Uses closed forms whenever available; otherwise streams one shared
-    reference sample of ``ref_size`` draws and projects it onto all the
-    directions at once, a cache-sized block of rows at a time.  Deterministic
-    in (spec, ref_size, seed).
+    reference sample of ``ref_size`` draws past all the directions at once:
+    each block of about ``_BLOCK_ELEMENTS / m`` rows is drawn, projected,
+    raised to p and added to the column sums before the next is drawn, so no
+    more than one block is ever held.  The draws, and so the reference rows,
+    are deterministic in (spec, ref_size, seed); the sums are associated per
+    block, so a truth depends on m at round-off only.
     """
 
     def __init__(self, spec: DistributionSpec, ref_size: int = 1_000_000, seed: int = 0):
@@ -463,34 +466,39 @@ class MomentOracle:
             return 3.0 * norms ** 4 + kappa4 * np.sum(dirs ** 4, axis=1)
 
         rng = child_rng(self.seed, "moment-ref", self.spec.label)
-        block = np.empty((_BLOCK_ROWS, dirs.shape[0]))
-        base = np.empty_like(block)
-        acc = np.zeros(dirs.shape[0])
-        remaining = self.ref_size
-        while remaining > 0:
-            rows = min(_CHUNK_ROWS, remaining)
-            chunk = _draw_matrix(self.spec, rows, rng)
-            for start in range(0, rows, _BLOCK_ROWS):
-                part = chunk[start : start + _BLOCK_ROWS]
-                out = block[: part.shape[0]]
-                np.matmul(part, dirs.T, out=out)
-                np.abs(out, out=out)
-                _power_in_place(out, p, base[: part.shape[0]])
-                acc += out.sum(axis=0)
-            remaining -= rows
-        return acc / self.ref_size
+        return _streamed_moments(self.spec, dirs, p, self.ref_size, rng)
 
 
-def _power_in_place(x: np.ndarray, p: float, scratch: np.ndarray) -> None:
-    """x **= p, by repeated multiplication for the integers 3 <= p <= 5.
+def _streamed_moments(spec: DistributionSpec, dirs: np.ndarray, p: float, ref_size: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """The mean of |X @ dirs.T|^p over ``ref_size`` rows of ``rng``, a block at a time."""
+    m = dirs.shape[0]
+    block_rows = max(1, _BLOCK_ELEMENTS // m)
+    block = np.empty((block_rows, m))
+    scratch = np.empty_like(block)
+    acc = np.zeros(m)
+    for start in range(0, ref_size, block_rows):
+        rows = min(block_rows, ref_size - start)
+        out = block[:rows]
+        np.matmul(_draw_matrix(spec, rows, rng), dirs.T, out=out)
+        _abs_power_in_place(out, p, scratch[:rows])
+        acc += out.sum(axis=0)
+    return acc / ref_size
 
-    On a 4096 x 200 block a chain of p - 1 multiplies beats float ``pow`` up
-    to p = 5 (p = 3 by about a third) and loses from p = 8 on; it agrees with
-    ``pow`` to a few ulps.
+
+def _abs_power_in_place(x: np.ndarray, p: float, scratch: np.ndarray) -> None:
+    """x = |x| ** p, by repeated multiplication for the integers 3 <= p <= 5.
+
+    A chain of p - 1 multiplies beats float ``pow`` up to p = 5 (p = 3 by
+    about a third) and loses from p = 8 on; it agrees with ``pow`` to a few
+    ulps.  The chain starts from x * x, which equals |x| * |x| exactly, so
+    |x| is written to ``scratch`` once and x itself is never copied.
     """
     if 3 <= p <= _MAX_MULTIPLY_POWER and p == int(p):
-        np.copyto(scratch, x)
-        for _ in range(int(p) - 1):
+        np.abs(x, out=scratch)
+        x *= x
+        for _ in range(int(p) - 2):
             x *= scratch
     else:
+        np.abs(x, out=x)
         x **= p

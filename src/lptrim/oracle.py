@@ -85,12 +85,24 @@ def tail_cutoff(cdf: MarginalCDF) -> float:
 
 
 def _quad(fn, lo: float, hi: float, p: float) -> float:
-    """The integral of ``fn`` over (lo, hi); one beyond float64 raises MomentDoesNotExistError naming p."""
+    """The integral of the nonnegative ``fn`` over (lo, hi).
+
+    One beyond float64 raises MomentDoesNotExistError naming p.  So does a
+    negative result, which the integrand cannot give: it means the adaptive
+    quadrature failed (it happens for a slowly decaying tail over a long
+    range).
+    """
     if hi <= lo:
         return 0.0
-    return _closed_form(
+    value = _closed_form(
         p, lambda: float(integrate.quad(fn, lo, hi, epsrel=QUAD_REL_TOL, epsabs=1e-14, limit=400)[0])
     )
+    if value < 0:
+        raise MomentDoesNotExistError(
+            f"the p={p} quadrature of a nonnegative integrand over ({lo:g}, {hi:g}) returned {value!r}: "
+            "the quadrature failed"
+        )
+    return value
 
 
 def tail_integral_moment(cdf: MarginalCDF, p: float, t_max: float) -> float:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from lptrim.distributions import EmpiricalCDF, draw_sample
+from lptrim.distributions import EmpiricalCDF, _draw_matrix, draw_sample
 from lptrim.oracle import upper_quantile
 from lptrim.ratio import DyadicLevel
 
@@ -211,3 +211,32 @@ def monte_carlo_moment(spec, v, p: float, size: int, seed: int) -> tuple[float, 
     """Plain Monte Carlo E |<X, v>|^p over one draw of ``size`` rows, and its standard error."""
     powered = np.abs(draw_sample(spec, size, seed).data @ np.asarray(v, dtype=float)) ** p
     return float(np.mean(powered)), float(np.std(powered) / np.sqrt(size))
+
+
+def chunked_reference_moments(spec, dirs, p: float, ref_size: int, rng) -> np.ndarray:
+    """The mean of |X @ dirs.T|^p over ``ref_size`` rows of ``rng``, chunk by chunk.
+
+    The moment oracle's earlier pass: 200,000-row chunks of draws, each
+    projected 4,096 rows at a time, with |x|^p for the integers 3 <= p <= 5
+    as a chain of multiplies by a copy of |x|.  The streamed pass in
+    ``lptrim.distributions`` must agree with it to round-off.
+    """
+    dirs = np.asarray(dirs, dtype=float)
+    acc = np.zeros(dirs.shape[0])
+    for chunk_start in range(0, ref_size, 200_000):
+        chunk = _draw_matrix(spec, min(200_000, ref_size - chunk_start), rng)
+        for start in range(0, chunk.shape[0], 4096):
+            out = np.abs(chunk[start : start + 4096] @ dirs.T)
+            acc += copyto_power_chain(out, p).sum(axis=0)
+    return acc / ref_size
+
+
+def copyto_power_chain(x: np.ndarray, p: float) -> np.ndarray:
+    """x ** p for nonnegative x: p - 1 multiplies by a copy of x for the integers 3 <= p <= 5, else pow."""
+    if 3 <= p <= 5 and p == int(p):
+        base = x.copy()
+        out = x.copy()
+        for _ in range(int(p) - 1):
+            out *= base
+        return out
+    return x ** p

@@ -350,6 +350,16 @@ class TestOracleCommand:
         assert code == 3
         assert capsys.readouterr().err.startswith("infeasible:")
 
+    @pytest.mark.parametrize("t", ["1e6", "1e308"])
+    def test_negative_quadrature_is_three(self, capsys, t):
+        # near nu = 2 one adaptive quad over (0, cutoff) misses the slow tail and returns a
+        # negative integral of a nonnegative integrand (-0.849 at t = 1e6)
+        code = main(["oracle", "--dist", "product_student_t", "--nu", "2.01",
+                     "--query", "tail-moment", "--p", "2", "--t", t])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible:") and "quadrature failed" in err
+
     def test_error_functional_cap_far_beyond_the_tail_cutoff(self, capsys):
         values = []
         for t in ("64", "1e6"):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import monte_carlo_moment
+from helpers import chunked_reference_moments, copyto_power_chain, monte_carlo_moment
 from lptrim import distributions
 from lptrim.distributions import (
     DistributionSpec,
@@ -22,7 +22,9 @@ from lptrim.distributions import (
     spec_from_label,
     sphere_directions,
     student_abs_moment,
+    _abs_power_in_place,
     _draw_matrix,
+    _streamed_moments,
 )
 from lptrim.oracle import raw_moment
 from lptrim.seeding import child_rng
@@ -270,3 +272,49 @@ class TestMomentOracle:
         dirs = sphere_directions(4, 5, 2) * 1.7
         got = MomentOracle(spec).moments(dirs, 3.0)
         assert got == pytest.approx(1.7 ** 3 * gaussian_abs_moment(3.0) * np.ones(5), rel=1e-12)
+
+
+STREAMED_LAWS = [
+    DistributionSpec("product_laplace", 4),
+    DistributionSpec("cube_uniform", 4),
+    DistributionSpec("product_student_t", 4, nu=4.5),
+]
+
+
+class TestStreamedMomentsAgainstChunkedPass:
+    """The block-streamed oracle pass against the chunked pass it replaced."""
+
+    @pytest.mark.parametrize("m", [1, 7, 500])
+    @pytest.mark.parametrize("spec, p", [
+        pytest.param(spec, p, id=f"{spec.name}-p{p:g}")
+        for spec in STREAMED_LAWS for p in (1.0, 1.5, 3.0, 4.0, 5.0) if p < spec.max_finite_moment
+    ])
+    def test_truths_agree_to_round_off(self, spec, p, m):
+        # 205,001 rows: a partial chunk for the chunked pass, a partial block for any block size
+        dirs = sphere_directions(spec.dim, m, 8)
+        got = _streamed_moments(spec, dirs, p, 205_001, child_rng(6, "stream"))
+        naive = chunked_reference_moments(spec, dirs, p, 205_001, child_rng(6, "stream"))
+        assert got == pytest.approx(naive, rel=1e-13, abs=0)
+
+    def test_oracle_streams_the_non_closed_form_truths(self):
+        spec = DistributionSpec("product_laplace", 4)
+        dirs = sphere_directions(4, 7, 8)
+        got = MomentOracle(spec, ref_size=10_001, seed=6).moments(dirs, 3.0)
+        want = _streamed_moments(spec, dirs, 3.0, 10_001, child_rng(6, "moment-ref", spec.label))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+    def test_split_draws_equal_one_draw(self, spec):
+        # the streamed pass draws block by block; the reference rows must not depend on the split
+        whole = _draw_matrix(spec, 5_000, child_rng(2, "split"))
+        rng = child_rng(2, "split")
+        parts = [_draw_matrix(spec, rows, rng) for rows in (1, 511, 512, 3_000, 976)]
+        assert np.array_equal(np.vstack(parts), whole)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.5])
+    def test_copy_free_power_equals_the_copyto_chain(self, p, rng):
+        x = rng.standard_normal((300, 17)) * np.exp(rng.uniform(-20, 20, (300, 17)))
+        x[0, :3] = [0.0, -0.0, -1e-300]
+        want = copyto_power_chain(np.abs(x), p)
+        _abs_power_in_place(x, p, np.empty_like(x))
+        assert np.array_equal(x, want)

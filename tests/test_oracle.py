@@ -131,6 +131,19 @@ class TestTailIntegralMoment:
         with pytest.raises(MomentDoesNotExistError, match="p=400"):
             integral()
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_negative_quadrature_of_a_slow_tail_raises(self):
+        # the unit-variance Student-t coordinate at nu = 2.01: E|X|^2 = 1, but one
+        # adaptive quad over (0, cutoff) misses the slowly decaying tail and goes negative
+        heavy = FoldedStudentTCDF(nu=2.01, scale=math.sqrt(0.01 / 2.01))
+        with pytest.raises(MomentDoesNotExistError, match="quadrature failed"):
+            tail_integral_moment(heavy, 2.0, 1e6)
+
+    def test_negative_quadrature_raises(self, monkeypatch):
+        monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (-1e-300, 0.0))
+        with pytest.raises(MomentDoesNotExistError, match="quadrature failed"):
+            oracle._quad(lambda t: 1.0, 0.0, 1.0, 2.0)
+
 
 class TestErrorFunctional:
     def test_zero_cap(self):
