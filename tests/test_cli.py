@@ -350,6 +350,7 @@ class TestOracleCommand:
         assert code == 3
         assert capsys.readouterr().err.startswith("infeasible:")
 
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("t", ["1e6", "1e308"])
     def test_negative_quadrature_is_three(self, capsys, t):
         # near nu = 2 one adaptive quad over (0, cutoff) misses the slow tail and returns a

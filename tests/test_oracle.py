@@ -139,11 +139,6 @@ class TestTailIntegralMoment:
         with pytest.raises(MomentDoesNotExistError, match="quadrature failed"):
             tail_integral_moment(heavy, 2.0, 1e6)
 
-    def test_negative_quadrature_raises(self, monkeypatch):
-        monkeypatch.setattr(scipy.integrate, "quad", lambda *args, **kwargs: (-1e-300, 0.0))
-        with pytest.raises(MomentDoesNotExistError, match="quadrature failed"):
-            oracle._quad(lambda t: 1.0, 0.0, 1.0, 2.0)
-
 
 class TestErrorFunctional:
     def test_zero_cap(self):
