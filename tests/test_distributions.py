@@ -290,7 +290,7 @@ class TestStreamedMomentsAgainstChunkedPass:
         for spec in STREAMED_LAWS for p in (1.0, 1.5, 3.0, 4.0, 5.0) if p < spec.max_finite_moment
     ])
     def test_truths_agree_to_round_off(self, spec, p, m):
-        # 205,001 rows: a partial chunk for the chunked pass, a partial block for any block size
+        # 205,001 rows: a partial chunk for the chunked pass, and a partial last block at each m
         dirs = sphere_directions(spec.dim, m, 8)
         got = _streamed_moments(spec, dirs, p, 205_001, child_rng(6, "stream"))
         naive = chunked_reference_moments(spec, dirs, p, 205_001, child_rng(6, "stream"))
