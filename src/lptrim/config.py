@@ -20,6 +20,8 @@ LEMMA_DEFAULT_PS = (1.0, 2.0, 3.0)
 # Under the fork start method a process pool starts every worker at the first
 # submit, so the worker count is bounded by a constant, not by the host's cores.
 MAX_THREADS = 64
+# Fields that count or seed something; a JSON 2.0 or true is not one of them.
+_INTEGER_FIELDS = ("dim", "n", "directions", "trials", "seed", "threads", "ref_size")
 
 
 class ConfigError(ValueError):
@@ -70,6 +72,10 @@ class ExperimentConfig:
             entries = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
                 raise ConfigError(f"{name} must be finite, got {value}")
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "n" and value is None):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.dist not in DIST_NAMES:
             raise ConfigError(f"unknown dist {self.dist!r}; expected one of {DIST_NAMES}")
         if not self.nu > 2:  # lemma-check runs product_student_t whatever dist is
@@ -112,6 +118,9 @@ class ExperimentConfig:
             raise ConfigError("constant overrides must be positive")
         if self.t_level is not None and not (0 < self.t_level < 1):
             raise ConfigError(f"t_level must lie in (0, 1), got {self.t_level}")
+        for name in ("lemma_dists", "lemma_ps"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must not be empty")
         for name in self.lemma_dists:
             if name not in DIST_NAMES:
                 raise ConfigError(f"unknown lemma dist {name!r}")

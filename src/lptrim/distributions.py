@@ -49,12 +49,11 @@ DIST_NAMES = ("gaussian", "cube_uniform", "product_laplace", "product_student_t"
 CUBE_HALF_WIDTH = math.sqrt(3.0)
 LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
 
-# Rows drawn at a time for a reference law; fixed so results never depend on
-# available memory.
-_CHUNK_ROWS = 200_000
-# Projections per block of MomentOracle's streamed pass: max(1, this // m)
-# rows are drawn, projected onto the m directions, powered and summed while
-# the block and its scratch copy still sit in a 2 MiB L2 cache.
+# Reference rows are drawn max(1, this // m) at a time, m being the number of
+# directions they are projected onto (1 for a reference law).  In
+# MomentOracle's streamed pass a block's projections are powered and summed
+# while they and their scratch copy still sit in a 2 MiB L2 cache.  Fixed, so
+# results never depend on available memory.
 _BLOCK_ELEMENTS = 1 << 15
 # Largest integer exponent raised by repeated multiplication in place of pow.
 _MAX_MULTIPLY_POWER = 5
@@ -66,21 +65,6 @@ class MomentDoesNotExistError(ValueError):
 
 def _student_coord_scale(nu: float) -> float:
     return math.sqrt((nu - 2.0) / nu)
-
-
-def _fourth_cumulant(name: str, nu: float | None) -> float:
-    # Fourth cumulant of a single unit-variance coordinate.
-    if name == "gaussian":
-        return 0.0
-    if name == "cube_uniform":
-        return -1.2
-    if name == "product_laplace":
-        return 3.0
-    if name == "product_student_t":
-        if nu is None or nu <= 4:
-            raise MomentDoesNotExistError(f"fourth moment requires nu > 4, got nu={nu}")
-        return 6.0 / (nu - 4.0)
-    raise ValueError(f"unknown distribution {name!r}")
 
 
 @dataclass(frozen=True)
@@ -154,6 +138,16 @@ def _draw_matrix(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np
     if spec.name == "product_laplace":
         return rng.laplace(0.0, LAPLACE_SCALE, size=(n, d))
     return rng.standard_t(spec.nu, size=(n, d)) * _student_coord_scale(spec.nu)
+
+
+def _row_blocks(spec: DistributionSpec, n: int, m: int, rng: np.random.Generator):
+    """n rows of ``rng``, drawn and yielded max(1, _BLOCK_ELEMENTS // m) at a time.
+
+    Split draws equal one draw bit for bit, so the rows do not depend on m.
+    """
+    block_rows = max(1, _BLOCK_ELEMENTS // m)
+    for start in range(0, n, block_rows):
+        yield _draw_matrix(spec, min(block_rows, n - start), rng)
 
 
 def sphere_directions(dim: int, m: int, seed: int) -> np.ndarray:
@@ -408,13 +402,7 @@ def _reference_law(spec: DistributionSpec, label: str, ref_size: int, v_bytes: b
     digest = hashlib.blake2s(v_bytes).hexdigest()
     rng = np.random.default_rng(child_seed(_REF_SEED_ROOT, "marginal-ref", label, ref_size, digest))
     v = np.frombuffer(v_bytes)
-    parts = []
-    remaining = ref_size
-    while remaining > 0:
-        rows = min(_CHUNK_ROWS, remaining)
-        parts.append(np.abs(_draw_matrix(spec, rows, rng) @ v))
-        remaining -= rows
-    return EmpiricalCDF(np.concatenate(parts))
+    return EmpiricalCDF(np.concatenate([block @ v for block in _row_blocks(spec, ref_size, 1, rng)]))
 
 
 clear_marginal_cache = _reference_law.cache_clear
@@ -462,7 +450,8 @@ class MomentOracle:
         if p == 2.0:
             return norms * norms
         if p == 4.0:
-            kappa4 = _fourth_cumulant(self.spec.name, self.spec.nu)
+            # the fourth cumulant of one unit-variance coordinate
+            kappa4 = _coordinate_abs_cdf(self.spec, 1.0).exact_moment(4.0) - 3.0
             return 3.0 * norms ** 4 + kappa4 * np.sum(dirs ** 4, axis=1)
 
         rng = child_rng(self.seed, "moment-ref", self.spec.label)
@@ -472,16 +461,10 @@ class MomentOracle:
 def _streamed_moments(spec: DistributionSpec, dirs: np.ndarray, p: float, ref_size: int,
                       rng: np.random.Generator) -> np.ndarray:
     """The mean of |X @ dirs.T|^p over ``ref_size`` rows of ``rng``, a block at a time."""
-    m = dirs.shape[0]
-    block_rows = max(1, _BLOCK_ELEMENTS // m)
-    block = np.empty((block_rows, m))
-    scratch = np.empty_like(block)
-    acc = np.zeros(m)
-    for start in range(0, ref_size, block_rows):
-        rows = min(block_rows, ref_size - start)
-        out = block[:rows]
-        np.matmul(_draw_matrix(spec, rows, rng), dirs.T, out=out)
-        _abs_power_in_place(out, p, scratch[:rows])
+    acc = np.zeros(dirs.shape[0])
+    for block in _row_blocks(spec, ref_size, dirs.shape[0], rng):
+        out = block @ dirs.T
+        _abs_power_in_place(out, p, np.empty_like(out))
         acc += out.sum(axis=0)
     return acc / ref_size
 

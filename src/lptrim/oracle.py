@@ -50,14 +50,22 @@ def upper_quantile(cdf: MarginalCDF, eta: float) -> float:
 
 
 @lru_cache(maxsize=4096)
-def _bisect_quantile(cdf: MarginalCDF, eta: float) -> float:
+def _doubling_bracket(cdf: MarginalCDF, eta: float) -> tuple[float, float]:
+    """(lo, hi): hi is the first of 1, 2, 4, ... with P(f > hi) < eta, lo the one before it (0 before 1).
+
+    The upper quantile bisects it, and its hi at TAIL_MASS_CUTOFF is the tail cutoff.
+    """
     lo, hi = 0.0, 1.0
     for _ in range(200):
         if cdf.sf(hi) < eta:
-            break
+            return lo, hi
         lo, hi = hi, 2.0 * hi
-    else:
-        raise MomentDoesNotExistError(f"the {eta} upper quantile lies beyond {hi:g}, too far out to bisect")
+    raise MomentDoesNotExistError(f"the {eta} upper quantile lies beyond {hi:g}, too far out to bisect")
+
+
+@lru_cache(maxsize=4096)
+def _bisect_quantile(cdf: MarginalCDF, eta: float) -> float:
+    lo, hi = _doubling_bracket(cdf, eta)
     while hi - lo > _QUANTILE_ABS_TOL:
         mid = 0.5 * (lo + hi)
         if cdf.sf(mid) >= eta:
@@ -67,21 +75,11 @@ def _bisect_quantile(cdf: MarginalCDF, eta: float) -> float:
     return hi
 
 
-@lru_cache(maxsize=1024)
-def _tail_cutoff_cached(cdf: MarginalCDF) -> float:
-    hi = 1.0
-    for _ in range(200):
-        if cdf.sf(hi) < TAIL_MASS_CUTOFF:
-            return hi
-        hi *= 2.0
-    raise ValueError(f"tail mass never drops below {TAIL_MASS_CUTOFF}")
-
-
 def tail_cutoff(cdf: MarginalCDF) -> float:
     """A point beyond which P(f > t) < TAIL_MASS_CUTOFF; a reference law's largest value."""
     if isinstance(cdf, EmpiricalCDF):
         return float(cdf.values[-1])
-    return _tail_cutoff_cached(cdf)
+    return _doubling_bracket(cdf, TAIL_MASS_CUTOFF)[1]
 
 
 def _quad(fn, lo: float, hi: float, p: float) -> float:

@@ -160,12 +160,13 @@ def lemma_trial_rows(
     theta: float,
     params: RatioParams,
     cap_level: float,
-) -> list[tuple]:
+) -> tuple[list[tuple], list[tuple]]:
     """The four validators on one fresh d=1 sample, for every p in ``ps``.
 
-    Each row is (dist, p, trial, check, verdict, reason, detail), the columns
-    of ``lemma_rows.csv``.  The integral sandwich is capped at the true
-    quantile at ``cap_level``.
+    Returns the rows of ``lemma_rows.csv``, each (dist, p, trial, check,
+    verdict, reason, detail), and those of ``lemma_scan_rows.csv``: trial 0
+    also sweeps the scaled-constant grid at ``ps[0]``, as a diagnostic.  The
+    integral sandwich is capped at the true quantile at ``cap_level``.
     """
     sample = draw_sample(spec, n, trial_seed)
     cdf = marginal_cdf(spec, np.ones(1))
@@ -183,7 +184,14 @@ def lemma_trial_rows(
         for outcome in outcomes:
             detail = ";".join(f"{k}={_fmt(v)}" for k, v in outcome.witnesses.items())
             rows.append((spec.label, p, trial, outcome.name, outcome.verdict.value, outcome.reason, detail))
-    return rows
+    scan_rows = []
+    if trial == 0:
+        scan_rows = [
+            (spec.label, ps[0], row.c2, row.c3, row.theta, row.lambda_cap,
+             bool(row.upper_holds), bool(row.lower_holds), row.upper_slack, row.lower_slack)
+            for row in scan_error_constant_grid(report.values, cdf, ps[0], params.delta)
+        ]
+    return rows, scan_rows
 
 
 # ---------------------------------------------------------------------------
@@ -291,32 +299,20 @@ def run_lemma_check(config: ExperimentConfig) -> RunResult:
     # the outputs echo the dimension, sample size, trim and cap level that run
     config = dataclasses.replace(config, dim=1, n=n, theta=theta, t_level=cap_level)
 
+    task = (config.lemma_ps, theta, params, cap_level)
+    if stored is not None:
+        work = [(spec_from_label(stored.dist_name, 1), n, 0, stored.seed, *task)]
+    else:
+        work = [
+            (config.spec(name=dist, dim=1), n, trial, child_seed(config.seed, "lemma", dist, trial), *task)
+            for dist in config.lemma_dists
+            for trial in range(config.trials)
+        ]
     rows: list[tuple] = []
     scan_rows: list[tuple] = []
-    if stored is not None:
-        spec = spec_from_label(stored.dist_name, 1)
-        rows.extend(lemma_trial_rows(spec, n, 0, stored.seed, config.lemma_ps, theta, params, cap_level))
-    else:
-        work = []
-        for dist in config.lemma_dists:
-            spec = config.spec(name=dist, dim=1)
-            work.extend(
-                (spec, n, trial, child_seed(config.seed, "lemma", dist, trial), config.lemma_ps, theta, params, cap_level)
-                for trial in range(config.trials)
-            )
-        for chunk in _map_tasks(lemma_trial_rows, work, config.threads):
-            rows.extend(chunk)
-        # Diagnostic sweep of the scaled-constant grid on the first trial of each law.
-        for dist in config.lemma_dists:
-            spec = config.spec(name=dist, dim=1)
-            sample = draw_sample(spec, n, child_seed(config.seed, "lemma", dist, 0))
-            values = project_abs(sample, np.ones(1))
-            cdf = marginal_cdf(spec, np.ones(1))
-            for row in scan_error_constant_grid(values, cdf, config.lemma_ps[0], config.delta):
-                scan_rows.append(
-                    (spec.label, config.lemma_ps[0], row.c2, row.c3, row.theta, row.lambda_cap,
-                     bool(row.upper_holds), bool(row.lower_holds), row.upper_slack, row.lower_slack)
-                )
+    for trial_rows, trial_scan_rows in _map_tasks(lemma_trial_rows, work, config.threads):
+        rows.extend(trial_rows)
+        scan_rows.extend(trial_scan_rows)
 
     counts = {v.value: 0 for v in Verdict}
     fails = []

@@ -7,14 +7,18 @@ checks.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from lptrim.distributions import EmpiricalCDF, _draw_matrix, draw_sample
+from lptrim.checks import scan_error_constant_grid
+from lptrim.core import project_abs
+from lptrim.distributions import _REF_SEED_ROOT, EmpiricalCDF, _draw_matrix, draw_sample, marginal_cdf
 from lptrim.oracle import upper_quantile
 from lptrim.ratio import DyadicLevel
+from lptrim.seeding import child_seed
 
 
 def trapezoid_tail_integral(sf, p: float, t_max: float, n_grid: int = 200_001) -> float:
@@ -240,3 +244,55 @@ def copyto_power_chain(x: np.ndarray, p: float) -> np.ndarray:
             out *= base
         return out
     return x ** p
+
+
+def chunked_reference_values(spec, ref_size: int, v) -> np.ndarray:
+    """The sorted |<x_i, v>| of a reference law, drawn in 200,000-row chunks.
+
+    ``marginal_cdf``'s earlier reference build, seeded as it is by (label,
+    ref_size, v); the block-built reference law must equal it bit for bit.
+    """
+    v = np.asarray(v, dtype=float)
+    digest = hashlib.blake2s(v.tobytes()).hexdigest()
+    rng = np.random.default_rng(child_seed(_REF_SEED_ROOT, "marginal-ref", spec.label, ref_size, digest))
+    parts = []
+    remaining = ref_size
+    while remaining > 0:
+        rows = min(200_000, remaining)
+        parts.append(np.abs(_draw_matrix(spec, rows, rng) @ v))
+        remaining -= rows
+    return np.sort(np.concatenate(parts))
+
+
+def cumulant_fourth_moments(spec, dirs) -> np.ndarray:
+    """E <X, v>^4 = 3 |v|^4 + kappa4 sum v_i^4, with each law's fourth cumulant written out."""
+    if spec.name == "cube_uniform":
+        kappa4 = -1.2
+    elif spec.name == "product_laplace":
+        kappa4 = 3.0
+    elif spec.name == "product_student_t":
+        kappa4 = 6.0 / (spec.nu - 4.0)
+    else:
+        kappa4 = 0.0
+    dirs = np.asarray(dirs, dtype=float)
+    return 3.0 * np.sum(dirs ** 2, axis=1) ** 2 + kappa4 * np.sum(dirs ** 4, axis=1)
+
+
+def second_pass_scan_rows(config) -> list[tuple]:
+    """The rows of ``lemma_scan_rows.csv`` for a grid run, by a second pass.
+
+    ``run_lemma_check``'s earlier serial pass: for each law it re-draws the
+    trial-0 sample, projects it and rebuilds the law, then sweeps the
+    scaled-constant grid at the first p.
+    """
+    n = config.n if config.n is not None else 10_000
+    p = config.lemma_ps[0]
+    rows = []
+    for dist in config.lemma_dists:
+        spec = config.spec(name=dist, dim=1)
+        sample = draw_sample(spec, n, child_seed(config.seed, "lemma", dist, 0))
+        cdf = marginal_cdf(spec, np.ones(1))
+        for row in scan_error_constant_grid(project_abs(sample, np.ones(1)), cdf, p, config.delta):
+            rows.append((spec.label, p, row.c2, row.c3, row.theta, row.lambda_cap,
+                         bool(row.upper_holds), bool(row.lower_holds), row.upper_slack, row.lower_slack))
+    return rows

@@ -5,10 +5,19 @@ import json
 import numpy as np
 import pytest
 
+from helpers import second_pass_scan_rows
 from lptrim.cli import _build_parser, main
 from lptrim.config import MAX_THREADS, ConfigError, ExperimentConfig
 from lptrim.distributions import DistributionSpec, draw_sample
-from lptrim.runner import SampleIntegrityError, load_sample, run_sandwich, save_sample
+from lptrim.runner import (
+    SampleIntegrityError,
+    _fmt,
+    load_sample,
+    run_lemma_check,
+    run_sandwich,
+    save_sample,
+)
+from lptrim.seeding import child_seed
 
 SANDWICH_ARGS = [
     "sandwich", "--dist", "gaussian", "--dim", "3", "--n", "1500", "--p", "2",
@@ -123,6 +132,29 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in err
         assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command, entry", [
+        ("sandwich", {"n": 1000.0}),
+        ("sandwich", {"trials": 1.5}),
+        ("sandwich", {"dim": 2.0}),
+        ("sandwich", {"directions": 2.0}),
+        ("sandwich", {"threads": 2.0}),
+        ("sandwich", {"seed": 1.5}),
+        ("sandwich", {"trials": True}),
+        ("lemma-check", {"lemma_ps": []}),
+        ("lemma-check", {"lemma_dists": []}),
+    ], ids=["n-float", "trials-fraction", "dim-float", "directions-float", "threads-float",
+            "seed-fraction", "trials-bool", "lemma-ps-empty", "lemma-dists-empty"])
+    def test_ill_typed_or_empty_config_file_entry_is_two(self, tmp_path, capsys, command, entry):
+        # JSON has no integer type of its own: 2.0 and true must not pass for counts or seeds
+        config = tmp_path / "f.json"
+        config.write_text(json.dumps(entry))
+        out_dir = tmp_path / "out"
+        code = main([command, "--config", str(config), "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and next(iter(entry)) in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("args", [
@@ -266,6 +298,28 @@ class TestSchemas:
         lines = (out / "lemma_rows.csv").read_text().splitlines()
         assert lines[1] == "dist,p,trial,check,verdict,reason,detail"
         assert (out / "lemma_scan_rows.csv").exists()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_lemma_scan_rows_equal_a_second_pass(self, tmp_path, threads):
+        # each law's trial-0 unit sweeps the grid from the report it already holds
+        cfg = ExperimentConfig(n=500, trials=2, seed=3, threads=threads, out_dir=str(tmp_path))
+        run_lemma_check(cfg)
+        lines = (tmp_path / "lemma_scan_rows.csv").read_text().splitlines()
+        assert lines[2:] == [",".join(_fmt(v) for v in row) for row in second_pass_scan_rows(cfg)]
+
+    def test_stored_sample_writes_the_scan_of_its_trial(self, tmp_path):
+        # a stored sample drawn with a grid run's trial-0 seed sweeps the same rows
+        path = save_sample(draw_sample(DistributionSpec("gaussian", 1), 500, child_seed(3, "lemma", "gaussian", 0)),
+                           tmp_path / "sample.npz")
+        args = ["lemma-check", "--n", "500", "--trials", "2", "--seed", "3"]
+        config = tmp_path / "f.json"
+        config.write_text(json.dumps({"lemma_dists": ["gaussian"]}))
+        assert run_cli(args + ["--config", str(config)], tmp_path, "grid")[0] == 0
+        assert run_cli(args + ["--sample-file", str(path)], tmp_path, "stored")[0] == 0
+        grid, stored = ((tmp_path / sub / "lemma_scan_rows.csv").read_text().splitlines()
+                        for sub in ("grid", "stored"))
+        assert len(stored) > 2
+        assert stored[1:] == grid[1:]
 
     def test_compare_csv_columns(self, tmp_path):
         code, out = run_cli(

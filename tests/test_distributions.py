@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import chunked_reference_moments, copyto_power_chain, monte_carlo_moment
+from helpers import (
+    chunked_reference_moments,
+    chunked_reference_values,
+    copyto_power_chain,
+    cumulant_fourth_moments,
+    monte_carlo_moment,
+)
 from lptrim import distributions
 from lptrim.distributions import (
     DistributionSpec,
@@ -24,6 +30,7 @@ from lptrim.distributions import (
     student_abs_moment,
     _abs_power_in_place,
     _draw_matrix,
+    _reference_law,
     _streamed_moments,
 )
 from lptrim.oracle import raw_moment
@@ -311,3 +318,33 @@ class TestStreamedMomentsAgainstChunkedPass:
         want = copyto_power_chain(np.abs(x), p)
         _abs_power_in_place(x, p, np.empty_like(x))
         assert np.array_equal(x, want)
+
+
+class TestReferenceLawAgainstChunkedBuild:
+    """Reference laws drawn in the oracle's blocks against the 200,000-row chunks they replaced."""
+
+    @pytest.mark.parametrize("ref_size", [100_000, 1_000_000, 205_001])
+    @pytest.mark.parametrize("spec", [
+        DistributionSpec("product_laplace", 3),
+        DistributionSpec("product_laplace", 10),
+        DistributionSpec("product_laplace", 20),
+        DistributionSpec("cube_uniform", 20),
+        DistributionSpec("product_student_t", 20, nu=4.5),
+    ], ids=lambda s: f"{s.name}-d{s.dim}")
+    def test_values_equal_bit_for_bit(self, spec, ref_size):
+        # 205,001 rows end in a partial block; the unwrapped build keeps 10^6-row laws out of the cache
+        for v in sphere_directions(spec.dim, 3, 11):
+            built = _reference_law.__wrapped__(spec, spec.label, ref_size, v.tobytes())
+            assert np.array_equal(built.values, chunked_reference_values(spec, ref_size, v))
+
+
+class TestFourthMomentsFromCoordinateLaws:
+    @pytest.mark.parametrize("spec", [
+        DistributionSpec("cube_uniform", 6),
+        DistributionSpec("product_laplace", 6),
+        DistributionSpec("product_student_t", 6, nu=4.5),
+    ], ids=lambda s: s.name)
+    def test_truths_equal_the_cumulant_formula(self, spec):
+        dirs = np.vstack([np.eye(6)[:2], sphere_directions(6, 20, 4) * 1.3])
+        got = MomentOracle(spec).moments(dirs, 4.0)
+        assert got == pytest.approx(cumulant_fourth_moments(spec, dirs), rel=1e-14, abs=0)

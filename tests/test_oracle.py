@@ -246,6 +246,20 @@ class TestTailCutoff:
     def test_cutoff_mass_below_threshold(self, cdf):
         assert cdf.sf(tail_cutoff(cdf)) < 1e-12
 
+    @pytest.mark.parametrize("cdf", ANALYTIC_LAWS, ids=LAW_IDS)
+    def test_cutoff_is_the_first_power_of_two_below_the_mass(self, cdf):
+        cutoff = tail_cutoff(cdf)
+        assert cutoff == 2.0 ** round(math.log2(cutoff))
+        assert cutoff == 1.0 or cdf.sf(cutoff / 2.0) >= 1e-12
+
+    def test_a_tail_that_never_drops_raises_from_both_brackets(self):
+        # 200 doublings reach 2^199, still a negligible fraction of the scale
+        wide = FoldedNormalCDF(scale=1e300)
+        with pytest.raises(MomentDoesNotExistError, match="too far out"):
+            tail_cutoff(wide)
+        with pytest.raises(MomentDoesNotExistError, match="too far out"):
+            upper_quantile(wide, 0.5)
+
     def test_full_moment_agrees_with_trapezoid(self):
         cap = tail_cutoff(FOLDED_NORMAL)
         brute = trapezoid_tail_integral(FOLDED_NORMAL.sf, 2.0, cap)
