@@ -140,14 +140,15 @@ def _draw_matrix(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np
     return rng.standard_t(spec.nu, size=(n, d)) * _student_coord_scale(spec.nu)
 
 
-def _row_blocks(spec: DistributionSpec, n: int, m: int, rng: np.random.Generator):
-    """n rows of ``rng``, drawn and yielded max(1, _BLOCK_ELEMENTS // m) at a time.
+def _block_sizes(n: int, m: int) -> list[int]:
+    """Row counts of n reference rows drawn max(1, _BLOCK_ELEMENTS // m) at a time.
 
     Split draws equal one draw bit for bit, so the rows do not depend on m.
+    Each block is drawn in the expression that projects it: with two draw
+    buffers alive at once, every reference build faulted them in anew.
     """
     block_rows = max(1, _BLOCK_ELEMENTS // m)
-    for start in range(0, n, block_rows):
-        yield _draw_matrix(spec, min(block_rows, n - start), rng)
+    return [min(block_rows, n - start) for start in range(0, n, block_rows)]
 
 
 def sphere_directions(dim: int, m: int, seed: int) -> np.ndarray:
@@ -402,7 +403,8 @@ def _reference_law(spec: DistributionSpec, label: str, ref_size: int, v_bytes: b
     digest = hashlib.blake2s(v_bytes).hexdigest()
     rng = np.random.default_rng(child_seed(_REF_SEED_ROOT, "marginal-ref", label, ref_size, digest))
     v = np.frombuffer(v_bytes)
-    return EmpiricalCDF(np.concatenate([block @ v for block in _row_blocks(spec, ref_size, 1, rng)]))
+    parts = [_draw_matrix(spec, rows, rng) @ v for rows in _block_sizes(ref_size, 1)]
+    return EmpiricalCDF(np.concatenate(parts))
 
 
 clear_marginal_cache = _reference_law.cache_clear
@@ -461,10 +463,15 @@ class MomentOracle:
 def _streamed_moments(spec: DistributionSpec, dirs: np.ndarray, p: float, ref_size: int,
                       rng: np.random.Generator) -> np.ndarray:
     """The mean of |X @ dirs.T|^p over ``ref_size`` rows of ``rng``, a block at a time."""
-    acc = np.zeros(dirs.shape[0])
-    for block in _row_blocks(spec, ref_size, dirs.shape[0], rng):
-        out = block @ dirs.T
-        _abs_power_in_place(out, p, np.empty_like(out))
+    m = dirs.shape[0]
+    sizes = _block_sizes(ref_size, m)
+    block = np.empty((sizes[0], m))
+    scratch = np.empty_like(block)
+    acc = np.zeros(m)
+    for rows in sizes:
+        out = block[:rows]
+        np.matmul(_draw_matrix(spec, rows, rng), dirs.T, out=out)
+        _abs_power_in_place(out, p, scratch[:rows])
         acc += out.sum(axis=0)
     return acc / ref_size
 
