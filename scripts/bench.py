@@ -4,8 +4,12 @@
     python scripts/bench.py --label L --tree PATH [--tree PATH]
 
 Each tree is a checkout of lptrim (for a before/after pair: the parent
-commit, then the change).  For every workload named in this checkout's
-BENCHMARK.json, each of 10 rounds runs
+commit, then the change).  Before the first round every ``__pycache__``
+under each tree's ``src/`` and ``perfbench/`` is deleted, so that no tree
+imports bytecode an earlier process left while another compiles its sources
+(with PYTHONDONTWRITEBYTECODE set, on every import), which would bias
+``setup_s`` and ``peak_rss_mb``.  For every workload named in this
+checkout's BENCHMARK.json, each of 10 rounds runs
 
     python3 perfbench/run.py --workload W --seed 30 --seconds T --trace 0
 
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -65,6 +70,13 @@ def run_once(tree: Path, workload: str, seconds: float) -> dict:
         "metrics": {name: block["value"] for name, block in result["metrics"].items()},
         "env": detail["env"],
     }
+
+
+def clear_bytecode(tree: Path) -> None:
+    """Delete every ``__pycache__`` under the tree's ``src/`` and ``perfbench/``."""
+    for top in ("src", "perfbench"):
+        for cache in sorted((tree / top).rglob("__pycache__")):
+            shutil.rmtree(cache)
 
 
 def describe(tree: Path) -> str:
@@ -107,6 +119,8 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in benchmark["workloads"]]
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
 
+    for tree in trees:
+        clear_bytecode(tree)
     keys = ["before", "after"] if len(trees) == 2 else ["tree"]
     env = None
     out = {"label": args.label, "command": f"perfbench/run.py --seed {SEED} --seconds {seconds:g} --trace 0",

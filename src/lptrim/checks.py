@@ -31,11 +31,9 @@ from .core import (
     truncated_power_mean,
     empirical_p_mean,
     project_abs,
-    _as_finite_1d,
 )
 from .distributions import (
     DistributionSpec,
-    MarginalCDF,
     draw_sample,
 )
 from .oracle import (
@@ -250,7 +248,7 @@ class ScanRow:
 _SCAN_GRID = (0.25, 0.5, 1.0, 2.0)  # the values of both c2 and c3
 
 
-def scan_error_constant_grid(values_abs, cdf: MarginalCDF, p: float, delta: float) -> list[ScanRow]:
+def scan_error_constant_grid(report: RatioReport, p: float) -> list[ScanRow]:
     """Diagnostic sweep of the scaled form theta = c2 delta, cap = Q at c3 delta.
 
     Evaluates, with unit leading constants, whether the trimmed mean stays
@@ -258,7 +256,7 @@ def scan_error_constant_grid(values_abs, cdf: MarginalCDF, p: float, delta: floa
     informational: the scaled form carries unspecified absolute constants, so
     no verdict semantics attach to these rows.
     """
-    values = np.abs(_as_finite_1d(values_abs))
+    delta, values, cdf = report.params.delta, report.values, report.cdf
     n = values.size
     moment = raw_moment(cdf, p)
     rows = []

@@ -25,7 +25,8 @@ from .oracle import (
     truncated_upper_moment,
     upper_quantile,
 )
-from .runner import RunResult, SampleIntegrityError, run_compare, run_lemma_check, run_ratio_check, run_sandwich
+from .runner import (RunResult, SampleIntegrityError, _json_default, run_compare, run_lemma_check,
+                     run_ratio_check, run_sandwich)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -99,8 +100,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _report(result: RunResult) -> None:
-    print(json.dumps({"pass": result.passed, **{k: v for k, v in result.summary.items() if k != "pass"}},
-                     sort_keys=True, default=str))
+    print(json.dumps(result.summary, sort_keys=True, default=_json_default))
     print(f"rows: {result.rows_path}", flush=True)
     print(f"summary: {result.summary_path}", flush=True)
     print(f"runtime: {result.runtime_s:.2f}s", file=sys.stderr, flush=True)

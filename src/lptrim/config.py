@@ -20,8 +20,7 @@ LEMMA_DEFAULT_PS = (1.0, 2.0, 3.0)
 # Under the fork start method a process pool starts every worker at the first
 # submit, so the worker count is bounded by a constant, not by the host's cores.
 MAX_THREADS = 64
-# Fields that count or seed something; a JSON 2.0 or true is not one of them.
-_INTEGER_FIELDS = ("dim", "n", "directions", "trials", "seed", "threads", "ref_size")
+_KINDS = {"str": "a string", "int": "an integer", "float": "a number"}
 
 
 class ConfigError(ValueError):
@@ -65,6 +64,8 @@ class ExperimentConfig:
     sample_file: str | None = None
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, _typed(f.name, getattr(self, f.name), f.type))
         self.validate()
 
     def validate(self) -> None:
@@ -72,10 +73,6 @@ class ExperimentConfig:
             entries = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            if type(value) is not int and not (name == "n" and value is None):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.dist not in DIST_NAMES:
             raise ConfigError(f"unknown dist {self.dist!r}; expected one of {DIST_NAMES}")
         if not self.nu > 2:  # lemma-check runs product_student_t whatever dist is
@@ -197,11 +194,33 @@ class ExperimentConfig:
         unknown = set(fields) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "lemma_dists" in fields:
-            fields["lemma_dists"] = tuple(fields["lemma_dists"])
-        if "lemma_ps" in fields:
-            fields["lemma_ps"] = tuple(float(p) for p in fields["lemma_ps"])
         try:
             return cls(**fields)
         except TypeError as exc:
             raise ConfigError(str(exc))
+
+
+def _typed(name: str, value, annotation: str):
+    """``value`` as the field's annotated type, or ConfigError.
+
+    A JSON file writes a tuple as a list and may write 1.0 as 1, so a list
+    becomes a tuple and a number a float: a value reads the same from a file
+    as from a flag.  JSON has no integer type of its own, so 2.0 and true
+    count or seed nothing, and true is no number.
+    """
+    if annotation.endswith(" | None"):
+        if value is None:
+            return None
+        annotation = annotation.removesuffix(" | None")
+    if annotation.startswith("tuple["):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(_typed(f"{name} entry", v, annotation[len("tuple["):-len(", ...]")]) for v in value)
+    if (annotation == "str" and isinstance(value, str)) or (annotation == "int" and type(value) is int):
+        return value
+    if annotation == "float" and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} must be finite, got {value}") from None
+    raise ConfigError(f"{name} must be {_KINDS[annotation]}, got {value!r}")

@@ -94,7 +94,7 @@ class DistributionSpec:
     @property
     def label(self) -> str:
         if self.name == "product_student_t":
-            return f"product_student_t(nu={self.nu!r})"
+            return f"product_student_t(nu={float(self.nu)!r})"
         return self.name
 
     @property
@@ -391,17 +391,15 @@ def marginal_cdf(spec: DistributionSpec, v, ref_size: int = 1_000_000) -> Margin
         return _coordinate_abs_cdf(spec, weight)
 
     # The direction is keyed by its bytes: -0.0 == 0.0 would merge two
-    # directions whose reference seeds differ.  The label, which seeds the
-    # reference, is keyed beside the spec: equal specs (nu=5 and nu=5.0) can
-    # carry different labels.
-    return _reference_law(spec, spec.label, ref_size, v.tobytes())
+    # directions whose reference seeds differ.
+    return _reference_law(spec, ref_size, v.tobytes())
 
 
 @lru_cache(maxsize=32)
-def _reference_law(spec: DistributionSpec, label: str, ref_size: int, v_bytes: bytes) -> EmpiricalCDF:
+def _reference_law(spec: DistributionSpec, ref_size: int, v_bytes: bytes) -> EmpiricalCDF:
     """The law of |<X, v>| over ``ref_size`` reference rows, seeded by (label, ref_size, v)."""
     digest = hashlib.blake2s(v_bytes).hexdigest()
-    rng = np.random.default_rng(child_seed(_REF_SEED_ROOT, "marginal-ref", label, ref_size, digest))
+    rng = np.random.default_rng(child_seed(_REF_SEED_ROOT, "marginal-ref", spec.label, ref_size, digest))
     v = np.frombuffer(v_bytes)
     parts = [_draw_matrix(spec, rows, rng) @ v for rows in _block_sizes(ref_size, 1)]
     return EmpiricalCDF(np.concatenate(parts))

@@ -109,6 +109,18 @@ def tail_integral_moment(cdf: MarginalCDF, p: float, t_max: float) -> float:
     For t_max at or beyond the tail cutoff this is E f^p up to the reported
     truncation mass.
     """
+    return _tail_functional(cdf, p, t_max, root=False)
+
+
+def error_functional(cdf: MarginalCDF, p: float, t_max: float, delta: float) -> float:
+    """2 sqrt(delta) times the integral of p t^(p-1) sqrt(P(f > t)) over (0, t_max)."""
+    if not (0 < delta <= 0.5):
+        raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
+    return 2.0 * math.sqrt(delta) * _tail_functional(cdf, p, t_max, root=True)
+
+
+def _tail_functional(cdf: MarginalCDF, p: float, t_max: float, root: bool) -> float:
+    """Integral of p t^(p-1) P(f > t), or with ``root`` of p t^(p-1) sqrt(P(f > t)), over (0, t_max)."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if t_max < 0:
@@ -116,13 +128,15 @@ def tail_integral_moment(cdf: MarginalCDF, p: float, t_max: float) -> float:
     if t_max == 0:
         return 0.0
     if isinstance(cdf, EmpiricalCDF):
+        if root:
+            return _empirical_sqrt_tail_integral(cdf, p, t_max)
         # exact for a step tail: the mean of min(f, t_max)^p over the reference
         return truncated_power_mean(cdf.values, p, t_max)
-    return _split_at_cutoff(_tail_integral, cdf, p, t_max, order=p)
+    return _split_at_cutoff(cdf, p, 0.0, t_max, root)
 
 
-def _split_at_cutoff(integral, cdf: MarginalCDF, p: float, t_max: float, order: float) -> float:
-    """``integral(cdf, p, lo, hi)`` over (0, t_max), split at the tail cutoff.
+def _split_at_cutoff(cdf: MarginalCDF, p: float, t_min: float, t_max: float, root: bool) -> float:
+    """``_tail_integral`` over (t_min, t_max), split at the tail cutoff.
 
     Adaptive quadrature over (0, t_max) with t_max far beyond the cutoff
     never samples the mass near 0, and one piece over (cutoff, t_max) misses
@@ -130,17 +144,18 @@ def _split_at_cutoff(integral, cdf: MarginalCDF, p: float, t_max: float, order: 
     integral; beyond it the tail is integrated in doubling pieces
     (c 2^k, c 2^(k+1)) up to t_max or the first point where the float tail
     is 0.  The integral over (0, inf) is finite only when the law's moment
-    of order ``order`` is; a divergent one stopped short of t_max by that
-    zero tail would be silently truncated, so it raises
+    of order p (2p for the root) is; a divergent one stopped short of t_max
+    by that zero tail would be silently truncated, so it raises
     MomentDoesNotExistError instead.
     """
     cutoff = tail_cutoff(cdf)
-    value = integral(cdf, p, 0.0, min(t_max, cutoff))
-    lo = cutoff
+    value = _tail_integral(cdf, p, t_min, min(t_max, cutoff), root)
+    lo = max(t_min, cutoff)
     while lo < t_max and cdf.sf(lo) > 0:
         hi = min(2.0 * lo, t_max)
-        value += integral(cdf, p, lo, hi)
+        value += _tail_integral(cdf, p, lo, hi, root)
         lo = hi
+    order = 2.0 * p if root else p
     if lo < t_max and order >= cdf.max_finite_moment:
         raise MomentDoesNotExistError(
             f"the p={p} integral diverges as the cap grows (order {order}, finite only below "
@@ -151,30 +166,28 @@ def _split_at_cutoff(integral, cdf: MarginalCDF, p: float, t_max: float, order: 
 
 # The quadratures of analytic laws are memoised: a law is a hashable frozen
 # dataclass and its quantiles are cached, so repeated trials ask for
-# bit-identical points.  Empirical laws never reach these caches; a key would
-# pin a reference array of up to 10^6 rows.  Both integrands are 0 where the
+# bit-identical points.  Empirical laws never reach this cache; a key would
+# pin a reference array of up to 10^6 rows.  The integrand is 0 where the
 # tail is 0, so that an overflowing t^(p-1) far beyond the cutoff never meets
 # a zero tail as inf * 0.
 @lru_cache(maxsize=4096)
-def _tail_integral(cdf: MarginalCDF, p: float, lo: float, hi: float) -> float:
-    """Integral of p t^(p-1) P(f > t) over (lo, hi)."""
+def _tail_integral(cdf: MarginalCDF, p: float, lo: float, hi: float, root: bool) -> float:
+    """Integral of p t^(p-1) P(f > t), or with ``root`` of p t^(p-1) sqrt(P(f > t)), over (lo, hi)."""
 
     def integrand(t):
         tail = cdf.sf(t)
-        return p * t ** (p - 1.0) * tail if tail > 0 else 0.0
+        if not tail > 0:
+            return 0.0
+        return p * t ** (p - 1.0) * (math.sqrt(tail) if root else tail)
 
     return _quad(integrand, lo, hi, p)
 
 
-@lru_cache(maxsize=4096)
-def _sqrt_tail_integral(cdf: MarginalCDF, p: float, lo: float, hi: float) -> float:
-    """Integral of p t^(p-1) sqrt(P(f > t)) over (lo, hi)."""
-
-    def integrand(t):
-        tail = cdf.sf(t)
-        return p * t ** (p - 1.0) * math.sqrt(tail) if tail > 0 else 0.0
-
-    return _quad(integrand, lo, hi, p)
+def _require_moment(cdf: MarginalCDF, p: float) -> None:
+    if p >= cdf.max_finite_moment:
+        raise MomentDoesNotExistError(
+            f"p={p} moment diverges (finite only below {cdf.max_finite_moment})"
+        )
 
 
 def raw_moment(cdf: MarginalCDF, p: float) -> float:
@@ -183,28 +196,8 @@ def raw_moment(cdf: MarginalCDF, p: float) -> float:
     A reference law's cutoff is its largest value, so its moment is the exact
     mean of the p-th powers.
     """
-    if p >= cdf.max_finite_moment:
-        raise MomentDoesNotExistError(
-            f"p={p} moment diverges (finite only below {cdf.max_finite_moment})"
-        )
+    _require_moment(cdf, p)
     return tail_integral_moment(cdf, p, tail_cutoff(cdf))
-
-
-def error_functional(cdf: MarginalCDF, p: float, t_max: float, delta: float) -> float:
-    """2 sqrt(delta) times the integral of p t^(p-1) sqrt(P(f > t)) over (0, t_max)."""
-    if not (0 < delta <= 0.5):
-        raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if t_max < 0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max}")
-    if t_max == 0:
-        return 0.0
-    factor = 2.0 * math.sqrt(delta)
-    if isinstance(cdf, EmpiricalCDF):
-        return factor * _empirical_sqrt_tail_integral(cdf, p, t_max)
-    # p t^(p-1) sqrt(P(f > t)) is integrable at infinity when the 2p-th moment is finite
-    return factor * _split_at_cutoff(_sqrt_tail_integral, cdf, p, t_max, order=2.0 * p)
 
 
 def _empirical_sqrt_tail_integral(cdf: EmpiricalCDF, p: float, t_max: float) -> float:
@@ -222,16 +215,13 @@ def truncated_upper_moment(cdf: MarginalCDF, p: float, kappa: float) -> float:
     """E f^p on the event {f > Q(kappa)} where Q is the upper quantile."""
     if not (0 < kappa < 1):
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
-    if p >= cdf.max_finite_moment:
-        raise MomentDoesNotExistError(
-            f"p={p} tail moment diverges (finite only below {cdf.max_finite_moment})"
-        )
+    _require_moment(cdf, p)
     q = upper_quantile(cdf, kappa)
     if isinstance(cdf, EmpiricalCDF):
         above = cdf.values[cdf.values > q]
         return float(_sorted_power_sums(above[None, :], p, above.size)[0]) / cdf.size
-    hi = max(tail_cutoff(cdf), q)
-    tail_part = _tail_integral(cdf, p, q, hi)
+    # the integral first: an overflowing p raises from it as infeasible, where q ** p would not
+    tail_part = _split_at_cutoff(cdf, p, q, max(tail_cutoff(cdf), q), root=False)
     return q ** p * cdf.sf(q) + tail_part
 
 
@@ -272,16 +262,11 @@ def check_tail_moment_bounds(
     explicit constants under which the inequalities are provable, so a
     violation on exact inputs indicates an implementation defect.
     """
-    if q <= 2 * p:
-        raise ValueError(f"need q > 2p, got q={q}, p={p}")
-    needed = max(2 * p, q)
-    if needed >= cdf.max_finite_moment:
-        raise MomentDoesNotExistError(
-            f"moments up to {needed} required but only orders below {cdf.max_finite_moment} exist"
-        )
-    m_p = raw_moment(cdf, p)
-    l2p_p = math.sqrt(raw_moment(cdf, 2 * p))  # ||f||_{2p}^p
+    coef = qnorm_error_coef(p, q)
+    # q > 2p, so the q-th moment is the highest needed and is asked for first
     lq_p = raw_moment(cdf, q) ** (p / q)  # ||f||_q^p
+    l2p_p = math.sqrt(raw_moment(cdf, 2 * p))  # ||f||_{2p}^p
+    m_p = raw_moment(cdf, p)
     tail_moment = truncated_upper_moment(cdf, p, kappa)
     err = error_functional(cdf, p, upper_quantile(cdf, kappa), delta)
     factor = 2.0 * math.sqrt(delta)
@@ -295,6 +280,6 @@ def check_tail_moment_bounds(
         BoundCheck(
             "error_fn_qnorm_bound",
             err,
-            factor * (1.0 + qnorm_error_coef(p, q)) * lq_p,
+            factor * (1.0 + coef) * lq_p,
         ),
     ]

@@ -61,11 +61,14 @@ class SampleIntegrityError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunResult:
-    passed: bool
     summary: dict
     rows_path: Path
     summary_path: Path
     runtime_s: float
+
+    @property
+    def passed(self) -> bool:
+        return self.summary["pass"]
 
 
 # ---------------------------------------------------------------------------
@@ -85,45 +88,37 @@ def _config_line(config: ExperimentConfig) -> str:
     return "# config: " + json.dumps(config.echo(), sort_keys=True, separators=(",", ":"))
 
 
-def _write_rows(out_dir: Path, name: str, fmt: str, header: list[str], rows: list[tuple], config: ExperimentConfig) -> Path:
+def _json_default(obj):
+    """The Python scalar a numpy scalar holds, for the ones ``json`` cannot write itself."""
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _write_rows(config: ExperimentConfig, name: str, header: list[str], rows: list[tuple]) -> Path:
+    out_dir = config.resolved_out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-    if fmt == "csv":
-        path = out_dir / f"{name}_rows.csv"
-        lines = [_config_line(config), ",".join(header)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        path.write_text("\n".join(lines) + "\n")
-    else:
-        path = out_dir / f"{name}_rows.json"
-        payload = {
-            "config": config.echo(),
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
+    if config.format == "json":
+        return _write_json(out_dir / f"{name}_rows.json", config, "rows", [dict(zip(header, row)) for row in rows])
+    path = out_dir / f"{name}_rows.csv"
+    lines = [_config_line(config), ",".join(header)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    path.write_text("\n".join(lines) + "\n")
     return path
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, Path):
-        return str(obj)
-    return obj
-
-
-def _write_summary(out_dir: Path, name: str, summary: dict, config: ExperimentConfig) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"{name}_summary.json"
-    payload = {"config": config.echo(), "results": _jsonable(summary)}
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _write_json(path: Path, config: ExperimentConfig, key: str, value) -> Path:
+    payload = {"config": config.echo(), key: value}
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n")
     return path
+
+
+def _finish(config: ExperimentConfig, name: str, header: list[str], rows: list[tuple], summary: dict,
+            start: float) -> RunResult:
+    """Write a command's rows and summary files; its result, timed from ``start``."""
+    rows_path = _write_rows(config, name, header, rows)
+    summary_path = _write_json(config.resolved_out_dir / f"{name}_summary.json", config, "results", summary)
+    return RunResult(summary, rows_path, summary_path, time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +184,7 @@ def lemma_trial_rows(
         scan_rows = [
             (spec.label, ps[0], row.c2, row.c3, row.theta, row.lambda_cap,
              bool(row.upper_holds), bool(row.lower_holds), row.upper_slack, row.lower_slack)
-            for row in scan_error_constant_grid(report.values, cdf, ps[0], params.delta)
+            for row in scan_error_constant_grid(report, ps[0])
         ]
     return rows, scan_rows
 
@@ -225,9 +220,8 @@ def run_sandwich(config: ExperimentConfig) -> RunResult:
         )
     all_rel = np.array([r[4] for r in rows])
     pass_rate = float(np.mean([m <= config.epsilon for m in trial_max]))
-    passed = pass_rate >= config.pass_rate_threshold
     summary = {
-        "pass": passed,
+        "pass": pass_rate >= config.pass_rate_threshold,
         "pass_rate": pass_rate,
         "per_trial_max_rel_error": trial_max,
         "rel_error_quantiles": {
@@ -238,10 +232,7 @@ def run_sandwich(config: ExperimentConfig) -> RunResult:
         "n_trials": config.trials,
         "n_directions": int(directions.shape[0]),
     }
-    out = config.resolved_out_dir
-    rows_path = _write_rows(out, "sandwich", config.format, ["trial", "direction", "estimate", "truth", "rel_error"], rows, config)
-    summary_path = _write_summary(out, "sandwich", summary, config)
-    return RunResult(passed, summary, rows_path, summary_path, time.perf_counter() - start)
+    return _finish(config, "sandwich", ["trial", "direction", "estimate", "truth", "rel_error"], rows, summary, start)
 
 
 def run_ratio_check(config: ExperimentConfig) -> RunResult:
@@ -269,9 +260,8 @@ def run_ratio_check(config: ExperimentConfig) -> RunResult:
                 prop_failures[name] += 1
             rows.append((t, r.direction, r.prop1_dev, r.prop2_margin, r.prop3_sup, not r.failing))
     failure_rate = len(failed_trials) / config.trials
-    passed = failure_rate <= config.ratio_fail_threshold
     summary = {
-        "pass": passed,
+        "pass": failure_rate <= config.ratio_fail_threshold,
         "failure_rate": failure_rate,
         "failed_trials": failed_trials,
         "per_property_direction_failures": prop_failures,
@@ -280,10 +270,8 @@ def run_ratio_check(config: ExperimentConfig) -> RunResult:
         "n_trials": config.trials,
         "n_directions": int(directions.shape[0]),
     }
-    out = config.resolved_out_dir
-    rows_path = _write_rows(out, "ratio", config.format, ["trial", "direction", "prop1_dev", "prop2_margin", "prop3_sup", "pass"], rows, config)
-    summary_path = _write_summary(out, "ratio", summary, config)
-    return RunResult(passed, summary, rows_path, summary_path, time.perf_counter() - start)
+    return _finish(config, "ratio", ["trial", "direction", "prop1_dev", "prop2_margin", "prop3_sup", "pass"], rows,
+                   summary, start)
 
 
 def run_lemma_check(config: ExperimentConfig) -> RunResult:
@@ -320,22 +308,18 @@ def run_lemma_check(config: ExperimentConfig) -> RunResult:
         counts[row[4]] += 1
         if row[4] == Verdict.FAIL.value:
             fails.append({"dist": row[0], "p": row[1], "trial": row[2], "check": row[3]})
-    passed = not fails
     summary = {
-        "pass": passed,
+        "pass": not fails,
         "counts": counts,
         "failures": fails,
         "theta": theta,
         "cap_level": cap_level,
     }
-    out = config.resolved_out_dir
-    rows_path = _write_rows(out, "lemma", config.format, ["dist", "p", "trial", "check", "verdict", "reason", "detail"], rows, config)
     if scan_rows:
-        _write_rows(out, "lemma_scan", config.format,
+        _write_rows(config, "lemma_scan",
                     ["dist", "p", "c2", "c3", "theta", "cap", "upper_holds", "lower_holds", "upper_slack", "lower_slack"],
-                    scan_rows, config)
-    summary_path = _write_summary(out, "lemma", summary, config)
-    return RunResult(passed, summary, rows_path, summary_path, time.perf_counter() - start)
+                    scan_rows)
+    return _finish(config, "lemma", ["dist", "p", "trial", "check", "verdict", "reason", "detail"], rows, summary, start)
 
 
 def run_compare(config: ExperimentConfig) -> RunResult:
@@ -360,9 +344,8 @@ def run_compare(config: ExperimentConfig) -> RunResult:
     ]
     win_rate = float(np.mean([r.winner == "trimmed" for r in results]))
     q90_trimmed, q90_mean = q90_max_errors(results)
-    passed = config.min_win_rate is None or win_rate >= config.min_win_rate
     summary = {
-        "pass": passed,
+        "pass": config.min_win_rate is None or win_rate >= config.min_win_rate,
         "trimmed_win_rate": win_rate,
         "q90_max_trimmed": q90_trimmed,
         "q90_max_mean": q90_mean,
@@ -371,12 +354,9 @@ def run_compare(config: ExperimentConfig) -> RunResult:
         "n_directions": int(directions.shape[0]),
         "theta": theta,
     }
-    out = config.resolved_out_dir
-    rows_path = _write_rows(out, "compare", config.format,
-                            ["trial", "q50_trimmed", "q95_trimmed", "max_trimmed", "q50_mean", "q95_mean", "max_mean", "winner"],
-                            rows, config)
-    summary_path = _write_summary(out, "compare", summary, config)
-    return RunResult(passed, summary, rows_path, summary_path, time.perf_counter() - start)
+    return _finish(config, "compare",
+                   ["trial", "q50_trimmed", "q95_trimmed", "max_trimmed", "q50_mean", "q95_mean", "max_mean", "winner"],
+                   rows, summary, start)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ from fractions import Fraction
 import numpy as np
 
 from lptrim.checks import scan_error_constant_grid
-from lptrim.core import project_abs
+from lptrim.core import RatioParams, project_abs
 from lptrim.distributions import _REF_SEED_ROOT, EmpiricalCDF, _draw_matrix, draw_sample, marginal_cdf
 from lptrim.oracle import upper_quantile
-from lptrim.ratio import DyadicLevel
+from lptrim.ratio import DyadicLevel, ratio_properties_report
 from lptrim.seeding import child_seed
 
 
@@ -287,12 +287,13 @@ def second_pass_scan_rows(config) -> list[tuple]:
     """
     n = config.n if config.n is not None else 10_000
     p = config.lemma_ps[0]
+    params = RatioParams(delta=config.delta, lam=config.lam, big_c=config.big_c)
     rows = []
     for dist in config.lemma_dists:
         spec = config.spec(name=dist, dim=1)
         sample = draw_sample(spec, n, child_seed(config.seed, "lemma", dist, 0))
-        cdf = marginal_cdf(spec, np.ones(1))
-        for row in scan_error_constant_grid(project_abs(sample, np.ones(1)), cdf, p, config.delta):
+        report = ratio_properties_report(project_abs(sample, np.ones(1)), marginal_cdf(spec, np.ones(1)), params)
+        for row in scan_error_constant_grid(report, p):
             rows.append((spec.label, p, row.c2, row.c3, row.theta, row.lambda_cap,
                          bool(row.upper_holds), bool(row.lower_holds), row.upper_slack, row.lower_slack))
     return rows

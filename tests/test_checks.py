@@ -169,7 +169,7 @@ class TestMomentSandwich:
 class TestScanGrid:
     def test_grid_shape_and_fields(self):
         values, cdf = gaussian_values(2000)
-        rows = scan_error_constant_grid(values, cdf, 2.0, 0.01)
+        rows = scan_error_constant_grid(report(values, cdf), 2.0)
         assert len(rows) == 16
         assert all(row.theta >= 1 / 2000 for row in rows)
         # informational only: slacks are finite and recorded

@@ -7,13 +7,16 @@ import pytest
 
 from helpers import second_pass_scan_rows
 from lptrim.cli import _build_parser, main
-from lptrim.config import MAX_THREADS, ConfigError, ExperimentConfig
+from lptrim.config import ENV_OUT_DIR, MAX_THREADS, ConfigError, ExperimentConfig
 from lptrim.distributions import DistributionSpec, draw_sample
 from lptrim.runner import (
     SampleIntegrityError,
     _fmt,
+    _finish,
     load_sample,
+    run_compare,
     run_lemma_check,
+    run_ratio_check,
     run_sandwich,
     save_sample,
 )
@@ -144,18 +147,36 @@ class TestExitCodes:
         ("sandwich", {"trials": True}),
         ("lemma-check", {"lemma_ps": []}),
         ("lemma-check", {"lemma_dists": []}),
+        ("lemma-check", {"lemma_ps": 3}),
+        ("lemma-check", {"lemma_ps": ["a"]}),
+        ("lemma-check", {"lemma_ps": [True]}),
+        ("lemma-check", {"lemma_dists": "gaussian"}),
+        ("lemma-check", {"sample_file": 3}),
+        ("sandwich", {"out_dir": 5}),
+        ("sandwich", {"p": "2"}),
+        ("sandwich", {"p": 10 ** 400}),
+        ("sandwich", {"nu": "5"}),
+        ("sandwich", {"theta": "0.1"}),
+        ("sandwich", {"dist": 3}),
     ], ids=["n-float", "trials-fraction", "dim-float", "directions-float", "threads-float",
-            "seed-fraction", "trials-bool", "lemma-ps-empty", "lemma-dists-empty"])
-    def test_ill_typed_or_empty_config_file_entry_is_two(self, tmp_path, capsys, command, entry):
+            "seed-fraction", "trials-bool", "lemma-ps-empty", "lemma-dists-empty", "lemma-ps-number",
+            "lemma-ps-string-entry", "lemma-ps-bool-entry", "lemma-dists-string", "sample-file-number",
+            "out-dir-number", "p-string", "p-beyond-float", "nu-string", "theta-string", "dist-number"])
+    def test_ill_typed_or_empty_config_file_entry_is_two(self, tmp_path, capsys, monkeypatch, command, entry):
         # JSON has no integer type of its own: 2.0 and true must not pass for counts or seeds
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(ENV_OUT_DIR, raising=False)
         config = tmp_path / "f.json"
         config.write_text(json.dumps(entry))
         out_dir = tmp_path / "out"
-        code = main([command, "--config", str(config), "--out-dir", str(out_dir)])
+        # a flag would override the file's out_dir entry
+        out_flag = [] if "out_dir" in entry else ["--out-dir", str(out_dir)]
+        code = main([command, "--config", str(config), *out_flag])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("config error:") and next(iter(entry)) in err
+        assert err.startswith(f"config error: {next(iter(entry))} ")
         assert not out_dir.exists()
+        assert [path.name for path in tmp_path.iterdir()] == ["f.json"]
 
     @pytest.mark.parametrize("args", [
         ["--query", "tail-moment", "--p", "2", "--t", "nan"],
@@ -262,6 +283,69 @@ class TestDeterminism:
         assert code == 0
         payload = json.loads((out / "sandwich_rows.json").read_text())
         assert set(payload["rows"][0]) == {"trial", "direction", "estimate", "truth", "rel_error"}
+
+
+    def test_nu_from_a_config_file_runs_the_flags_experiment(self, tmp_path):
+        # a file's 5 and the flag's 5.0 are one law: same label, same reference rows
+        config = tmp_path / "nu.json"
+        config.write_text(json.dumps({"nu": 5}))
+        args = ["sandwich", "--dist", "product_student_t", "--dim", "3", "--n", "300", "--p", "3",
+                "--directions", "2", "--trials", "1", "--seed", "1"]
+        _, out_file = run_cli(args + ["--config", str(config)], tmp_path, "file")
+        _, out_flag = run_cli(args + ["--nu", "5"], tmp_path, "flag")
+        assert (out_file / "sandwich_rows.csv").read_bytes() == (out_flag / "sandwich_rows.csv").read_bytes()
+
+
+# Small runs of the four commands, each as config fields; sandwich's epsilon fails it.
+COMMAND_FIELDS = [
+    ("sandwich", run_sandwich, {"dist": "gaussian", "dim": 3, "n": 1500, "epsilon": 0.01, "directions": 4,
+                                "trials": 2, "seed": 77}),
+    ("ratio-check", run_ratio_check, {"dist": "gaussian", "dim": 3, "n": 1200, "delta": 0.05,
+                                      "directions": 5, "trials": 2, "seed": 3}),
+    ("lemma-check", run_lemma_check, {"n": 2000, "trials": 1, "theta": 0.1, "delta": 0.01, "seed": 3}),
+    ("compare", run_compare, {"dist": "product_laplace", "dim": 3, "n": 500, "p": 3.0, "directions": 4,
+                              "trials": 3, "seed": 5, "ref_size": 20_000}),
+]
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("command, runner, fields", COMMAND_FIELDS, ids=[c[0] for c in COMMAND_FIELDS])
+    def test_stdout_line_and_result_are_the_summary_file(self, tmp_path, capsys, command, runner, fields):
+        argv = [command]
+        for key, value in fields.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        code, out = run_cli(argv, tmp_path, "cli")
+        printed = json.loads(capsys.readouterr().out.splitlines()[0])
+        summary_file = next(out.glob("*_summary.json"))
+        assert printed == json.loads(summary_file.read_text())["results"]
+        assert code == (0 if printed["pass"] else 1)
+
+        result = runner(ExperimentConfig(out_dir=str(tmp_path / "lib"), **fields))
+        assert result.summary == printed
+        assert result.passed is result.summary["pass"]
+        assert json.loads(result.summary_path.read_text())["results"] == result.summary
+
+    def test_json_ratio_rows_equal_the_csv_rows(self, tmp_path):
+        # ratio rows of a reference law carry np.float64, which json writes as a float itself
+        args = ["ratio-check", "--dist", "product_laplace", "--dim", "3", "--n", "500", "--delta", "0.05",
+                "--directions", "3", "--trials", "2", "--seed", "4", "--ref-size", "10000"]
+        _, out_csv = run_cli(args, tmp_path, "csv")
+        _, out_json = run_cli(args + ["--format", "json"], tmp_path, "json")
+        lines = (out_csv / "ratio_rows.csv").read_text().splitlines()
+        header = lines[1].split(",")
+        csv_rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+        json_rows = json.loads((out_json / "ratio_rows.json").read_text())["rows"]
+        assert len(json_rows) == len(csv_rows) == 2 * (3 + 2 * 3)
+        assert [{k: _fmt(v) for k, v in row.items()} for row in json_rows] == csv_rows
+
+    def test_numpy_scalars_are_written_as_python_scalars(self, tmp_path):
+        config = ExperimentConfig(out_dir=str(tmp_path), format="json")
+        result = _finish(config, "scalars", ["count", "flag"], [(np.int64(3), np.bool_(True))],
+                         {"pass": np.bool_(False), "count": np.int64(4)}, start=0.0)
+        rows_text = result.rows_path.read_text()
+        assert '"count": 3,' in rows_text and '"flag": true' in rows_text
+        assert json.loads(rows_text)["rows"] == [{"count": 3, "flag": True}]
+        assert json.loads(result.summary_path.read_text())["results"] == {"pass": False, "count": 4}
 
 
 class TestSchemas:

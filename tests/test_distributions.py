@@ -57,6 +57,11 @@ class TestDrawSample:
         sample = draw_sample(spec, 10, 1)
         assert spec_from_label(sample.dist_name, 3) == spec
 
+    def test_equal_specs_have_equal_labels(self):
+        # the label seeds the reference laws and the moment oracle's rows
+        assert DistributionSpec("product_student_t", 3, nu=5).label == "product_student_t(nu=5.0)"
+        assert DistributionSpec("product_student_t", 3, nu=np.float64(5.0)).label == "product_student_t(nu=5.0)"
+
     def test_gaussian_covariance_close_to_identity(self):
         spec = DistributionSpec("gaussian", 5)
         s = draw_sample(spec, 100_000, 11)
@@ -334,7 +339,7 @@ class TestReferenceLawAgainstChunkedBuild:
     def test_values_equal_bit_for_bit(self, spec, ref_size):
         # 205,001 rows end in a partial block; the unwrapped build keeps 10^6-row laws out of the cache
         for v in sphere_directions(spec.dim, 3, 11):
-            built = _reference_law.__wrapped__(spec, spec.label, ref_size, v.tobytes())
+            built = _reference_law.__wrapped__(spec, ref_size, v.tobytes())
             assert np.array_equal(built.values, chunked_reference_values(spec, ref_size, v))
 
 

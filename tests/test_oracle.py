@@ -203,6 +203,12 @@ class TestTruncatedUpperMoment:
         exact = values[values > q].sum() / values.size
         assert truncated_upper_moment(cdf, 1, kappa) == pytest.approx(exact, rel=1e-12)
 
+    def test_quantile_beyond_the_cutoff_adds_no_integral(self):
+        # the integral runs over (q, max(cutoff, q)), which is empty here
+        q = upper_quantile(FOLDED_NORMAL, 1e-15)
+        assert q > tail_cutoff(FOLDED_NORMAL)
+        assert truncated_upper_moment(FOLDED_NORMAL, 2.0, 1e-15) == q ** 2.0 * FOLDED_NORMAL.sf(q)
+
 
 class TestTailMomentBounds:
     def test_qnorm_coefficient(self):
@@ -313,11 +319,6 @@ def _fresh_quad(integrand, lo, hi):
     return scipy.integrate.quad(integrand, lo, hi, epsrel=QUAD_REL_TOL, epsabs=1e-14, limit=400)[0]
 
 
-def _clear_quadrature_caches():
-    oracle._tail_integral.cache_clear()
-    oracle._sqrt_tail_integral.cache_clear()
-
-
 class TestMemoisedQuadrature:
     def test_lemma_check_quadrature_count_does_not_grow_with_trials(self, tmp_path, monkeypatch):
         calls = []
@@ -330,7 +331,7 @@ class TestMemoisedQuadrature:
         monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
         per_run = []
         for trials in (2, 5):
-            _clear_quadrature_caches()
+            oracle._tail_integral.cache_clear()
             calls.clear()
             run_lemma_check(ExperimentConfig(trials=trials, seed=5, out_dir=str(tmp_path / str(trials))))
             per_run.append(len(calls))
@@ -339,13 +340,13 @@ class TestMemoisedQuadrature:
 
     def test_empirical_laws_never_enter_the_caches(self, rng):
         cdf = EmpiricalCDF(rng.exponential(size=500))
-        before = (oracle._tail_integral.cache_info().currsize, oracle._sqrt_tail_integral.cache_info().currsize)
+        before = oracle._tail_integral.cache_info().currsize
         for p in (1.0, 2.0, 3.0):
             raw_moment(cdf, p)
             tail_integral_moment(cdf, p, 1.5)
             error_functional(cdf, p, 1.5, 0.01)
             truncated_upper_moment(cdf, p, 0.1)
-        after = (oracle._tail_integral.cache_info().currsize, oracle._sqrt_tail_integral.cache_info().currsize)
+        after = oracle._tail_integral.cache_info().currsize
         assert after == before
 
     @pytest.mark.parametrize("cdf", ANALYTIC_LAWS, ids=LAW_IDS)
@@ -367,7 +368,7 @@ class TestMemoisedQuadrature:
             "upper": cap ** p * cdf.sf(cap) + _fresh_quad(tail, cap, max(cutoff, cap)),
         }
         for _ in range(2):  # the second round is served from the caches
-            hits = oracle._tail_integral.cache_info().hits + oracle._sqrt_tail_integral.cache_info().hits
+            hits = oracle._tail_integral.cache_info().hits
             got = {
                 "raw": raw_moment(cdf, p),
                 "below_cap": tail_integral_moment(cdf, p, cap),
@@ -375,5 +376,5 @@ class TestMemoisedQuadrature:
                 "upper": truncated_upper_moment(cdf, p, kappa),
             }
             assert got == expected
-        new_hits = oracle._tail_integral.cache_info().hits + oracle._sqrt_tail_integral.cache_info().hits
+        new_hits = oracle._tail_integral.cache_info().hits
         assert new_hits - hits == 4
