@@ -238,7 +238,7 @@ class ScanRow:
     c2: float
     c3: float
     theta: float
-    lambda_cap: float
+    cap: float
     upper_holds: bool
     lower_holds: bool
     upper_slack: float
@@ -279,7 +279,7 @@ def scan_error_constant_grid(report: RatioReport, p: float) -> list[ScanRow]:
                     c2=c2,
                     c3=c3,
                     theta=theta,
-                    lambda_cap=cap,
+                    cap=cap,
                     upper_holds=upper_slack >= 0,
                     lower_holds=lower_slack >= 0,
                     upper_slack=upper_slack,

@@ -12,6 +12,7 @@ import dataclasses
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -107,7 +108,7 @@ def _report(result: RunResult) -> None:
 
 
 def _check_oracle_flags(args: argparse.Namespace) -> None:
-    """Reject a non-finite oracle flag, a tail level outside (0, 1) and a negative cap."""
+    """Reject a non-finite oracle flag, a tail level outside (0, 1), a negative cap and an unwritable out-file."""
     for name in ("eta", "t", "kappa", "q"):
         value = getattr(args, name)
         if value is not None and not math.isfinite(value):
@@ -118,6 +119,16 @@ def _check_oracle_flags(args: argparse.Namespace) -> None:
             raise ConfigError(f"--{name} must lie in (0, 1), got {value}")
     if args.t is not None and args.t < 0:
         raise ConfigError(f"--t must be nonnegative, got {args.t}")
+    if args.out_file is not None and (Path(args.out_file).is_dir() or not Path(args.out_file).parent.is_dir()):
+        raise ConfigError(f"--out-file {args.out_file} is a directory or lies in no existing directory")
+
+
+def _make_out_dir(out_dir: Path) -> None:
+    """Make the output directory before any work runs, so that a path that cannot be one fails first."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
 
 
 def _run_oracle(args: argparse.Namespace, config: ExperimentConfig) -> int:
@@ -162,8 +173,6 @@ def _run_oracle(args: argparse.Namespace, config: ExperimentConfig) -> int:
     payload = json.dumps({"params": params, "value": value}, sort_keys=True)
     print(payload)
     if args.out_file:
-        from pathlib import Path
-
         Path(args.out_file).write_text(payload + "\n")
     if query == "moment-bounds" and not all(row["ok"] for row in value):
         return EXIT_FAIL
@@ -175,16 +184,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
+        if args.command == "oracle":
+            return _run_oracle(args, config)
+        _make_out_dir(config.resolved_out_dir)
         if args.command == "sandwich":
             result = run_sandwich(config)
         elif args.command == "ratio-check":
             result = run_ratio_check(config)
         elif args.command == "lemma-check":
             result = run_lemma_check(config)
-        elif args.command == "compare":
-            result = run_compare(config)
         else:
-            return _run_oracle(args, config)
+            result = run_compare(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

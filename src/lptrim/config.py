@@ -9,7 +9,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import theta_from_epsilon
+from .core import RatioParams, TrimSpec, theta_from_epsilon
 from .distributions import DIST_NAMES, DistributionSpec
 
 __all__ = ["ExperimentConfig", "ConfigError", "ENV_OUT_DIR", "MAX_THREADS"]
@@ -73,28 +73,20 @@ class ExperimentConfig:
             entries = value if isinstance(value, tuple) else (value,)
             if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if self.dist not in DIST_NAMES:
-            raise ConfigError(f"unknown dist {self.dist!r}; expected one of {DIST_NAMES}")
-        if not self.nu > 2:  # lemma-check runs product_student_t whatever dist is
-            raise ConfigError(f"nu must exceed 2, got {self.nu}")
+        # DistributionSpec checks dim and nu, then each law name, before n and theta are
+        # derived; nu whatever dist is, because lemma-check runs product_student_t
+        for field, name in [("", "product_student_t"), ("dist: ", self.dist),
+                            *(("lemma_dists: ", law) for law in self.lemma_dists)]:
+            try:
+                self.spec(name)
+            except ValueError as exc:
+                raise ConfigError(field + str(exc)) from None
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if not (0 < self.epsilon < 1):
             raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.p < 1:
-            raise ConfigError(f"p must be >= 1, got {self.p}")
-        if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
         if self.n is not None and self.n < 2:
             raise ConfigError(f"n must be >= 2, got {self.n}")
-        if self.theta is not None and not (0 < self.theta < 1):
-            raise ConfigError(f"theta must lie in (0, 1), got {self.theta}")
-        if not (0 < self.delta <= 0.5):
-            raise ConfigError(f"delta must lie in (0, 1/2], got {self.delta}")
-        if not (0 < self.lam < 1):
-            raise ConfigError(f"lam must lie in (0, 1), got {self.lam}")
-        if self.big_c < 1:
-            raise ConfigError(f"big_c must be >= 1, got {self.big_c}")
         if self.directions < 1:
             raise ConfigError(f"directions must be >= 1, got {self.directions}")
         if self.trials < 1:
@@ -118,9 +110,6 @@ class ExperimentConfig:
         for name in ("lemma_dists", "lemma_ps"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must not be empty")
-        for name in self.lemma_dists:
-            if name not in DIST_NAMES:
-                raise ConfigError(f"unknown lemma dist {name!r}")
         for p in self.lemma_ps:
             if p < 1:
                 raise ConfigError(f"lemma p values must be >= 1, got {p}")
@@ -128,6 +117,12 @@ class ExperimentConfig:
             self.resolved_n, self.resolved_theta
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot derive n and theta from epsilon={self.epsilon}: {exc}") from None
+        try:  # TrimSpec checks p and theta; RatioParams delta <= 1/2, lam and C
+            self.trim, self.ratio_params
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if not self.delta > 0:  # RatioParams admits 0 for the trim arithmetic; the properties need more
+            raise ConfigError(f"delta must be > 0, got {self.delta}")
 
     # -- derived quantities -------------------------------------------------
 
@@ -148,6 +143,14 @@ class ExperimentConfig:
         if self.theta is not None:
             return self.theta
         return theta_from_epsilon(self.epsilon, self.resolved_n, self.theta_c0)
+
+    @property
+    def trim(self) -> TrimSpec:
+        return TrimSpec(p=self.p, theta=self.resolved_theta)
+
+    @property
+    def ratio_params(self) -> RatioParams:
+        return RatioParams(delta=self.delta, lam=self.lam, big_c=self.big_c)
 
     @property
     def resolved_out_dir(self) -> Path:
@@ -180,9 +183,9 @@ class ExperimentConfig:
         fields = {}
         if config_path is not None:
             try:
-                raw = json.loads(Path(config_path).read_text())
-            except FileNotFoundError:
-                raise ConfigError(f"config file not found: {config_path}")
+                raw = json.loads(Path(config_path).read_text(encoding="utf-8"))
+            except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable or not UTF-8
+                raise ConfigError(f"cannot read config file {config_path}: {exc}")
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file is not valid JSON: {exc}")
             if not isinstance(raw, dict):

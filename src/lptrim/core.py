@@ -30,10 +30,11 @@ __all__ = [
 ]
 
 
-def _as_finite_1d(values) -> np.ndarray:
+def _as_finite(values, ndim: int = 1) -> np.ndarray:
+    """``values`` as a nonempty, finite float64 array of ``ndim`` dimensions."""
     z = np.asarray(values, dtype=np.float64)
-    if z.ndim != 1:
-        raise ValueError("expected a 1-d array of values")
+    if z.ndim != ndim:
+        raise ValueError(f"expected a {ndim}-d array of values")
     if z.size == 0:
         raise ValueError("expected at least one value")
     if not np.isfinite(z).all():
@@ -143,7 +144,7 @@ def project_abs(sample: SampleMatrix, v) -> np.ndarray:
 
 def nonincreasing_rearrangement(z) -> np.ndarray:
     """Absolute values sorted in descending order."""
-    z = _as_finite_1d(z)
+    z = _as_finite(z)
     return np.sort(np.abs(z))[::-1]
 
 
@@ -168,7 +169,7 @@ def trimmed_p_mean(values_abs, spec: TrimSpec) -> float:
     powers and divide by n.  Summation runs over the ascending sort so that
     the untrimmed case agrees bit for bit with ``empirical_p_mean``.
     """
-    z = np.abs(_as_finite_1d(values_abs))
+    z = np.abs(_as_finite(values_abs))
     return float(_sorted_power_sums(z[None, :], spec.p, z.size - spec.cut_rank(z.size) + 1)[0]) / z.size
 
 
@@ -180,13 +181,7 @@ def trimmed_p_means(rows_abs, spec: TrimSpec) -> np.ndarray:
     input's layout, because a row sum only runs in the order of the 1-d sum
     when the row is contiguous.
     """
-    z = np.abs(np.asarray(rows_abs, dtype=np.float64), order="C")
-    if z.ndim != 2:
-        raise ValueError("expected a 2-d array of values, one row per direction")
-    if z.size == 0:
-        raise ValueError("expected at least one value")
-    if not np.isfinite(z).all():
-        raise ValueError("values must be finite")
+    z = np.abs(_as_finite(rows_abs, 2), order="C")
     n = z.shape[1]
     return _sorted_power_sums(z, spec.p, n - spec.cut_rank(n) + 1) / n
 
@@ -199,13 +194,13 @@ def empirical_p_mean(values_abs, p: float) -> float:
     """
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    z = np.abs(_as_finite_1d(values_abs))
+    z = np.abs(_as_finite(values_abs))
     return float(_sorted_power_sums(z[None, :], p, z.size)[0]) / z.size
 
 
 def trim_threshold(values_abs, theta: float) -> float:
     """The ceil(theta * n)-th largest absolute value (the trim threshold)."""
-    z = np.abs(_as_finite_1d(values_abs))
+    z = np.abs(_as_finite(values_abs))
     n = z.size
     k = cut_rank(theta, n)
     return float(np.sort(z)[n - k])
@@ -219,7 +214,7 @@ def truncated_power_mean(values_abs, p: float, cap: float) -> float:
     """
     if cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
-    z = np.minimum(np.abs(_as_finite_1d(values_abs)), cap)
+    z = np.minimum(np.abs(_as_finite(values_abs)), cap)
     return float(_sorted_power_sums(z[None, :], p, z.size)[0]) / z.size
 
 

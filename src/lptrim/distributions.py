@@ -175,21 +175,29 @@ def sphere_directions(dim: int, m: int, seed: int) -> np.ndarray:
 class MarginalCDF:
     """Law of |<X, v>| for a fixed direction.
 
-    Implementations provide the strict tail ``sf(t) = P(f > t)`` and the point
-    mass ``atom(t) = P(f = t)``; both accept scalars or arrays.  Objects are
-    immutable after construction and safe for concurrent queries.
+    The strict tail ``sf(t) = P(f > t)`` and the point mass ``atom(t) = P(f = t)``
+    both accept scalars or arrays.  An analytic law defines only its tail at
+    t >= 0, ``_tail``; ``sf`` is 1 below 0.  Objects are immutable after
+    construction and safe for concurrent queries.
     """
 
     #: moments of order >= this bound diverge (math.inf when all exist)
     max_finite_moment: float = math.inf
 
+    @property
+    def label(self) -> str:
+        """The law's name in messages: its repr, which holds its parameters."""
+        return repr(self)
+
     def sf(self, t):
+        return _scalar_or_array(t, lambda a: np.where(a < 0, 1.0, self._tail(np.maximum(a, 0.0))))
+
+    def _tail(self, x):
+        """P(f > x) for an array of x >= 0."""
         raise NotImplementedError
 
     def atom(self, t):
-        if np.ndim(t) == 0:
-            return 0.0
-        return np.zeros(np.shape(t))
+        return _scalar_or_array(t, np.zeros_like)
 
     def cdf(self, t):
         return 1.0 - self.sf(t) - self.atom(t)
@@ -247,9 +255,8 @@ class FoldedNormalCDF(MarginalCDF):
 
     scale: float
 
-    def sf(self, t):
-        s = self.scale
-        return _scalar_or_array(t, lambda a: np.where(a < 0, 1.0, special.erfc(np.maximum(a, 0.0) / (s * math.sqrt(2.0)))))
+    def _tail(self, x):
+        return special.erfc(x / (self.scale * math.sqrt(2.0)))
 
     def exact_moment(self, p: float) -> float:
         return _closed_form(p, lambda: self.scale ** p * gaussian_abs_moment(p))
@@ -261,9 +268,8 @@ class HalfUniformCDF(MarginalCDF):
 
     width: float
 
-    def sf(self, t):
-        w = self.width
-        return _scalar_or_array(t, lambda a: np.clip(1.0 - a / w, 0.0, 1.0))
+    def _tail(self, x):
+        return np.clip(1.0 - x / self.width, 0.0, 1.0)
 
     def exact_moment(self, p: float) -> float:
         return _closed_form(p, lambda: self.width ** p / (p + 1.0))
@@ -275,9 +281,8 @@ class ExponentialCDF(MarginalCDF):
 
     scale: float
 
-    def sf(self, t):
-        b = self.scale
-        return _scalar_or_array(t, lambda a: np.where(a < 0, 1.0, np.exp(-np.maximum(a, 0.0) / b)))
+    def _tail(self, x):
+        return np.exp(-x / self.scale)
 
     def exact_moment(self, p: float) -> float:
         return _closed_form(p, lambda: self.scale ** p * math.gamma(p + 1.0))
@@ -294,12 +299,8 @@ class FoldedStudentTCDF(MarginalCDF):
     def max_finite_moment(self) -> float:
         return self.nu
 
-    def sf(self, t):
-        def tail(a):
-            z = np.maximum(a, 0.0) / self.scale
-            return np.where(a < 0, 1.0, 2.0 * special.stdtr(self.nu, -z))
-
-        return _scalar_or_array(t, tail)
+    def _tail(self, x):
+        return 2.0 * special.stdtr(self.nu, -(x / self.scale))
 
     def exact_moment(self, p: float) -> float:
         return _closed_form(p, lambda: self.scale ** p * student_abs_moment(self.nu, p))
@@ -319,12 +320,7 @@ class EmpiricalCDF(MarginalCDF):
         return self.values.size
 
     def sf(self, t):
-        xs, m = self.values, self.values.size
-
-        def tail(a):
-            return (m - np.searchsorted(xs, a, side="right")) / m
-
-        return _scalar_or_array(t, tail)
+        return self._fraction_above(t, "right")
 
     def atom(self, t):
         xs, m = self.values, self.values.size
@@ -336,12 +332,12 @@ class EmpiricalCDF(MarginalCDF):
 
     def sf_left(self, t):
         # exact single-count form of P(f >= t), avoiding the sf + atom rounding
+        return self._fraction_above(t, "left")
+
+    def _fraction_above(self, t, side: str):
+        """The share of reference values above t ("right") or at and above it ("left")."""
         xs, m = self.values, self.values.size
-
-        def tail(a):
-            return (m - np.searchsorted(xs, a, side="left")) / m
-
-        return _scalar_or_array(t, tail)
+        return _scalar_or_array(t, lambda a: (m - np.searchsorted(xs, a, side=side)) / m)
 
     def quantile_upper(self, eta: float) -> float:
         """Smallest t with P(f > t) < eta: the k-th largest value, k = ceil(eta * size).
@@ -413,10 +409,11 @@ clear_marginal_cache = _reference_law.cache_clear
 # ---------------------------------------------------------------------------
 
 
-def _check_moment_exists(spec: DistributionSpec, p: float) -> None:
-    if p >= spec.max_finite_moment:
+def _check_moment_exists(law: DistributionSpec | MarginalCDF, p: float) -> None:
+    """Raise MomentDoesNotExistError, naming the law, when its moment of order p diverges."""
+    if p >= law.max_finite_moment:
         raise MomentDoesNotExistError(
-            f"p={p} moment of {spec.label} diverges (finite only below {spec.max_finite_moment})"
+            f"p={p} moment of {law.label} diverges (finite only below {law.max_finite_moment})"
         )
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import integrate
 
 from .core import _sorted_power_sums, truncated_power_mean
-from .distributions import EmpiricalCDF, MarginalCDF, MomentDoesNotExistError, _closed_form
+from .distributions import EmpiricalCDF, MarginalCDF, MomentDoesNotExistError, _check_moment_exists, _closed_form
 
 __all__ = [
     "upper_quantile",
@@ -183,20 +183,13 @@ def _tail_integral(cdf: MarginalCDF, p: float, lo: float, hi: float, root: bool)
     return _quad(integrand, lo, hi, p)
 
 
-def _require_moment(cdf: MarginalCDF, p: float) -> None:
-    if p >= cdf.max_finite_moment:
-        raise MomentDoesNotExistError(
-            f"p={p} moment diverges (finite only below {cdf.max_finite_moment})"
-        )
-
-
 def raw_moment(cdf: MarginalCDF, p: float) -> float:
     """E f^p via tail integration up to the cutoff where P(f > t) < 1e-12.
 
     A reference law's cutoff is its largest value, so its moment is the exact
     mean of the p-th powers.
     """
-    _require_moment(cdf, p)
+    _check_moment_exists(cdf, p)
     return tail_integral_moment(cdf, p, tail_cutoff(cdf))
 
 
@@ -215,7 +208,7 @@ def truncated_upper_moment(cdf: MarginalCDF, p: float, kappa: float) -> float:
     """E f^p on the event {f > Q(kappa)} where Q is the upper quantile."""
     if not (0 < kappa < 1):
         raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
-    _require_moment(cdf, p)
+    _check_moment_exists(cdf, p)
     q = upper_quantile(cdf, kappa)
     if isinstance(cdf, EmpiricalCDF):
         above = cdf.values[cdf.values > q]

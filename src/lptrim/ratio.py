@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RatioParams, project_abs, _as_finite_1d
+from .core import RatioParams, _as_finite, project_abs
 from .distributions import (
     DistributionSpec,
     EmpiricalCDF,
@@ -65,7 +65,7 @@ class _Distinct:
 
 def _distinct_pass(values_abs, cdf: MarginalCDF) -> _Distinct:
     """Sort once, group equal values, and evaluate the law once per distinct value."""
-    xs = np.abs(_as_finite_1d(values_abs))
+    xs = np.abs(_as_finite(values_abs))
     xs.sort()
     starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
     u = xs[starts]
@@ -227,7 +227,7 @@ def rademacher_interval_complexity(values_abs, signs) -> float:
     The sample is sorted ascending (stable, ties by original index) and the
     accompanying +-1 signs are rearranged along with it.
     """
-    z = np.abs(_as_finite_1d(values_abs))
+    z = np.abs(_as_finite(values_abs))
     s = np.asarray(signs)
     if s.shape != z.shape:
         raise ValueError("values and signs must have equal length")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .checks import (
+    ComparisonTrialRow,
+    ScanRow,
     Verdict,
     check_empirical_integral_sandwich,
     check_moment_sandwich,
@@ -141,9 +144,9 @@ def _finite(values, p: float):
     return values
 
 
-def _sandwich_task(spec, n, trial_seed, directions, p, theta) -> np.ndarray:
+def _sandwich_task(spec, n, trial_seed, directions, trim) -> np.ndarray:
     sample = draw_sample(spec, n, trial_seed)
-    return trimmed_p_means((sample.data @ directions.T).T, TrimSpec(p=p, theta=theta))
+    return trimmed_p_means((sample.data @ directions.T).T, trim)
 
 
 def lemma_trial_rows(
@@ -167,11 +170,12 @@ def lemma_trial_rows(
     cdf = marginal_cdf(spec, np.ones(1))
     report = ratio_properties_report(project_abs(sample, np.ones(1)), cdf, params)
     t_cap = upper_quantile(cdf, cap_level)
+    threshold = check_trim_threshold_sandwich(report, theta)  # the same for every p
     rows = []
     for p in ps:
         trim = TrimSpec(p=p, theta=theta)
         outcomes = [
-            check_trim_threshold_sandwich(report, theta),
+            threshold,
             check_trimmed_sum_brackets(report, trim),
             check_empirical_integral_sandwich(report, p, t_cap),
             check_moment_sandwich(report, trim),
@@ -181,11 +185,8 @@ def lemma_trial_rows(
             rows.append((spec.label, p, trial, outcome.name, outcome.verdict.value, outcome.reason, detail))
     scan_rows = []
     if trial == 0:
-        scan_rows = [
-            (spec.label, ps[0], row.c2, row.c3, row.theta, row.lambda_cap,
-             bool(row.upper_holds), bool(row.lower_holds), row.upper_slack, row.lower_slack)
-            for row in scan_error_constant_grid(report, ps[0])
-        ]
+        scan_rows = [(spec.label, ps[0], *dataclasses.astuple(row))
+                     for row in scan_error_constant_grid(report, ps[0])]
     return rows, scan_rows
 
 
@@ -194,17 +195,20 @@ def lemma_trial_rows(
 # ---------------------------------------------------------------------------
 
 
+def _truths(config: ExperimentConfig) -> tuple[DistributionSpec, np.ndarray, np.ndarray]:
+    """The law, the sphere probe directions and the true moments E |<X, v>|^p along them."""
+    spec = config.spec()
+    directions = sphere_directions(spec.dim, config.directions, child_seed(config.seed, "directions"))
+    oracle = MomentOracle(spec, ref_size=config.ref_size, seed=child_seed(config.seed, "oracle"))
+    return spec, directions, _finite(oracle.moments(directions, config.p), config.p)
+
+
 def run_sandwich(config: ExperimentConfig) -> RunResult:
     """Trimmed-mean relative error against the true moment over probe directions."""
     start = time.perf_counter()
-    spec = config.spec()
-    n = config.resolved_n
-    theta = config.resolved_theta
-    directions = sphere_directions(spec.dim, config.directions, child_seed(config.seed, "directions"))
-    oracle = MomentOracle(spec, ref_size=config.ref_size, seed=child_seed(config.seed, "oracle"))
-    truths = _finite(oracle.moments(directions, config.p), config.p)
+    spec, directions, truths = _truths(config)
     tasks = [
-        (spec, n, child_seed(config.seed, "trial", t), directions, config.p, theta)
+        (spec, config.resolved_n, child_seed(config.seed, "trial", t), directions, config.trim)
         for t in range(config.trials)
     ]
     estimates = _finite(_map_tasks(_sandwich_task, tasks, config.threads), config.p)
@@ -240,11 +244,10 @@ def run_ratio_check(config: ExperimentConfig) -> RunResult:
     start = time.perf_counter()
     spec = config.spec()
     n = config.resolved_n
-    params = RatioParams(delta=config.delta, lam=config.lam, big_c=config.big_c)
     floor = ratio_floor(spec.dim, n)
     directions = probe_directions(spec.dim, config.directions, child_seed(config.seed, "directions"))
     tasks = [
-        (spec, n, child_seed(config.seed, "trial", t), directions, params, config.ref_size)
+        (spec, n, child_seed(config.seed, "trial", t), directions, config.ratio_params, config.ref_size)
         for t in range(config.trials)
     ]
     results = _map_tasks(ratio_trial_rows, tasks, config.threads)
@@ -277,7 +280,6 @@ def run_ratio_check(config: ExperimentConfig) -> RunResult:
 def run_lemma_check(config: ExperimentConfig) -> RunResult:
     """Three-valued validator table over the seeded trial grid (or a stored sample)."""
     start = time.perf_counter()
-    params = RatioParams(delta=config.delta, lam=config.lam, big_c=config.big_c)
     theta = config.theta if config.theta is not None else 0.1
     cap_level = config.t_level if config.t_level is not None else theta
     stored = load_sample(config.sample_file) if config.sample_file is not None else None
@@ -287,7 +289,7 @@ def run_lemma_check(config: ExperimentConfig) -> RunResult:
     # the outputs echo the dimension, sample size, trim and cap level that run
     config = dataclasses.replace(config, dim=1, n=n, theta=theta, t_level=cap_level)
 
-    task = (config.lemma_ps, theta, params, cap_level)
+    task = (config.lemma_ps, theta, config.ratio_params, cap_level)
     if stored is not None:
         work = [(spec_from_label(stored.dist_name, 1), n, 0, stored.seed, *task)]
     else:
@@ -316,32 +318,22 @@ def run_lemma_check(config: ExperimentConfig) -> RunResult:
         "cap_level": cap_level,
     }
     if scan_rows:
-        _write_rows(config, "lemma_scan",
-                    ["dist", "p", "c2", "c3", "theta", "cap", "upper_holds", "lower_holds", "upper_slack", "lower_slack"],
-                    scan_rows)
+        scan_header = ["dist", "p", *(f.name for f in dataclasses.fields(ScanRow))]
+        _write_rows(config, "lemma_scan", scan_header, scan_rows)
     return _finish(config, "lemma", ["dist", "p", "trial", "check", "verdict", "reason", "detail"], rows, summary, start)
 
 
 def run_compare(config: ExperimentConfig) -> RunResult:
     """Trimmed mean versus plain p-mean, per-trial error quantiles and winner."""
     start = time.perf_counter()
-    spec = config.spec()
-    n = config.resolved_n
-    theta = config.resolved_theta
-    trim = TrimSpec(p=config.p, theta=theta)
-    directions = sphere_directions(spec.dim, config.directions, child_seed(config.seed, "directions"))
-    oracle = MomentOracle(spec, ref_size=config.ref_size, seed=child_seed(config.seed, "oracle"))
-    truths = _finite(oracle.moments(directions, config.p), config.p)
+    spec, directions, truths = _truths(config)
     tasks = [
-        (spec, n, t, child_seed(config.seed, "trial", t), directions, truths, trim)
+        (spec, config.resolved_n, t, child_seed(config.seed, "trial", t), directions, truths, config.trim)
         for t in range(config.trials)
     ]
     results = _map_tasks(comparison_trial_row, tasks, config.threads)
     _finite([(r.max_trimmed, r.max_mean) for r in results], config.p)
-    rows = [
-        (r.trial, r.q50_trimmed, r.q95_trimmed, r.max_trimmed, r.q50_mean, r.q95_mean, r.max_mean, r.winner)
-        for r in results
-    ]
+    rows = [dataclasses.astuple(r) for r in results]
     win_rate = float(np.mean([r.winner == "trimmed" for r in results]))
     q90_trimmed, q90_mean = q90_max_errors(results)
     summary = {
@@ -352,11 +344,9 @@ def run_compare(config: ExperimentConfig) -> RunResult:
         "min_win_rate": config.min_win_rate,
         "n_trials": config.trials,
         "n_directions": int(directions.shape[0]),
-        "theta": theta,
+        "theta": config.resolved_theta,
     }
-    return _finish(config, "compare",
-                   ["trial", "q50_trimmed", "q95_trimmed", "max_trimmed", "q50_mean", "q95_mean", "max_mean", "winner"],
-                   rows, summary, start)
+    return _finish(config, "compare", [f.name for f in dataclasses.fields(ComparisonTrialRow)], rows, summary, start)
 
 
 # ---------------------------------------------------------------------------
@@ -376,18 +366,29 @@ def save_sample(sample: SampleMatrix, path) -> Path:
 def load_sample(path) -> SampleMatrix:
     """Load a stored sample and verify it by regenerating it bit for bit.
 
-    Raises :class:`SampleIntegrityError` when the stored entries do not match
-    what (dist_name, seed, n, dim) regenerate.
+    A file that does not open as an ``.npz`` archive, missing or not, raises
+    :class:`ConfigError`.  An archive that opens raises
+    :class:`SampleIntegrityError` unless its entries are a sample that
+    (dist_name, seed, n, dim) regenerate.
     """
-    with np.load(path, allow_pickle=False) as payload:
-        data = payload["data"]
-        seed = int(payload["seed"])
-        dist_name = str(payload["dist_name"])
-    sample = SampleMatrix(data=data, seed=seed, dist_name=dist_name)
-    regenerated = draw_sample(spec_from_label(dist_name, sample.dim), sample.n, seed)
+    try:
+        payload = np.load(path, allow_pickle=False)
+    except OSError as exc:
+        raise ConfigError(f"cannot open sample file {path}: {exc.strerror}") from None
+    except (ValueError, EOFError, zipfile.BadZipFile):  # text, empty or a broken zip
+        payload = None
+    if not isinstance(payload, np.lib.npyio.NpzFile):
+        raise ConfigError(f"cannot open sample file {path}: not an .npz archive")
+    try:
+        with payload:
+            sample = SampleMatrix(data=payload["data"], seed=int(payload["seed"]),
+                                  dist_name=str(payload["dist_name"]))
+        regenerated = draw_sample(spec_from_label(sample.dist_name, sample.dim), sample.n, sample.seed)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SampleIntegrityError(f"stored sample at {path} does not hold a valid sample: {exc}") from None
     if not np.array_equal(regenerated.data, sample.data):
         raise SampleIntegrityError(
             f"stored sample at {path} does not reproduce from its metadata "
-            f"({dist_name}, seed={seed}, n={sample.n}, dim={sample.dim})"
+            f"({sample.dist_name}, seed={sample.seed}, n={sample.n}, dim={sample.dim})"
         )
     return sample

@@ -13,9 +13,21 @@ from fractions import Fraction
 
 import numpy as np
 
+from scipy import special
+
 from lptrim.checks import scan_error_constant_grid
-from lptrim.core import RatioParams, project_abs
-from lptrim.distributions import _REF_SEED_ROOT, EmpiricalCDF, _draw_matrix, draw_sample, marginal_cdf
+from lptrim.core import project_abs
+from lptrim.distributions import (
+    _REF_SEED_ROOT,
+    EmpiricalCDF,
+    ExponentialCDF,
+    FoldedNormalCDF,
+    FoldedStudentTCDF,
+    HalfUniformCDF,
+    _draw_matrix,
+    draw_sample,
+    marginal_cdf,
+)
 from lptrim.oracle import upper_quantile
 from lptrim.ratio import DyadicLevel, ratio_properties_report
 from lptrim.seeding import child_seed
@@ -36,6 +48,28 @@ def trapezoid_sqrt_tail_integral(sf, p: float, t_max: float, delta: float, n_gri
     if abs(p - 1.0) < 1e-12:
         y[0] = float(np.sqrt(sf(0.0)))
     return 2.0 * np.sqrt(delta) * float(np.trapezoid(y, t))
+
+
+def per_law_sf(cdf, t):
+    """P(f > t) of an analytic law as each law wrote its own tail function.
+
+    These are the four ``sf`` bodies that the shared tail template in
+    ``lptrim.distributions`` replaced, operation for operation; a float for a
+    scalar t, else an array.
+    """
+    a = np.asarray(t, dtype=np.float64)
+    if isinstance(cdf, FoldedNormalCDF):
+        out = np.where(a < 0, 1.0, special.erfc(np.maximum(a, 0.0) / (cdf.scale * math.sqrt(2.0))))
+    elif isinstance(cdf, HalfUniformCDF):
+        out = np.clip(1.0 - a / cdf.width, 0.0, 1.0)
+    elif isinstance(cdf, ExponentialCDF):
+        out = np.where(a < 0, 1.0, np.exp(-np.maximum(a, 0.0) / cdf.scale))
+    elif isinstance(cdf, FoldedStudentTCDF):
+        z = np.maximum(a, 0.0) / cdf.scale
+        out = np.where(a < 0, 1.0, 2.0 * special.stdtr(cdf.nu, -z))
+    else:
+        raise TypeError(f"no per-law tail for {type(cdf).__name__}")
+    return float(out) if a.ndim == 0 else out
 
 
 def fraction_trimmed_mean(values: list[int], p: int, k0: int) -> Fraction:
@@ -287,13 +321,13 @@ def second_pass_scan_rows(config) -> list[tuple]:
     """
     n = config.n if config.n is not None else 10_000
     p = config.lemma_ps[0]
-    params = RatioParams(delta=config.delta, lam=config.lam, big_c=config.big_c)
+    params = config.ratio_params
     rows = []
     for dist in config.lemma_dists:
         spec = config.spec(name=dist, dim=1)
         sample = draw_sample(spec, n, child_seed(config.seed, "lemma", dist, 0))
         report = ratio_properties_report(project_abs(sample, np.ones(1)), marginal_cdf(spec, np.ones(1)), params)
         for row in scan_error_constant_grid(report, p):
-            rows.append((spec.label, p, row.c2, row.c3, row.theta, row.lambda_cap,
+            rows.append((spec.label, p, row.c2, row.c3, row.theta, row.cap,
                          bool(row.upper_holds), bool(row.lower_holds), row.upper_slack, row.lower_slack))
     return rows

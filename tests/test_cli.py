@@ -1,6 +1,8 @@
 import argparse
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +179,30 @@ class TestExitCodes:
         assert err.startswith(f"config error: {next(iter(entry))} ")
         assert not out_dir.exists()
         assert [path.name for path in tmp_path.iterdir()] == ["f.json"]
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"dist": "foo"}, "dist: unknown distribution 'foo'"),
+        ({"lemma_dists": ["foo"]}, "lemma_dists: unknown distribution 'foo'"),
+        ({"dim": 0}, "dim must be >= 1, got 0"),
+        ({"p": 0.5}, "p must be a finite real >= 1, got 0.5"),
+        ({"theta": 1}, "theta must lie in (0, 1), got 1.0"),
+        ({"lam": 1}, "lam must lie in (0, 1), got 1.0"),
+        ({"big_c": 0.5}, "big_c must be >= 1, got 0.5"),
+        ({"delta": 0}, "delta must be > 0, got 0.0"),
+        ({"delta": 0.6}, "delta must lie in [0, 1/2], got 0.6"),
+        ({"nu": 2, "dist": "gaussian"}, "product_student_t requires nu > 2, got nu=2.0"),
+    ], ids=["dist", "lemma-dists", "dim", "p", "theta", "lam", "big-c", "delta-zero", "delta-above-half",
+            "nu-with-gaussian"])
+    def test_range_checked_by_a_type_is_two_naming_the_field(self, tmp_path, capsys, entry, message):
+        # DistributionSpec, TrimSpec and RatioParams check these ranges; the config names the field
+        config = tmp_path / "f.json"
+        config.write_text(json.dumps(entry))
+        out_dir = tmp_path / "out"
+        code = main(["sandwich", "--config", str(config), "--out-dir", str(out_dir)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and message in err, err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("args", [
         ["--query", "tail-moment", "--p", "2", "--t", "nan"],
@@ -371,6 +397,15 @@ class TestSchemas:
         assert code == 0
         lines = (out / "ratio_rows.csv").read_text().splitlines()
         assert lines[1] == "trial,direction,prop1_dev,prop2_margin,prop3_sup,pass"
+
+    def test_headers_from_row_types_match_the_readme_schema(self, tmp_path):
+        # the compare and scan headers are the fields of ComparisonTrialRow and ScanRow
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        schema = dict(re.findall(r"^\| `(\w+_rows\.csv)` \| `([\w,]+)` \|$", readme, re.M))
+        run_cli(["compare", "--dim", "2", "--n", "200", "--directions", "3", "--trials", "2"], tmp_path, "compare")
+        run_cli(["lemma-check", "--n", "500", "--trials", "1"], tmp_path, "lemma")
+        for path in (tmp_path / "compare" / "compare_rows.csv", tmp_path / "lemma" / "lemma_scan_rows.csv"):
+            assert path.read_text().splitlines()[1] == schema[path.name]
 
     def test_lemma_csv_columns_and_scan(self, tmp_path):
         code, out = run_cli(

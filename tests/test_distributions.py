@@ -9,6 +9,7 @@ from helpers import (
     copyto_power_chain,
     cumulant_fourth_moments,
     monte_carlo_moment,
+    per_law_sf,
 )
 from lptrim import distributions
 from lptrim.distributions import (
@@ -33,7 +34,7 @@ from lptrim.distributions import (
     _reference_law,
     _streamed_moments,
 )
-from lptrim.oracle import raw_moment
+from lptrim.oracle import raw_moment, upper_quantile
 from lptrim.seeding import child_rng
 
 ALL_SPECS = [
@@ -210,6 +211,23 @@ class TestMarginalCDF:
         for cdf in examples.values():
             assert hash(cdf) == hash(cdf)
         assert hash(FoldedNormalCDF(scale=1.5)) == hash(examples[FoldedNormalCDF])
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
+    def test_tail_template_equals_the_per_law_sf_bit_for_bit(self, spec):
+        v = np.zeros(spec.dim)
+        v[0] = 0.7
+        cdf = marginal_cdf(spec, v)
+        quartiles = [upper_quantile(cdf, eta) for eta in (0.75, 0.5, 0.25)]
+        points = [-1.0, -0.0, 0.0, *quartiles, 1e308, math.inf, math.nan]
+        array = np.array(points)
+        with np.errstate(over="ignore"):  # 1e308 / scale overflows to inf on both sides
+            for t in points:
+                got, want = cdf.sf(t), per_law_sf(cdf, t)
+                assert type(got) is float and type(want) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), t
+                assert cdf.atom(t) == 0.0 and type(cdf.atom(t)) is float
+            assert cdf.sf(array).tobytes() == per_law_sf(cdf, array).tobytes()
+        assert cdf.atom(array).tobytes() == np.zeros(array.size).tobytes()
 
     def test_empirical_below_minimum_is_zero(self):
         cdf = EmpiricalCDF([1.0, 2.0, 3.0])

@@ -12,9 +12,12 @@ run for hours.
 import argparse
 import re
 
+import numpy as np
 import pytest
 
+from lptrim import cli
 from lptrim.cli import _build_parser, main
+from lptrim.distributions import DistributionSpec, draw_sample
 
 SIZES = ["--dim", "2", "--n", "60", "--directions", "2", "--trials", "1", "--ref-size", "2000", "--threads", "1"]
 
@@ -63,6 +66,68 @@ PINNED = [
     (["compare", "--dist=product_laplace", "--dim=1", "--n=2000", "--ref-size=50", "--p=511"], 3),
     (["oracle", "--dist=gaussian", "--query=moment-bounds", "--p=1", "--q=3", "--kappa=5e-324"], 0),
 ]
+
+
+def _write(path, content: bytes) -> str:
+    path.write_bytes(content)
+    return str(path)
+
+
+def _stored_sample(tmp_path, **entries) -> str:
+    """A stored 50-row gaussian sample at seed 1 with ``entries`` replaced; an entry of None is left out."""
+    data = draw_sample(DistributionSpec("gaussian", 1), 50, 1).data
+    payload = {"data": data, "seed": np.int64(1), "dist_name": np.str_("gaussian"), **entries}
+    path = tmp_path / "sample.npz"
+    np.savez(path, **{key: value for key, value in payload.items() if value is not None})
+    return str(path)
+
+
+def _nan_data():
+    data = draw_sample(DistributionSpec("gaussian", 1), 50, 1).data
+    data[3, 0] = np.nan
+    return data
+
+
+# Path flags and stored samples that each ended in a traceback before they
+# were guarded: (argv given a scratch directory, exit code).  A path that
+# cannot be read or written is a config error naming it, found before any
+# work; an archive that opens but does not hold a sample that re-derives is
+# an integrity failure.
+PINNED_PATHS = {
+    "config-is-a-directory": (lambda d: ["sandwich", "--config", str(d)], 2),
+    "config-not-utf8": (lambda d: ["sandwich", "--config", _write(d / "c.json", b'\xff{"dim": 2}')], 2),
+    "sample-file-missing": (lambda d: ["lemma-check", "--sample-file", str(d / "missing.npz")], 2),
+    "sample-file-is-a-directory": (lambda d: ["lemma-check", "--sample-file", str(d)], 2),
+    "sample-file-text": (lambda d: ["lemma-check", "--sample-file", _write(d / "s.npz", b"not an archive\n")], 2),
+    "out-dir-is-a-file": (lambda d: ["sandwich", "--out-dir", _write(d / "taken", b"")], 2),
+    "oracle-out-file-in-missing-directory":
+        (lambda d: ["oracle", "--query", "quantile", "--eta", "0.1", "--out-file", str(d / "missing" / "v.json")], 2),
+    "sample-without-seed": (lambda d: ["lemma-check", "--sample-file", _stored_sample(d, seed=None)], 1),
+    "sample-unknown-law": (lambda d: ["lemma-check", "--sample-file", _stored_sample(d, dist_name=np.str_("foo"))], 1),
+    "sample-1d-data": (lambda d: ["lemma-check", "--sample-file", _stored_sample(d, data=np.ones(50))], 1),
+    "sample-nan-data": (lambda d: ["lemma-check", "--sample-file", _stored_sample(d, data=_nan_data())], 1),
+    "sample-negative-seed": (lambda d: ["lemma-check", "--sample-file", _stored_sample(d, seed=np.int64(-1))], 1),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_PATHS)
+def test_pinned_hostile_path_exits_cleanly(tmp_path, capsys, monkeypatch, case):
+    # every sandwich case must fail before the run: one that computed would raise here
+    monkeypatch.setattr(cli, "run_sandwich", lambda config: pytest.fail("the run started"))
+    make_argv, expected = PINNED_PATHS[case]
+    argv = make_argv(tmp_path)
+    path = argv[-1]  # the hostile path
+    if "--out-dir" not in argv and argv[0] != "oracle":
+        argv += ["--out-dir", str(tmp_path / "out")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == expected
+    assert "Traceback" not in captured.err
+    if code == 2:
+        assert captured.err.startswith("config error:") and path in captured.err, captured.err
+        assert captured.out == ""
+    else:
+        assert captured.err.startswith("integrity failure:"), captured.err
 
 
 def _numeric_flags(command: str) -> list[tuple[str, tuple[str, ...]]]:
