@@ -384,7 +384,7 @@ def load_sample(path) -> SampleMatrix:
             sample = SampleMatrix(data=payload["data"], seed=int(payload["seed"]),
                                   dist_name=str(payload["dist_name"]))
         regenerated = draw_sample(spec_from_label(sample.dist_name, sample.dim), sample.n, sample.seed)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         raise SampleIntegrityError(f"stored sample at {path} does not hold a valid sample: {exc}") from None
     if not np.array_equal(regenerated.data, sample.data):
         raise SampleIntegrityError(

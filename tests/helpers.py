@@ -12,7 +12,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-
 from scipy import special
 
 from lptrim.checks import scan_error_constant_grid

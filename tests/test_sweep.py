@@ -82,6 +82,15 @@ def _stored_sample(tmp_path, **entries) -> str:
     return str(path)
 
 
+def _corrupt_member(tmp_path) -> str:
+    """A stored sample whose data member fails its CRC check: the archive opens, the read does not."""
+    path = tmp_path / "sample.npz"
+    _stored_sample(tmp_path)
+    content = bytearray(path.read_bytes())
+    content[200] ^= 0xFF  # inside data.npy's stored bytes
+    return _write(path, bytes(content))
+
+
 def _nan_data():
     data = draw_sample(DistributionSpec("gaussian", 1), 50, 1).data
     data[3, 0] = np.nan
@@ -107,6 +116,7 @@ PINNED_PATHS = {
     "sample-1d-data": (lambda d: ["lemma-check", "--sample-file", _stored_sample(d, data=np.ones(50))], 1),
     "sample-nan-data": (lambda d: ["lemma-check", "--sample-file", _stored_sample(d, data=_nan_data())], 1),
     "sample-negative-seed": (lambda d: ["lemma-check", "--sample-file", _stored_sample(d, seed=np.int64(-1))], 1),
+    "sample-corrupt-member": (lambda d: ["lemma-check", "--sample-file", _corrupt_member(d)], 1),
 }
 
 
