@@ -28,7 +28,15 @@ rounds of each end-to-end metric (for ``wall_s``, of the rounds' medians).
 With two trees each workload also gets ``pairs``: for each end-to-end metric
 of BENCHMARK.json, the rounds in which the second tree beat the first in the
 metric's ``better`` direction (ties count for neither), and whether every
-round of both trees wrote the same rows digest.
+round of both trees wrote the same rows digest.  Two verdicts per metric
+follow from them:
+
+* ``gain``: the second tree won at least 9 of 10 pairs, and its median is
+  better than the first's by more than the first tree's q3 - q1;
+* ``within_bound``: the second tree's median is no worse than the first's by
+  more than the metric's relative ``bound`` in BENCHMARK.json.
+
+A metric that some round did not report gets neither verdict.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 30
 ROUNDS = 10
+GAIN_WINS = 9  # pairs of ROUNDS the second tree must win for a gain
 
 
 def _quartiles(values: list[float]) -> dict:
@@ -105,6 +114,25 @@ def pair_wins(before: list[dict], after: list[dict], better: dict[str, str]) -> 
     return wins
 
 
+def verdicts(before: dict, after: dict, won: dict[str, int], metrics: list[dict]) -> dict:
+    """``gain`` and ``within_bound`` per end-to-end metric that both summaries hold.
+
+    ``before`` and ``after`` are :func:`summarise` results, ``won`` is
+    :func:`pair_wins` of ROUNDS pairs and ``metrics`` BENCHMARK.json's
+    ``end_to_end`` entries.
+    """
+    gain, within = {}, {}
+    for metric in metrics:
+        name = metric["name"]
+        if name not in before["metrics"] or name not in after["metrics"]:
+            continue
+        b, a = before["metrics"][name], after["metrics"][name]
+        sign = -1.0 if metric["better"] == "lower" else 1.0
+        gain[name] = won[name] >= GAIN_WINS and sign * (a["median"] - b["median"]) > b["q3"] - b["q1"]
+        within[name] = sign * (a["median"] - b["median"]) >= -metric["bound"] * abs(b["median"])
+    return {"gain": gain, "within_bound": within}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
@@ -138,10 +166,12 @@ def main(argv=None) -> int:
         entry = {key: {**summarise(rounds), "rounds": rounds} for key, rounds in zip(keys, per_tree)}
         if len(trees) == 2:
             before, after = per_tree
+            won = pair_wins(before, after, better)
             entry["pairs"] = {
-                "won": pair_wins(before, after, better),
+                "won": won,
                 "of": ROUNDS,
                 "rows_identical": len({r["rows_sha256"] for r in before + after}) == 1,
+                **verdicts(entry["before"], entry["after"], won, benchmark["end_to_end"]),
             }
         out["workloads"][name] = entry
     out["env"] = env

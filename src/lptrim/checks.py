@@ -1,10 +1,11 @@
 """Validators for the trimmed-estimator bracket inequalities on concrete samples.
 
 Each validator takes the sample's :class:`RatioReport`, reads the sorted
-sample, the law and the ratio parameters from it, checks its own
-preconditions (the ratio properties plus the trim-level arithmetic they need)
-and returns a three-valued outcome: PASS, FAIL, or NOT_APPLICABLE when a gate
-does not hold.  A FAIL on a sample whose gates all pass indicates an
+sample (with core's ascending readers, which do not sort it again), the law
+and the ratio parameters from it, checks its own preconditions (the ratio
+properties plus the trim-level arithmetic they need) and returns a
+three-valued outcome: PASS, FAIL, or NOT_APPLICABLE when a gate does not
+hold.  A FAIL on a sample whose gates all pass indicates an
 implementation defect, never sampling noise; the inequalities are
 deterministic consequences of the gates.
 
@@ -24,11 +25,12 @@ import numpy as np
 
 from .core import (
     TrimSpec,
+    _ascending_threshold,
+    _ascending_trimmed_mean,
+    _ascending_truncated_mean,
     adjusted_trim_levels,
     stated_theta_gate,
-    trim_threshold,
     trimmed_p_mean,
-    truncated_power_mean,
     empirical_p_mean,
     project_abs,
 )
@@ -112,7 +114,7 @@ def check_trim_threshold_sandwich(report: RatioReport, theta: float) -> CheckOut
     if gate is not None:
         return CheckOutcome(name, Verdict.NOT_APPLICABLE, reason=gate)
     theta_plus, theta_minus, q_lo, q_hi = _bracket_quantiles(cdf, theta, params)
-    threshold = trim_threshold(values, theta)
+    threshold = _ascending_threshold(values, theta)
     ok = q_lo < threshold < q_hi
     witnesses = {
         "quantile_at_inflated_level": q_lo,
@@ -135,10 +137,10 @@ def check_trimmed_sum_brackets(report: RatioReport, trim: TrimSpec) -> CheckOutc
     if gate is not None:
         return CheckOutcome(name, Verdict.NOT_APPLICABLE, reason=gate)
     _, _, q_lo, q_hi = _bracket_quantiles(cdf, trim.theta, params)
-    threshold = trim_threshold(values, trim.theta)
-    estimate = trimmed_p_mean(values, trim)
-    lower = truncated_power_mean(values, trim.p, q_lo) - trim.theta * threshold ** trim.p
-    upper = truncated_power_mean(values, trim.p, q_hi)
+    threshold = _ascending_threshold(values, trim.theta)
+    estimate = _ascending_trimmed_mean(values, trim)
+    lower = _ascending_truncated_mean(values, trim.p, q_lo) - trim.theta * threshold ** trim.p
+    upper = _ascending_truncated_mean(values, trim.p, q_hi)
     tol = _tol(_REL_TOL_EXACT, lower, estimate, upper)
     ok = (lower <= estimate + tol) and (estimate <= upper + tol)
     witnesses = {
@@ -164,7 +166,7 @@ def check_empirical_integral_sandwich(report: RatioReport, p: float, t_cap: floa
         )
     if "dyadic" in report.failing:
         return CheckOutcome(name, Verdict.NOT_APPLICABLE, reason="dyadic ratio property fails")
-    empirical = truncated_power_mean(values, p, t_cap)
+    empirical = _ascending_truncated_mean(values, p, t_cap)
     err = error_functional(cdf, p, t_cap, delta)
     capped_moment = tail_integral_moment(cdf, p, t_cap) - t_cap ** p * tail_at_cap
     full_moment = raw_moment(cdf, p)
@@ -201,7 +203,7 @@ def check_moment_sandwich(report: RatioReport, trim: TrimSpec) -> CheckOutcome:
             Verdict.NOT_APPLICABLE,
             reason=f"P(f > deflated quantile)={tail_at_q_hi} below delta={params.delta}",
         )
-    estimate = trimmed_p_mean(values, trim)
+    estimate = _ascending_trimmed_mean(values, trim)
     moment = raw_moment(cdf, trim.p)
     err_hi = error_functional(cdf, trim.p, q_hi, params.delta)
     err_lo = error_functional(cdf, trim.p, q_lo, params.delta)
@@ -264,7 +266,7 @@ def scan_error_constant_grid(report: RatioReport, p: float) -> list[ScanRow]:
         theta = max(c2 * delta, 1.0 / n)
         if not theta < 1.0:
             continue
-        estimate = trimmed_p_mean(values, TrimSpec(p=p, theta=theta))
+        estimate = _ascending_trimmed_mean(values, TrimSpec(p=p, theta=theta))
         for c3 in _SCAN_GRID:
             level = c3 * delta
             if not 0 < level < 1:

@@ -1,8 +1,13 @@
 """Order-statistic machinery for trimmed estimation of p-th absolute moments.
 
 The central estimator averages the p-th powers of the absolute sample values
-after discarding a fixed fraction of the largest entries.  All functions here
-are pure; nothing mutates its inputs.
+after discarding a fixed fraction of the largest entries.  Each order
+statistic (the trim threshold, the trimmed p-mean, the truncated power mean
+and the sum of p-th powers above a quantile) has one implementation, an
+``_ascending_*`` reader of a sorted, nonnegative sample: the sorted |sample|
+that a ``RatioReport`` or an ``EmpiricalCDF`` holds is read without sorting it
+again.  The public functions take any finite sample, sort their own working
+copy of |x| and call the same reader.  No public function mutates its inputs.
 """
 
 from __future__ import annotations
@@ -40,6 +45,24 @@ def _as_finite(values, ndim: int = 1) -> np.ndarray:
     if not np.isfinite(z).all():
         raise ValueError("values must be finite")
     return z
+
+
+def _check_p(p) -> None:
+    """The rule for every exponent: p is a finite real >= 1."""
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be a finite real >= 1, got {p}")
+
+
+def _sorted_abs(values) -> np.ndarray:
+    """|values| after the finite-array check, as an ascending working copy."""
+    z = np.abs(_as_finite(values))
+    z.sort()
+    return z
+
+
+def _run_starts(xs: np.ndarray) -> np.ndarray:
+    """The index of the first copy of each distinct value of an ascending xs."""
+    return np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
 
 
 @dataclass(frozen=True)
@@ -85,8 +108,7 @@ class TrimSpec:
     theta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.p) and self.p >= 1):
-            raise ValueError(f"p must be a finite real >= 1, got {self.p}")
+        _check_p(self.p)
         if not (0 < self.theta < 1):
             raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
 
@@ -144,22 +166,69 @@ def project_abs(sample: SampleMatrix, v) -> np.ndarray:
 
 def nonincreasing_rearrangement(z) -> np.ndarray:
     """Absolute values sorted in descending order."""
-    z = _as_finite(z)
-    return np.sort(np.abs(z))[::-1]
+    return _sorted_abs(z)[::-1]
+
+
+def _ascending_power_sums(z: np.ndarray, p: float, keep: int) -> np.ndarray:
+    """Sum of the ``keep`` smallest p-th powers of each row of z.
+
+    z is a C-contiguous (m, n) array of ascending, nonnegative rows that the
+    caller owns; the ``keep`` head of each row is raised to p in place and
+    the rest is left alone.  Summing along a contiguous row runs in the order
+    of the 1-d sum, so a one-row call and a row of a many-row call agree bit
+    for bit.  Every p-mean is one call of this kernel; its caller divides by
+    the sample size.
+    """
+    head = z[:, :keep]
+    head **= p
+    return head.sum(axis=1)
 
 
 def _sorted_power_sums(z: np.ndarray, p: float, keep: int) -> np.ndarray:
-    """Sum of the ``keep`` smallest p-th powers of each row of z.
-
-    z is a C-contiguous (m, n) working copy of nonnegative values; it is sorted
-    and powered in place.  Summing along a contiguous row runs in the order of
-    the 1-d sum, so a one-row call and a row of a many-row call agree bit for
-    bit.  Every p-mean is one call of this kernel; its caller divides by the
-    sample size.
-    """
+    """:func:`_ascending_power_sums` of z, a C-contiguous (m, n) working copy of
+    nonnegative values, after sorting each row in place."""
     z.sort(axis=1)
-    z **= p
-    return z[:, :keep].sum(axis=1)
+    return _ascending_power_sums(z, p, keep)
+
+
+# The ascending readers.  Each reads xs, a 1-d ascending array of nonnegative
+# values, such as the sorted |sample| of a RatioReport or the values of an
+# EmpiricalCDF, and leaves it unchanged: a reader copies only the part it
+# raises to the power.  ``own=True`` hands xs over as the caller's working
+# copy instead, which the reader may overwrite; the sort-first public
+# functions below pass theirs that way.
+
+
+def _ascending_head_mean(xs: np.ndarray, p: float, keep: int, own: bool = False) -> float:
+    """(1/n) times the sum of the ``keep`` smallest p-th powers of xs."""
+    head = xs[None, :keep]
+    return float(_ascending_power_sums(head if own else head.copy(), p, keep)[0]) / xs.size
+
+
+def _ascending_threshold(xs: np.ndarray, theta: float) -> float:
+    """The ceil(theta * n)-th largest value of xs."""
+    return float(xs[xs.size - cut_rank(theta, xs.size)])
+
+
+def _ascending_trimmed_mean(xs: np.ndarray, spec: TrimSpec, own: bool = False) -> float:
+    """Mean of the p-th powers of xs without its cut_rank - 1 largest values."""
+    n = xs.size
+    return _ascending_head_mean(xs, spec.p, n - spec.cut_rank(n) + 1, own)
+
+
+def _ascending_truncated_mean(xs: np.ndarray, p: float, cap: float, own: bool = False) -> float:
+    """Mean of min(x_i, cap)^p; capping keeps xs ascending."""
+    _check_p(p)
+    if not cap >= 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
+    z = np.minimum(xs, cap, out=xs if own else None)
+    return _ascending_head_mean(z, p, z.size, own=True)
+
+
+def _ascending_upper_sum(xs: np.ndarray, p: float, q: float) -> float:
+    """Sum of x_i^p over the values of xs above q."""
+    above = xs[None, np.searchsorted(xs, q, side="right"):].copy()
+    return float(_ascending_power_sums(above, p, above.shape[1])[0])
 
 
 def trimmed_p_mean(values_abs, spec: TrimSpec) -> float:
@@ -169,8 +238,7 @@ def trimmed_p_mean(values_abs, spec: TrimSpec) -> float:
     powers and divide by n.  Summation runs over the ascending sort so that
     the untrimmed case agrees bit for bit with ``empirical_p_mean``.
     """
-    z = np.abs(_as_finite(values_abs))
-    return float(_sorted_power_sums(z[None, :], spec.p, z.size - spec.cut_rank(z.size) + 1)[0]) / z.size
+    return _ascending_trimmed_mean(_sorted_abs(values_abs), spec, own=True)
 
 
 def trimmed_p_means(rows_abs, spec: TrimSpec) -> np.ndarray:
@@ -192,18 +260,14 @@ def empirical_p_mean(values_abs, p: float) -> float:
     Summed over the ascending sort, which keeps the result identical to the
     trimmed mean whenever the trim is a no-op.
     """
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    z = np.abs(_as_finite(values_abs))
-    return float(_sorted_power_sums(z[None, :], p, z.size)[0]) / z.size
+    _check_p(p)
+    z = _sorted_abs(values_abs)
+    return _ascending_head_mean(z, p, z.size, own=True)
 
 
 def trim_threshold(values_abs, theta: float) -> float:
     """The ceil(theta * n)-th largest absolute value (the trim threshold)."""
-    z = np.abs(_as_finite(values_abs))
-    n = z.size
-    k = cut_rank(theta, n)
-    return float(np.sort(z)[n - k])
+    return _ascending_threshold(_sorted_abs(values_abs), theta)
 
 
 def truncated_power_mean(values_abs, p: float, cap: float) -> float:
@@ -212,10 +276,7 @@ def truncated_power_mean(values_abs, p: float, cap: float) -> float:
     This equals the integral of p t^(p-1) times the empirical tail fraction
     over (0, cap), computed exactly as a finite sum.
     """
-    if cap < 0:
-        raise ValueError(f"cap must be nonnegative, got {cap}")
-    z = np.minimum(np.abs(_as_finite(values_abs)), cap)
-    return float(_sorted_power_sums(z[None, :], p, z.size)[0]) / z.size
+    return _ascending_truncated_mean(_sorted_abs(values_abs), p, cap, own=True)
 
 
 def adjusted_trim_levels(theta: float, params: RatioParams) -> tuple[float, float]:

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .core import SampleMatrix
+from .core import SampleMatrix, _check_p
 from .seeding import child_rng, child_seed
 
 __all__ = [
@@ -410,7 +410,9 @@ clear_marginal_cache = _reference_law.cache_clear
 
 
 def _check_moment_exists(law: DistributionSpec | MarginalCDF, p: float) -> None:
-    """Raise MomentDoesNotExistError, naming the law, when its moment of order p diverges."""
+    """Reject p unless it is a finite real >= 1; raise MomentDoesNotExistError, naming the law, when
+    its moment of order p diverges."""
+    _check_p(p)
     if p >= law.max_finite_moment:
         raise MomentDoesNotExistError(
             f"p={p} moment of {law.label} diverges (finite only below {law.max_finite_moment})"
@@ -438,8 +440,6 @@ class MomentOracle:
         dirs = np.atleast_2d(np.asarray(directions, dtype=np.float64))
         if dirs.shape[1] != self.spec.dim:
             raise ValueError(f"directions have dim {dirs.shape[1]}, expected {self.spec.dim}")
-        if p < 1:
-            raise ValueError(f"p must be >= 1, got {p}")
         _check_moment_exists(self.spec, p)
         norms = np.linalg.norm(dirs, axis=1)
         if self.spec.name == "gaussian":

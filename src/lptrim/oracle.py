@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from .core import _sorted_power_sums, truncated_power_mean
+from .core import _ascending_truncated_mean, _ascending_upper_sum, _check_p, _run_starts
 from .distributions import EmpiricalCDF, MarginalCDF, MomentDoesNotExistError, _check_moment_exists, _closed_form
 
 __all__ = [
@@ -121,9 +121,8 @@ def error_functional(cdf: MarginalCDF, p: float, t_max: float, delta: float) -> 
 
 def _tail_functional(cdf: MarginalCDF, p: float, t_max: float, root: bool) -> float:
     """Integral of p t^(p-1) P(f > t), or with ``root`` of p t^(p-1) sqrt(P(f > t)), over (0, t_max)."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if t_max < 0:
+    _check_p(p)
+    if not t_max >= 0:
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     if t_max == 0:
         return 0.0
@@ -131,7 +130,7 @@ def _tail_functional(cdf: MarginalCDF, p: float, t_max: float, root: bool) -> fl
         if root:
             return _empirical_sqrt_tail_integral(cdf, p, t_max)
         # exact for a step tail: the mean of min(f, t_max)^p over the reference
-        return truncated_power_mean(cdf.values, p, t_max)
+        return _ascending_truncated_mean(cdf.values, p, t_max)
     return _split_at_cutoff(cdf, p, 0.0, t_max, root)
 
 
@@ -196,7 +195,7 @@ def raw_moment(cdf: MarginalCDF, p: float) -> float:
 def _empirical_sqrt_tail_integral(cdf: EmpiricalCDF, p: float, t_max: float) -> float:
     # sqrt of a step tail is still a step function; sum its pieces exactly.
     xs, m = cdf.values, cdf.size
-    u = np.unique(xs)
+    u = xs[_run_starts(xs)]
     edges = np.concatenate(([0.0], np.minimum(u, t_max), [t_max]))
     # tail level on each interval (edges[k], edges[k+1]) is the mass above edges[k]
     counts_gt = m - np.searchsorted(xs, edges[:-1], side="right")
@@ -211,8 +210,7 @@ def truncated_upper_moment(cdf: MarginalCDF, p: float, kappa: float) -> float:
     _check_moment_exists(cdf, p)
     q = upper_quantile(cdf, kappa)
     if isinstance(cdf, EmpiricalCDF):
-        above = cdf.values[cdf.values > q]
-        return float(_sorted_power_sums(above[None, :], p, above.size)[0]) / cdf.size
+        return _ascending_upper_sum(cdf.values, p, q) / cdf.size
     # the integral first: an overflowing p raises from it as infeasible, where q ** p would not
     tail_part = _split_at_cutoff(cdf, p, q, max(tail_cutoff(cdf), q), root=False)
     return q ** p * cdf.sf(q) + tail_part

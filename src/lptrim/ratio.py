@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RatioParams, _as_finite, project_abs
+from .core import RatioParams, _as_finite, _run_starts, _sorted_abs, project_abs
 from .distributions import (
     DistributionSpec,
     EmpiricalCDF,
@@ -65,9 +65,8 @@ class _Distinct:
 
 def _distinct_pass(values_abs, cdf: MarginalCDF) -> _Distinct:
     """Sort once, group equal values, and evaluate the law once per distinct value."""
-    xs = np.abs(_as_finite(values_abs))
-    xs.sort()
-    starts = np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+    xs = _sorted_abs(values_abs)
+    starts = _run_starts(xs)
     u = xs[starts]
     counts = np.diff(np.append(starts, xs.size))
     sf_u = np.asarray(cdf.sf(u), dtype=np.float64)
@@ -251,8 +250,9 @@ class RatioReport:
     """The three property suprema of one sample against one (lam, C, delta).
 
     ``levels[0]`` is the tail property: level j = 0 is delta itself, checked
-    against ``lam``.  ``values`` is the sorted |sample| and ``cdf`` the law it
-    was checked against, so the validators read both from the report itself.
+    against ``lam``.  ``values`` is the sorted |sample|, ascending and
+    nonnegative, and ``cdf`` the law it was checked against, so the validators
+    read both from the report itself and never sort the sample again.
     """
 
     levels: tuple[DyadicLevel, ...]

@@ -3,11 +3,19 @@ import pkgutil
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+from scipy import integrate
 
 import lptrim
 from helpers import fraction_trimmed_mean, naive_power_mean, naive_upper_power_mean
 from lptrim.core import (
+    _ascending_head_mean,
+    _ascending_power_sums,
+    _ascending_threshold,
+    _ascending_trimmed_mean,
+    _ascending_truncated_mean,
+    _ascending_upper_sum,
+    _sorted_power_sums,
     RatioParams,
     SampleMatrix,
     TrimSpec,
@@ -23,8 +31,9 @@ from lptrim.core import (
     trimmed_p_means,
     truncated_power_mean,
 )
-from lptrim.distributions import EmpiricalCDF
-from lptrim.oracle import raw_moment, tail_integral_moment, truncated_upper_moment, upper_quantile
+from lptrim.distributions import DistributionSpec, EmpiricalCDF, FoldedNormalCDF, MomentOracle
+from lptrim.oracle import error_functional, raw_moment, tail_integral_moment, truncated_upper_moment, upper_quantile
+from lptrim.ratio import ratio_properties_report
 
 finite_values = st.lists(
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False),
@@ -308,6 +317,122 @@ def test_permutation_invariance(values, theta, p, seed):
 def test_no_op_trim_is_exactly_the_mean(values, p):
     theta = 0.5 / len(values) if len(values) > 1 else 0.4
     assert trimmed_p_mean(values, TrimSpec(p=p, theta=theta)) == empirical_p_mean(values, p)
+
+
+# ---------------------------------------------------------------------------
+# The ascending readers against the sort-first path they replace
+# ---------------------------------------------------------------------------
+
+ATOMS = (0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300, 7.0)
+# ties, zeros of both signs and repeated atoms, mixed with continuous values
+atom_values = st.lists(
+    st.one_of(
+        st.sampled_from(ATOMS),
+        st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False),
+    ),
+    min_size=1,
+    max_size=80,
+)
+SINGLE_AND_ATOMS = ([0.0], [-0.0], [-3.5], [-0.0, 0.0, -0.0], [2.5] * 7, [1.0, -1.0, 0.0, 1.0, -0.0, 7.0])
+
+
+def _with_examples(test):
+    for values in SINGLE_AND_ATOMS:
+        test = example(values=values, theta=0.3, p=2.0, seed=1)(test)
+    return test
+
+
+@_with_examples
+@given(values=atom_values, theta=thetas, p=exponents, seed=st.integers(0, 2**16))
+def test_ascending_readers_equal_the_sort_first_functions_bit_for_bit(values, theta, p, seed):
+    x = np.array(values)
+    xs = np.sort(np.abs(x))
+    before = xs.copy()
+    shuffled = np.random.default_rng(seed).permutation(x)
+    spec = TrimSpec(p=p, theta=theta)
+    assert _ascending_threshold(xs, theta) == trim_threshold(shuffled, theta)
+    assert _ascending_trimmed_mean(xs, spec) == trimmed_p_mean(shuffled, spec)
+    assert _ascending_head_mean(xs, p, xs.size) == empirical_p_mean(shuffled, p)
+    for cap in (0.0, float(xs[0]), float(np.median(xs)), float(xs[-1]), np.inf):
+        assert _ascending_truncated_mean(xs, p, cap) == truncated_power_mean(shuffled, p, cap)
+    for q in (0.0, float(xs[0]), float(np.median(xs)), float(xs[-1])):
+        # the sort-first sum that truncated_upper_moment made on a reference law
+        above = np.abs(shuffled)[np.abs(shuffled) > q]
+        assert _ascending_upper_sum(xs, p, q) == float(_sorted_power_sums(above[None, :], p, above.size)[0])
+    assert xs.tobytes() == before.tobytes()
+
+
+@_with_examples
+@given(values=atom_values, theta=thetas, p=exponents, seed=st.integers(0, 2**16))
+def test_kernel_rows_equal_trimmed_p_means_bit_for_bit(values, theta, p, seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 5)) if len(values) >= 4 else 1
+    n = len(values) // m
+    rows = np.array(values[: m * n]).reshape(m, n)
+    shuffled = rng.permuted(rows, axis=1)
+    spec = TrimSpec(p=p, theta=theta)
+    z = np.sort(np.abs(rows), axis=1)
+    got = (_ascending_power_sums(z, p, n - spec.cut_rank(n) + 1) / n).tolist()
+    assert got == trimmed_p_means(shuffled, spec).tolist()
+    assert got == trimmed_p_means(np.asfortranarray(shuffled), spec).tolist()
+
+
+@_with_examples
+@given(values=atom_values, theta=thetas, p=exponents, seed=st.integers(0, 2**16))
+def test_report_values_are_the_ascending_nonnegative_sample(values, theta, p, seed):
+    """The validators read ``report.values`` as sorted and nonnegative, for any signed, unsorted input."""
+    x = np.random.default_rng(seed).permutation(np.array(values))
+    before = x.copy()
+    report = ratio_properties_report(x, FoldedNormalCDF(scale=1.0), RatioParams(0.05, 0.5, 2.0))
+    xs = report.values
+    assert np.all(xs[1:] >= xs[:-1])
+    assert not np.signbit(xs).any()
+    assert xs.tobytes() == np.sort(np.abs(before)).tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
+NAN = float("nan")
+SAMPLE = np.array([3.0, -1.0, 2.0, 0.5])
+REFERENCE = EmpiricalCDF(np.linspace(-3.0, 3.0, 101))
+FOLDED = FoldedNormalCDF(scale=1.0)
+ONE_RULE_CASES = {
+    "TrimSpec p=nan": (lambda: TrimSpec(p=NAN, theta=0.1), "p"),
+    "empirical_p_mean p=nan": (lambda: empirical_p_mean(SAMPLE, NAN), "p"),
+    "empirical_p_mean p=inf": (lambda: empirical_p_mean(SAMPLE, np.inf), "p"),
+    "truncated_power_mean p=nan": (lambda: truncated_power_mean(SAMPLE, NAN, 2.0), "p"),
+    "truncated_power_mean p=0.5": (lambda: truncated_power_mean(SAMPLE, 0.5, 2.0), "p"),
+    "truncated_power_mean cap=nan": (lambda: truncated_power_mean(SAMPLE, 2.0, NAN), "cap"),
+    "truncated_power_mean cap=-1": (lambda: truncated_power_mean(SAMPLE, 2.0, -1.0), "cap"),
+    "ascending reader p=nan": (lambda: _ascending_truncated_mean(np.sort(np.abs(SAMPLE)), NAN, 2.0), "p"),
+    "ascending reader cap=nan": (lambda: _ascending_truncated_mean(np.sort(np.abs(SAMPLE)), 2.0, NAN), "cap"),
+    "MomentOracle.moments p=nan": (
+        lambda: MomentOracle(DistributionSpec("product_laplace", 3)).moments(np.ones((1, 3)), NAN), "p"),
+    "MomentOracle.moments p=0.5": (
+        lambda: MomentOracle(DistributionSpec("gaussian", 2)).moments(np.ones((1, 2)), 0.5), "p"),
+}
+for _name, _cdf in (("analytic", FOLDED), ("reference", REFERENCE)):
+    ONE_RULE_CASES.update({
+        f"raw_moment {_name} p=nan": (lambda cdf=_cdf: raw_moment(cdf, NAN), "p"),
+        f"tail_integral_moment {_name} p=nan": (lambda cdf=_cdf: tail_integral_moment(cdf, NAN, 1.0), "p"),
+        f"tail_integral_moment {_name} t_max=nan": (lambda cdf=_cdf: tail_integral_moment(cdf, 2.0, NAN), "t_max"),
+        f"error_functional {_name} p=nan": (lambda cdf=_cdf: error_functional(cdf, NAN, 1.0, 0.1), "p"),
+        f"truncated_upper_moment {_name} p=nan": (lambda cdf=_cdf: truncated_upper_moment(cdf, NAN, 0.1), "p"),
+        f"truncated_upper_moment {_name} p=0.5": (lambda cdf=_cdf: truncated_upper_moment(cdf, 0.5, 0.1), "p"),
+    })
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", list(ONE_RULE_CASES))
+def test_bad_exponent_or_cap_is_a_value_error_before_any_quadrature(name, monkeypatch):
+    call, field = ONE_RULE_CASES[name]
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("quad was called")
+
+    monkeypatch.setattr(integrate, "quad", no_quad)
+    message = "p must be a finite real >= 1" if field == "p" else f"{field} must be nonnegative"
+    with pytest.raises(ValueError, match="^" + message):
+        call()
 
 
 def test_trimspec_validation():

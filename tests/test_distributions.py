@@ -119,7 +119,7 @@ class TestTrueMoment:
             oracle_moment(spec, [1.0, 0.0], 5)
 
     def test_p_below_one_rejected(self):
-        with pytest.raises(ValueError, match="p must be >= 1"):
+        with pytest.raises(ValueError, match="p must be a finite real >= 1"):
             oracle_moment(DistributionSpec("gaussian", 2), [1.0, 0.0], 0.5)
 
     @pytest.mark.parametrize(
