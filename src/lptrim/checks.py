@@ -24,6 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (
+    SampleMatrix,
     TrimSpec,
     _ascending_threshold,
     _ascending_trimmed_mean,
@@ -36,6 +37,7 @@ from .core import (
 )
 from .distributions import (
     DistributionSpec,
+    _block_sizes,
     draw_sample,
 )
 from .oracle import (
@@ -308,6 +310,24 @@ class ComparisonTrialRow:
     winner: str
 
 
+def _direction_estimates(sample: SampleMatrix, directions: np.ndarray, trim: TrimSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``trimmed_p_mean`` and ``empirical_p_mean`` of |<X, v>| for each direction v.
+
+    The directions are projected in blocks of max(1, _BLOCK_ELEMENTS // n),
+    one matrix product per block, and each row of a block is estimated on
+    its own.
+    """
+    m = directions.shape[0]
+    trimmed, means = np.empty(m), np.empty(m)
+    start = 0
+    for rows in _block_sizes(m, sample.n):
+        for idx, values in enumerate(project_abs(sample, directions[start:start + rows]), start):
+            trimmed[idx] = trimmed_p_mean(values, trim)
+            means[idx] = empirical_p_mean(values, trim.p)
+        start += rows
+    return trimmed, means
+
+
 def comparison_trial_row(
     spec: DistributionSpec,
     n: int,
@@ -318,13 +338,9 @@ def comparison_trial_row(
     trim: TrimSpec,
 ) -> ComparisonTrialRow:
     """Relative-error quantiles of both estimators for one fresh sample."""
-    sample = draw_sample(spec, n, trial_seed)
-    trimmed_errs = np.empty(directions.shape[0])
-    mean_errs = np.empty(directions.shape[0])
-    for idx, v in enumerate(directions):
-        values = project_abs(sample, v)
-        trimmed_errs[idx] = abs(trimmed_p_mean(values, trim) - truths[idx]) / truths[idx]
-        mean_errs[idx] = abs(empirical_p_mean(values, trim.p) - truths[idx]) / truths[idx]
+    trimmed, means = _direction_estimates(draw_sample(spec, n, trial_seed), directions, trim)
+    trimmed_errs = np.abs(trimmed - truths) / truths
+    mean_errs = np.abs(means - truths) / truths
     q50_t, q95_t = np.quantile(trimmed_errs, [0.5, 0.95])
     q50_m, q95_m = np.quantile(mean_errs, [0.5, 0.95])
     winner = "trimmed" if q95_t < q95_m else ("mean" if q95_m < q95_t else "tie")

@@ -9,7 +9,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import RatioParams, TrimSpec, theta_from_epsilon
+from .core import RatioParams, TrimSpec, _check_delta, _check_p, theta_from_epsilon
 from .distributions import DIST_NAMES, DistributionSpec
 
 __all__ = ["ExperimentConfig", "ConfigError", "ENV_OUT_DIR", "MAX_THREADS"]
@@ -111,18 +111,19 @@ class ExperimentConfig:
             if not getattr(self, name):
                 raise ConfigError(f"{name} must not be empty")
         for p in self.lemma_ps:
-            if p < 1:
-                raise ConfigError(f"lemma p values must be >= 1, got {p}")
+            try:
+                _check_p(p)
+            except ValueError as exc:
+                raise ConfigError(f"lemma_ps: {exc}") from None
         try:  # fails when theta_c0 * epsilon^2 reaches 1 or epsilon^2 underflows to 0
             self.resolved_n, self.resolved_theta
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot derive n and theta from epsilon={self.epsilon}: {exc}") from None
-        try:  # TrimSpec checks p and theta; RatioParams delta <= 1/2, lam and C
-            self.trim, self.ratio_params
+        try:  # the properties' delta rule; RatioParams admits delta = 0 for the trim arithmetic
+            _check_delta(self.delta)
+            self.trim, self.ratio_params  # TrimSpec checks p and theta, RatioParams lam and C
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not self.delta > 0:  # RatioParams admits 0 for the trim arithmetic; the properties need more
-            raise ConfigError(f"delta must be > 0, got {self.delta}")
 
     # -- derived quantities -------------------------------------------------
 

@@ -35,13 +35,19 @@ __all__ = [
 ]
 
 
-def _as_finite(values, ndim: int = 1) -> np.ndarray:
-    """``values`` as a nonempty, finite float64 array of ``ndim`` dimensions."""
+def _as_values(values, ndim: int = 1) -> np.ndarray:
+    """``values`` as a nonempty float64 array of ``ndim`` dimensions."""
     z = np.asarray(values, dtype=np.float64)
     if z.ndim != ndim:
         raise ValueError(f"expected a {ndim}-d array of values")
     if z.size == 0:
         raise ValueError("expected at least one value")
+    return z
+
+
+def _as_finite(values, ndim: int = 1) -> np.ndarray:
+    """``values`` as a nonempty, finite float64 array of ``ndim`` dimensions."""
+    z = _as_values(values, ndim)
     if not np.isfinite(z).all():
         raise ValueError("values must be finite")
     return z
@@ -53,10 +59,22 @@ def _check_p(p) -> None:
         raise ValueError(f"p must be a finite real >= 1, got {p}")
 
 
+def _check_delta(delta) -> None:
+    """The rule for the tail mass of the ratio properties: delta lies in (0, 1/2]."""
+    if not (0 < delta <= 0.5):
+        raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
+
+
 def _sorted_abs(values) -> np.ndarray:
-    """|values| after the finite-array check, as an ascending working copy."""
-    z = np.abs(_as_finite(values))
+    """|values| as an ascending working copy, which must be finite.
+
+    The finite check reads the largest value only: NaN sorts last and |±inf|
+    is the largest value, so the last entry is finite exactly when all are.
+    """
+    z = np.abs(_as_values(values))
     z.sort()
+    if not math.isfinite(z[-1]):
+        raise ValueError("values must be finite")
     return z
 
 
@@ -155,13 +173,25 @@ def cut_rank(theta: float, n: int) -> int:
 
 
 def project_abs(sample: SampleMatrix, v) -> np.ndarray:
-    """Absolute inner products |<row_i, v>| in row order."""
+    """Absolute inner products |<row_i, v>| in row order.
+
+    v is one direction of shape (d,), or an (m, d) block of m >= 1
+    directions.  A block gives the C-contiguous (m, n) array |V X^T|, row j
+    holding the projections onto direction j: one matrix product, whose rows
+    agree with the one-direction products up to round-off.
+    """
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (sample.dim,):
+    if v.ndim == 2:
+        if v.shape[0] < 1 or v.shape[1] != sample.dim:
+            raise ValueError(f"direction block has shape {v.shape}, expected (m >= 1, {sample.dim})")
+    elif v.shape != (sample.dim,):
         raise ValueError(f"direction has shape {v.shape}, expected ({sample.dim},)")
     if not np.isfinite(v).all():
         raise ValueError("direction must be finite")
-    return np.abs(sample.data @ v)
+    if v.ndim == 1:
+        return np.abs(sample.data @ v)
+    out = v @ sample.data.T
+    return np.abs(out, out=out)
 
 
 def nonincreasing_rearrangement(z) -> np.ndarray:
@@ -172,16 +202,16 @@ def nonincreasing_rearrangement(z) -> np.ndarray:
 def _ascending_power_sums(z: np.ndarray, p: float, keep: int) -> np.ndarray:
     """Sum of the ``keep`` smallest p-th powers of each row of z.
 
-    z is a C-contiguous (m, n) array of ascending, nonnegative rows that the
-    caller owns; the ``keep`` head of each row is raised to p in place and
-    the rest is left alone.  Summing along a contiguous row runs in the order
-    of the 1-d sum, so a one-row call and a row of a many-row call agree bit
-    for bit.  Every p-mean is one call of this kernel; its caller divides by
-    the sample size.
+    z is a C-contiguous 1-d array, or (m, n) array of rows, ascending and
+    nonnegative, that the caller owns; the ``keep`` head of each row is
+    raised to p in place and the rest is left alone.  Summing along a
+    contiguous row runs in the order of the 1-d sum, so a 1-d call and a row
+    of a many-row call agree bit for bit.  Every p-mean is one call of this
+    kernel; its caller divides by the sample size.
     """
-    head = z[:, :keep]
+    head = z[..., :keep]
     head **= p
-    return head.sum(axis=1)
+    return head.sum(axis=-1)
 
 
 def _sorted_power_sums(z: np.ndarray, p: float, keep: int) -> np.ndarray:
@@ -201,8 +231,8 @@ def _sorted_power_sums(z: np.ndarray, p: float, keep: int) -> np.ndarray:
 
 def _ascending_head_mean(xs: np.ndarray, p: float, keep: int, own: bool = False) -> float:
     """(1/n) times the sum of the ``keep`` smallest p-th powers of xs."""
-    head = xs[None, :keep]
-    return float(_ascending_power_sums(head if own else head.copy(), p, keep)[0]) / xs.size
+    head = xs[:keep]
+    return float(_ascending_power_sums(head if own else head.copy(), p, keep)) / xs.size
 
 
 def _ascending_threshold(xs: np.ndarray, theta: float) -> float:
@@ -227,8 +257,8 @@ def _ascending_truncated_mean(xs: np.ndarray, p: float, cap: float, own: bool = 
 
 def _ascending_upper_sum(xs: np.ndarray, p: float, q: float) -> float:
     """Sum of x_i^p over the values of xs above q."""
-    above = xs[None, np.searchsorted(xs, q, side="right"):].copy()
-    return float(_ascending_power_sums(above, p, above.shape[1])[0])
+    above = xs[np.searchsorted(xs, q, side="right"):].copy()
+    return float(_ascending_power_sums(above, p, above.size))
 
 
 def trimmed_p_mean(values_abs, spec: TrimSpec) -> float:

@@ -50,10 +50,11 @@ CUBE_HALF_WIDTH = math.sqrt(3.0)
 LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
 
 # Reference rows are drawn max(1, this // m) at a time, m being the number of
-# directions they are projected onto (1 for a reference law).  In
-# MomentOracle's streamed pass a block's projections are powered and summed
-# while they and their scratch copy still sit in a 2 MiB L2 cache.  Fixed, so
-# results never depend on available memory.
+# directions they are projected onto (1 for a reference law); compare's
+# directions are projected max(1, this // n) at a time, n being the sample
+# size.  In MomentOracle's streamed pass a block's projections are powered and
+# summed while they and their scratch copy still sit in a 2 MiB L2 cache.
+# Fixed, so results never depend on available memory.
 _BLOCK_ELEMENTS = 1 << 15
 # Largest integer exponent raised by repeated multiplication in place of pow.
 _MAX_MULTIPLY_POWER = 5
@@ -141,9 +142,11 @@ def _draw_matrix(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np
 
 
 def _block_sizes(n: int, m: int) -> list[int]:
-    """Row counts of n reference rows drawn max(1, _BLOCK_ELEMENTS // m) at a time.
+    """Row counts of n rows taken max(1, _BLOCK_ELEMENTS // m) at a time.
 
-    Split draws equal one draw bit for bit, so the rows do not depend on m.
+    The rows are reference draws projected onto m directions, or directions
+    projected over a sample of m points.  Split draws equal one draw bit for
+    bit, so the reference rows do not depend on m.
     Each block is drawn in the expression that projects it: with two draw
     buffers alive at once, every reference build faulted them in anew.
     """

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from .core import _ascending_truncated_mean, _ascending_upper_sum, _check_p, _run_starts
+from .core import _ascending_truncated_mean, _ascending_upper_sum, _check_delta, _check_p, _run_starts
 from .distributions import EmpiricalCDF, MarginalCDF, MomentDoesNotExistError, _check_moment_exists, _closed_form
 
 __all__ = [
@@ -114,8 +114,7 @@ def tail_integral_moment(cdf: MarginalCDF, p: float, t_max: float) -> float:
 
 def error_functional(cdf: MarginalCDF, p: float, t_max: float, delta: float) -> float:
     """2 sqrt(delta) times the integral of p t^(p-1) sqrt(P(f > t)) over (0, t_max)."""
-    if not (0 < delta <= 0.5):
-        raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
+    _check_delta(delta)
     return 2.0 * math.sqrt(delta) * _tail_functional(cdf, p, t_max, root=True)
 
 

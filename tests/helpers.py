@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 from scipy import special
 
-from lptrim.checks import scan_error_constant_grid
-from lptrim.core import project_abs
+from lptrim.checks import ComparisonTrialRow, scan_error_constant_grid
+from lptrim.core import empirical_p_mean, project_abs, trimmed_p_mean
 from lptrim.distributions import (
     _REF_SEED_ROOT,
     EmpiricalCDF,
@@ -330,3 +330,29 @@ def second_pass_scan_rows(config) -> list[tuple]:
             rows.append((spec.label, p, row.c2, row.c3, row.theta, row.cap,
                          bool(row.upper_holds), bool(row.lower_holds), row.upper_slack, row.lower_slack))
     return rows
+
+
+def per_direction_comparison(spec, n, trial, trial_seed, directions, truths, trim):
+    """Compare's trial row, projecting one direction at a time.
+
+    The loop ``checks.comparison_trial_row`` ran before it projected
+    directions in blocks: one matrix-vector product per direction, its two
+    estimates and their relative errors.  Returns the row and the arrays of
+    trimmed and plain estimates, one per direction.
+    """
+    sample = draw_sample(spec, n, trial_seed)
+    m = directions.shape[0]
+    trimmed, means = np.empty(m), np.empty(m)
+    trimmed_errs, mean_errs = np.empty(m), np.empty(m)
+    for idx, v in enumerate(directions):
+        values = project_abs(sample, v)
+        trimmed[idx] = trimmed_p_mean(values, trim)
+        means[idx] = empirical_p_mean(values, trim.p)
+        trimmed_errs[idx] = abs(trimmed[idx] - truths[idx]) / truths[idx]
+        mean_errs[idx] = abs(means[idx] - truths[idx]) / truths[idx]
+    q50_t, q95_t = np.quantile(trimmed_errs, [0.5, 0.95])
+    q50_m, q95_m = np.quantile(mean_errs, [0.5, 0.95])
+    winner = "trimmed" if q95_t < q95_m else ("mean" if q95_m < q95_t else "tie")
+    row = ComparisonTrialRow(trial, float(q50_t), float(q95_t), float(np.max(trimmed_errs)),
+                             float(q50_m), float(q95_m), float(np.max(mean_errs)), winner)
+    return row, trimmed, means

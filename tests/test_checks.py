@@ -3,17 +3,29 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from helpers import per_direction_comparison
+from lptrim import checks
 from lptrim.checks import (
     Verdict,
+    _direction_estimates,
     check_empirical_integral_sandwich,
     check_moment_sandwich,
     check_trim_threshold_sandwich,
     check_trimmed_sum_brackets,
+    comparison_trial_row,
     scan_error_constant_grid,
 )
 from lptrim.config import ExperimentConfig
 from lptrim.core import RatioParams, TrimSpec, project_abs, trim_threshold, trimmed_p_mean, truncated_power_mean
-from lptrim.distributions import DistributionSpec, EmpiricalCDF, HalfUniformCDF, draw_sample, marginal_cdf
+from lptrim.distributions import (
+    DistributionSpec,
+    EmpiricalCDF,
+    HalfUniformCDF,
+    MomentOracle,
+    draw_sample,
+    marginal_cdf,
+    sphere_directions,
+)
 from lptrim.oracle import upper_quantile
 from lptrim.ratio import ratio_properties_report
 from lptrim.runner import run_compare
@@ -180,6 +192,50 @@ def compare_rows(tmp_path, **fields):
     """The rows file of one run_compare call, as a structured array."""
     result = run_compare(ExperimentConfig(out_dir=str(tmp_path), **fields))
     return np.genfromtxt(result.rows_path, delimiter=",", names=True, skip_header=1, dtype=None, encoding="utf-8")
+
+
+# (n, directions): a block holds max(1, 2**15 // n) directions, 32 at n = 1000
+BLOCK_CASES = {
+    "one-direction": (1000, 1),
+    "below-one-block": (1000, 5),
+    "one-block": (1000, 32),
+    "above-one-block": (1000, 70),
+    "one-direction-per-block": (40_000, 3),
+}
+
+
+@pytest.mark.parametrize("theta", [1e-6, 0.01], ids=["no-trim", "trim"])
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_blocked_projection_matches_the_per_direction_loop(case, theta, monkeypatch):
+    n, m = BLOCK_CASES[case]
+    spec = DistributionSpec("product_student_t", 4, nu=4.5)
+    directions = sphere_directions(4, m, 7)
+    trim = TrimSpec(p=2.0, theta=theta)
+    truths = MomentOracle(spec).moments(directions, trim.p)
+    blocks = []
+
+    def recording_project_abs(sample, v):
+        out = project_abs(sample, v)
+        blocks.append(out.shape)
+        return out
+
+    monkeypatch.setattr(checks, "project_abs", recording_project_abs)
+    row = comparison_trial_row(spec, n, 0, 11, directions, truths, trim)
+    trimmed, means = _direction_estimates(draw_sample(spec, n, 11), directions, trim)
+    monkeypatch.undo()
+    naive_row, naive_trimmed, naive_means = per_direction_comparison(spec, n, 0, 11, directions, truths, trim)
+
+    per_block = max(1, 2**15 // n)
+    sizes = [min(per_block, m - start) for start in range(0, m, per_block)]
+    assert blocks == [(rows, n) for rows in sizes] * 2
+    np.testing.assert_allclose(trimmed, naive_trimmed, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(means, naive_means, rtol=1e-12, atol=0)
+    assert row.winner == naive_row.winner
+    if trim.cut_rank(n) == 1:
+        for row_ in (row, naive_row):
+            assert (row_.q50_trimmed, row_.q95_trimmed, row_.max_trimmed) == (
+                row_.q50_mean, row_.q95_mean, row_.max_mean)
+            assert row_.winner == "tie"
 
 
 class TestCompareEstimators:

@@ -188,11 +188,12 @@ class TestExitCodes:
         ({"theta": 1}, "theta must lie in (0, 1), got 1.0"),
         ({"lam": 1}, "lam must lie in (0, 1), got 1.0"),
         ({"big_c": 0.5}, "big_c must be >= 1, got 0.5"),
-        ({"delta": 0}, "delta must be > 0, got 0.0"),
-        ({"delta": 0.6}, "delta must lie in [0, 1/2], got 0.6"),
+        ({"delta": 0}, "delta must lie in (0, 1/2], got 0.0"),
+        ({"delta": 0.6}, "delta must lie in (0, 1/2], got 0.6"),
         ({"nu": 2, "dist": "gaussian"}, "product_student_t requires nu > 2, got nu=2.0"),
+        ({"lemma_ps": [2.0, 0.5]}, "lemma_ps: p must be a finite real >= 1, got 0.5"),
     ], ids=["dist", "lemma-dists", "dim", "p", "theta", "lam", "big-c", "delta-zero", "delta-above-half",
-            "nu-with-gaussian"])
+            "nu-with-gaussian", "lemma-ps"])
     def test_range_checked_by_a_type_is_two_naming_the_field(self, tmp_path, capsys, entry, message):
         # DistributionSpec, TrimSpec and RatioParams check these ranges; the config names the field
         config = tmp_path / "f.json"

@@ -66,6 +66,27 @@ class TestProjectAbs:
         s = SampleMatrix(np.array([[1.0, 2.0]]), seed=0, dist_name="test")
         assert project_abs(s, [0.0, 0.0]).tolist() == [0.0]
 
+    def test_block_rows_are_the_one_direction_projections(self, rng):
+        s = SampleMatrix(rng.standard_normal((300, 4)), seed=0, dist_name="test")
+        block = rng.standard_normal((7, 4))
+        out = project_abs(s, block)
+        assert out.shape == (7, 300) and out.flags.c_contiguous
+        assert np.all(out >= 0)
+        for row, v in zip(out, block):
+            np.testing.assert_allclose(row, project_abs(s, v), rtol=1e-13, atol=1e-15)
+
+    @pytest.mark.parametrize("block", [
+        np.ones((2, 3)),
+        np.array([[1.0, 0.0], [np.nan, 1.0]]),
+        np.array([[1.0, 0.0], [1.0, np.inf]]),
+        np.ones((1, 2, 2)),
+        np.empty((0, 2)),
+    ], ids=["wrong-d", "nan-entry", "inf-entry", "3-d", "empty"])
+    def test_bad_block_rejected(self, block):
+        s = SampleMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]), seed=0, dist_name="test")
+        with pytest.raises(ValueError):
+            project_abs(s, block)
+
 
 class TestRearrangement:
     def test_sorts_descending(self):
@@ -433,6 +454,45 @@ def test_bad_exponent_or_cap_is_a_value_error_before_any_quadrature(name, monkey
     message = "p must be a finite real >= 1" if field == "p" else f"{field} must be nonnegative"
     with pytest.raises(ValueError, match="^" + message):
         call()
+
+
+NEG_NAN = -NAN
+assert np.signbit(NEG_NAN)
+SORT_FIRST = {
+    "trimmed_p_mean": lambda x: trimmed_p_mean(x, TrimSpec(p=2.0, theta=0.3)),
+    "empirical_p_mean": lambda x: empirical_p_mean(x, 2.0),
+    "trim_threshold": lambda x: trim_threshold(x, 0.3),
+    "truncated_power_mean": lambda x: truncated_power_mean(x, 2.0, 1.0),
+    "nonincreasing_rearrangement": nonincreasing_rearrangement,
+    "ratio_properties_report": lambda x: ratio_properties_report(x, FOLDED, RatioParams(0.05, 0.5, 2.0)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("where", ["first", "middle", "last", "alone"])
+@pytest.mark.parametrize("bad", [NAN, NEG_NAN, np.inf, -np.inf], ids=["nan", "-nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name", list(SORT_FIRST))
+def test_sort_first_functions_reject_a_non_finite_value_anywhere(name, bad, where):
+    # the check reads only the largest value after the sort, so the non-finite
+    # value must sort last wherever it stands and whatever its sign
+    rest = [3.0, -1.0, 2.0, 0.5]
+    x = {"first": [bad, *rest], "middle": [*rest[:2], bad, *rest[2:]], "last": [*rest, bad], "alone": [bad]}[where]
+    with pytest.raises(ValueError, match="^values must be finite$"):
+        SORT_FIRST[name](np.array(x))
+
+
+DELTA_RULE_CASES = {
+    "error_functional analytic delta=0": lambda: error_functional(FOLDED, 2.0, 1.0, 0.0),
+    "error_functional reference delta=0.6": lambda: error_functional(REFERENCE, 2.0, 1.0, 0.6),
+    "error_functional delta=nan": lambda: error_functional(FOLDED, 2.0, 1.0, NAN),
+    "ratio_properties_report delta=0": lambda: ratio_properties_report(SAMPLE, FOLDED, RatioParams(0.0, 0.5, 2.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(DELTA_RULE_CASES))
+def test_property_checks_state_one_delta_rule(name):
+    with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1/2\], got "):
+        DELTA_RULE_CASES[name]()
 
 
 def test_trimspec_validation():
