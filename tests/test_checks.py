@@ -222,7 +222,6 @@ def test_blocked_projection_matches_the_per_direction_loop(case, theta, monkeypa
     monkeypatch.setattr(checks, "project_abs", recording_project_abs)
     row = comparison_trial_row(spec, n, 0, 11, directions, truths, trim)
     trimmed, means = _direction_estimates(draw_sample(spec, n, 11), directions, trim)
-    monkeypatch.undo()
     naive_row, naive_trimmed, naive_means = per_direction_comparison(spec, n, 0, 11, directions, truths, trim)
 
     per_block = max(1, 2**15 // n)
