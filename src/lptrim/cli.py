@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import MAX_THREADS, ConfigError, ExperimentConfig
+from .core import _check_open_unit
 from .distributions import MomentDoesNotExistError, marginal_cdf
 from .oracle import (
     check_tail_moment_bounds,
@@ -115,8 +116,8 @@ def _check_oracle_flags(args: argparse.Namespace) -> None:
             raise ConfigError(f"--{name} must be finite, got {value}")
     for name in ("eta", "kappa"):
         value = getattr(args, name)
-        if value is not None and not (0 < value < 1):
-            raise ConfigError(f"--{name} must lie in (0, 1), got {value}")
+        if value is not None:
+            _check_open_unit(f"--{name}", value, ConfigError)
     if args.t is not None and args.t < 0:
         raise ConfigError(f"--t must be nonnegative, got {args.t}")
     if args.out_file is not None and (Path(args.out_file).is_dir() or not Path(args.out_file).parent.is_dir()):

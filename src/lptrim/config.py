@@ -9,7 +9,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import RatioParams, TrimSpec, _check_delta, _check_p, theta_from_epsilon
+from .core import RatioParams, TrimSpec, _check_delta, _check_open_unit, _check_p, theta_from_epsilon
 from .distributions import DIST_NAMES, DistributionSpec
 
 __all__ = ["ExperimentConfig", "ConfigError", "ENV_OUT_DIR", "MAX_THREADS"]
@@ -83,8 +83,7 @@ class ExperimentConfig:
                 raise ConfigError(field + str(exc)) from None
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        if not (0 < self.epsilon < 1):
-            raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        _check_open_unit("epsilon", self.epsilon, ConfigError)
         if self.n is not None and self.n < 2:
             raise ConfigError(f"n must be >= 2, got {self.n}")
         if self.directions < 1:
@@ -105,8 +104,8 @@ class ExperimentConfig:
             raise ConfigError(f"ref_size must be >= 1, got {self.ref_size}")
         if self.theta_c0 <= 0 or self.sample_c1 <= 0:
             raise ConfigError("constant overrides must be positive")
-        if self.t_level is not None and not (0 < self.t_level < 1):
-            raise ConfigError(f"t_level must lie in (0, 1), got {self.t_level}")
+        if self.t_level is not None:
+            _check_open_unit("t_level", self.t_level, ConfigError)
         for name in ("lemma_dists", "lemma_ps"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must not be empty")

@@ -65,6 +65,12 @@ def _check_delta(delta) -> None:
         raise ValueError(f"delta must lie in (0, 1/2], got {delta}")
 
 
+def _check_open_unit(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """The rule for every level and fraction (theta, eta, kappa, lam, epsilon): it lies in (0, 1)."""
+    if not (0 < value < 1):
+        raise error(f"{name} must lie in (0, 1), got {value}")
+
+
 def _sorted_abs(values) -> np.ndarray:
     """|values| as an ascending working copy, which must be finite.
 
@@ -127,8 +133,7 @@ class TrimSpec:
 
     def __post_init__(self):
         _check_p(self.p)
-        if not (0 < self.theta < 1):
-            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
+        _check_open_unit("theta", self.theta)
 
     def cut_rank(self, n: int) -> int:
         return cut_rank(self.theta, n)
@@ -150,8 +155,7 @@ class RatioParams:
     def __post_init__(self):
         if not (0 <= self.delta <= 0.5):
             raise ValueError(f"delta must lie in [0, 1/2], got {self.delta}")
-        if not (0 < self.lam < 1):
-            raise ValueError(f"lam must lie in (0, 1), got {self.lam}")
+        _check_open_unit("lam", self.lam)
         if not (self.big_c >= 1):
             raise ValueError(f"big_c must be >= 1, got {self.big_c}")
 
@@ -164,8 +168,7 @@ def cut_rank(theta: float, n: int) -> int:
     e.g. theta=0.1, n=10**4 yields k=1000 rather than 1001.  Since theta < 1,
     1 <= k <= n: at least one value is always kept.
     """
-    if not (0 < theta < 1):
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
+    _check_open_unit("theta", theta)
     if n < 1:
         raise ValueError("need n >= 1")
     k = math.ceil(theta * n - 1e-9)
@@ -317,8 +320,7 @@ def adjusted_trim_levels(theta: float, params: RatioParams) -> tuple[float, floa
 
     Requires theta > 2 C delta so that theta_minus is positive.
     """
-    if not (0 < theta < 1):
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
+    _check_open_unit("theta", theta)
     slack = 2.0 * params.big_c * params.delta
     if theta <= slack:
         raise ValueError(
@@ -338,8 +340,7 @@ def stated_theta_gate(theta: float, params: RatioParams) -> bool:
 
 def theta_from_epsilon(epsilon: float, n: int, c0: float = 0.25) -> float:
     """Default trim fraction c0 * epsilon**2, floored at 1/n."""
-    if not (0 < epsilon < 1):
-        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    _check_open_unit("epsilon", epsilon)
     if n < 2:
         raise ValueError("need n >= 2 for a valid trim fraction")
     if c0 <= 0:

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .core import SampleMatrix, _check_p
+from .core import SampleMatrix, _check_open_unit, _check_p
 from .seeding import child_rng, child_seed
 
 __all__ = [
@@ -180,8 +180,10 @@ class MarginalCDF:
 
     The strict tail ``sf(t) = P(f > t)`` and the point mass ``atom(t) = P(f = t)``
     both accept scalars or arrays.  An analytic law defines only its tail at
-    t >= 0, ``_tail``; ``sf`` is 1 below 0.  Objects are immutable after
-    construction and safe for concurrent queries.
+    t >= 0, ``_tail``; ``sf`` is 1 below 0.  A float query (Python ``float``
+    or ``np.float64``) to an analytic ``sf`` returns a Python float without
+    building an array: quadrature and bisection ask for one point per call.
+    Objects are immutable after construction and safe for concurrent queries.
     """
 
     #: moments of order >= this bound diverge (math.inf when all exist)
@@ -193,17 +195,16 @@ class MarginalCDF:
         return repr(self)
 
     def sf(self, t):
+        if isinstance(t, float):
+            return 1.0 if t < 0 else float(self._tail(t))
         return _scalar_or_array(t, lambda a: np.where(a < 0, 1.0, self._tail(np.maximum(a, 0.0))))
 
     def _tail(self, x):
-        """P(f > x) for an array of x >= 0."""
+        """P(f > x) for a float or an array of x >= 0."""
         raise NotImplementedError
 
     def atom(self, t):
         return _scalar_or_array(t, np.zeros_like)
-
-    def cdf(self, t):
-        return 1.0 - self.sf(t) - self.atom(t)
 
     def sf_left(self, t):
         """P(f >= t), the left limit of the tail function."""
@@ -272,7 +273,7 @@ class HalfUniformCDF(MarginalCDF):
     width: float
 
     def _tail(self, x):
-        return np.clip(1.0 - x / self.width, 0.0, 1.0)
+        return np.minimum(np.maximum(1.0 - x / self.width, 0.0), 1.0)
 
     def exact_moment(self, p: float) -> float:
         return _closed_form(p, lambda: self.width ** p / (p + 1.0))
@@ -348,8 +349,7 @@ class EmpiricalCDF(MarginalCDF):
         Fewer than eta * size values exceed it, and at least k exceed anything
         below it.  Since 0 < eta < 1, 1 <= k <= size.
         """
-        if not (0 < eta < 1):
-            raise ValueError(f"eta must lie in (0, 1), got {eta}")
+        _check_open_unit("eta", eta)
         return float(self.values[self.size - math.ceil(eta * self.size)])
 
 

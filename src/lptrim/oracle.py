@@ -14,7 +14,14 @@ from functools import lru_cache
 import numpy as np
 from scipy import integrate
 
-from .core import _ascending_truncated_mean, _ascending_upper_sum, _check_delta, _check_p, _run_starts
+from .core import (
+    _ascending_truncated_mean,
+    _ascending_upper_sum,
+    _check_delta,
+    _check_open_unit,
+    _check_p,
+    _run_starts,
+)
 from .distributions import EmpiricalCDF, MarginalCDF, MomentDoesNotExistError, _check_moment_exists, _closed_form
 
 __all__ = [
@@ -42,10 +49,9 @@ def upper_quantile(cdf: MarginalCDF, eta: float) -> float:
     for the returned q.  Empirical mode resolves the infimum exactly from the
     order statistics.
     """
-    if not (0 < eta < 1):
-        raise ValueError(f"eta must lie in (0, 1), got {eta}")
     if isinstance(cdf, EmpiricalCDF):
         return cdf.quantile_upper(eta)
+    _check_open_unit("eta", eta)
     return _bisect_quantile(cdf, eta)
 
 
@@ -204,8 +210,7 @@ def _empirical_sqrt_tail_integral(cdf: EmpiricalCDF, p: float, t_max: float) -> 
 
 def truncated_upper_moment(cdf: MarginalCDF, p: float, kappa: float) -> float:
     """E f^p on the event {f > Q(kappa)} where Q is the upper quantile."""
-    if not (0 < kappa < 1):
-        raise ValueError(f"kappa must lie in (0, 1), got {kappa}")
+    _check_open_unit("kappa", kappa)
     _check_moment_exists(cdf, p)
     q = upper_quantile(cdf, kappa)
     if isinstance(cdf, EmpiricalCDF):

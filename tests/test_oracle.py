@@ -6,7 +6,7 @@ import pytest
 import scipy.integrate
 
 from helpers import binary_search_quantile_upper, trapezoid_sqrt_tail_integral, trapezoid_tail_integral
-from lptrim import oracle
+from lptrim import distributions, oracle
 from lptrim.config import ExperimentConfig
 from lptrim.distributions import (
     EmpiricalCDF,
@@ -14,6 +14,7 @@ from lptrim.distributions import (
     FoldedNormalCDF,
     FoldedStudentTCDF,
     HalfUniformCDF,
+    MarginalCDF,
     MomentDoesNotExistError,
     gaussian_abs_moment,
 )
@@ -378,3 +379,46 @@ class TestMemoisedQuadrature:
             assert got == expected
         new_hits = oracle._tail_integral.cache_info().hits
         assert new_hits - hits == 4
+
+
+def _clear_oracle_caches():
+    for cache in (oracle._doubling_bracket, oracle._bisect_quantile, oracle._tail_integral):
+        cache.cache_clear()
+
+
+class TestFloatTailPath:
+    @staticmethod
+    def _functionals(cdf):
+        _clear_oracle_caches()
+        values = []
+        for p in (1.0, 2.0, 3.0):
+            values.append(raw_moment(cdf, p))
+            for kappa in (0.3, 1e-3):
+                values += [
+                    upper_quantile(cdf, kappa),
+                    error_functional(cdf, p, upper_quantile(cdf, kappa), 0.01),
+                    truncated_upper_moment(cdf, p, kappa),
+                ]
+        _clear_oracle_caches()
+        return [value.hex() for value in values]
+
+    @pytest.mark.parametrize("cdf", ANALYTIC_LAWS, ids=LAW_IDS)
+    def test_functionals_equal_the_array_round_trip_bit_for_bit(self, cdf, monkeypatch):
+        array_calls = []
+        scalar_or_array = distributions._scalar_or_array
+
+        def counting(t, fn):
+            array_calls.append(t)
+            return scalar_or_array(t, fn)
+
+        monkeypatch.setattr(distributions, "_scalar_or_array", counting)
+        float_path = self._functionals(cdf)
+        assert array_calls == []  # quadrature nodes and bisection steps reach sf as floats
+
+        # the path the float one replaced: every query through a 0-d array, and np.clip for the uniform
+        def array_sf(self, t):
+            return scalar_or_array(t, lambda a: np.where(a < 0, 1.0, self._tail(np.maximum(a, 0.0))))
+
+        monkeypatch.setattr(MarginalCDF, "sf", array_sf)
+        monkeypatch.setattr(HalfUniformCDF, "_tail", lambda self, x: np.clip(1.0 - x / self.width, 0.0, 1.0))
+        assert self._functionals(cdf) == float_path
