@@ -394,11 +394,8 @@ class TestFloatTailPath:
         for p in (1.0, 2.0, 3.0):
             values.append(raw_moment(cdf, p))
             for kappa in (0.3, 1e-3):
-                values += [
-                    upper_quantile(cdf, kappa),
-                    error_functional(cdf, p, upper_quantile(cdf, kappa), 0.01),
-                    truncated_upper_moment(cdf, p, kappa),
-                ]
+                q = upper_quantile(cdf, kappa)
+                values += [q, error_functional(cdf, p, q, 0.01), truncated_upper_moment(cdf, p, kappa)]
         _clear_oracle_caches()
         return [value.hex() for value in values]
 
