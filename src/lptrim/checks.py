@@ -29,17 +29,13 @@ from .core import (
     _ascending_threshold,
     _ascending_trimmed_mean,
     _ascending_truncated_mean,
+    _blocked_projections,
     adjusted_trim_levels,
     stated_theta_gate,
     trimmed_p_mean,
     empirical_p_mean,
-    project_abs,
 )
-from .distributions import (
-    DistributionSpec,
-    _block_sizes,
-    draw_sample,
-)
+from .distributions import DistributionSpec, draw_sample
 from .oracle import (
     error_functional,
     raw_moment,
@@ -311,20 +307,12 @@ class ComparisonTrialRow:
 
 
 def _direction_estimates(sample: SampleMatrix, directions: np.ndarray, trim: TrimSpec) -> tuple[np.ndarray, np.ndarray]:
-    """``trimmed_p_mean`` and ``empirical_p_mean`` of |<X, v>| for each direction v.
-
-    The directions are projected in blocks of max(1, _BLOCK_ELEMENTS // n),
-    one matrix product per block, and each row of a block is estimated on
-    its own.
-    """
+    """``trimmed_p_mean`` and ``empirical_p_mean`` of |<X, v>| for each direction v."""
     m = directions.shape[0]
     trimmed, means = np.empty(m), np.empty(m)
-    start = 0
-    for rows in _block_sizes(m, sample.n):
-        for idx, values in enumerate(project_abs(sample, directions[start:start + rows]), start):
-            trimmed[idx] = trimmed_p_mean(values, trim)
-            means[idx] = empirical_p_mean(values, trim.p)
-        start += rows
+    for idx, values in enumerate(_blocked_projections(sample, directions)):
+        trimmed[idx] = trimmed_p_mean(values, trim)
+        means[idx] = empirical_p_mean(values, trim.p)
     return trimmed, means
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "project_abs",
     "nonincreasing_rearrangement",
     "trimmed_p_mean",
-    "trimmed_p_means",
     "empirical_p_mean",
     "trim_threshold",
     "adjusted_trim_levels",
@@ -34,20 +33,29 @@ __all__ = [
     "truncated_power_mean",
 ]
 
+# Reference rows are drawn max(1, this // m) at a time, m being the number of
+# directions they are projected onto (1 for a reference law); the probe
+# directions of every multi-direction command are projected max(1, this // n)
+# at a time, n being the sample size.  In MomentOracle's streamed pass a
+# block's projections are powered and summed while they and their scratch copy
+# still sit in a 2 MiB L2 cache.  Fixed, so results never depend on available
+# memory.
+_BLOCK_ELEMENTS = 1 << 15
 
-def _as_values(values, ndim: int = 1) -> np.ndarray:
-    """``values`` as a nonempty float64 array of ``ndim`` dimensions."""
+
+def _as_values(values) -> np.ndarray:
+    """``values`` as a nonempty 1-d float64 array."""
     z = np.asarray(values, dtype=np.float64)
-    if z.ndim != ndim:
-        raise ValueError(f"expected a {ndim}-d array of values")
+    if z.ndim != 1:
+        raise ValueError("expected a 1-d array of values")
     if z.size == 0:
         raise ValueError("expected at least one value")
     return z
 
 
-def _as_finite(values, ndim: int = 1) -> np.ndarray:
-    """``values`` as a nonempty, finite float64 array of ``ndim`` dimensions."""
-    z = _as_values(values, ndim)
+def _as_finite(values) -> np.ndarray:
+    """``values`` as a nonempty, finite 1-d float64 array."""
+    z = _as_values(values)
     if not np.isfinite(z).all():
         raise ValueError("values must be finite")
     return z
@@ -69,6 +77,19 @@ def _check_open_unit(name: str, value, error: type[ValueError] = ValueError) -> 
     """The rule for every level and fraction (theta, eta, kappa, lam, epsilon): it lies in (0, 1)."""
     if not (0 < value < 1):
         raise error(f"{name} must lie in (0, 1), got {value}")
+
+
+def _block_sizes(n: int, m: int) -> list[int]:
+    """Row counts of n rows taken max(1, _BLOCK_ELEMENTS // m) at a time.
+
+    The rows are reference draws projected onto m directions, or directions
+    projected over a sample of m points.  Split draws equal one draw bit for
+    bit, so the reference rows do not depend on m.
+    Each block is drawn in the expression that projects it: with two draw
+    buffers alive at once, every reference build faulted them in anew.
+    """
+    block_rows = max(1, _BLOCK_ELEMENTS // m)
+    return [min(block_rows, n - start) for start in range(0, n, block_rows)]
 
 
 def _sorted_abs(values) -> np.ndarray:
@@ -197,31 +218,34 @@ def project_abs(sample: SampleMatrix, v) -> np.ndarray:
     return np.abs(out, out=out)
 
 
+def _blocked_projections(sample: SampleMatrix, directions: np.ndarray):
+    """|<X, v>| for each row v of an (m, d) ``directions``, in order.
+
+    The directions are projected max(1, _BLOCK_ELEMENTS // n) at a time, one
+    :func:`project_abs` matrix product per block, so no more than one block of
+    projections is held; each yielded row is a view into its block.
+    """
+    start = 0
+    for rows in _block_sizes(directions.shape[0], sample.n):
+        yield from project_abs(sample, directions[start:start + rows])
+        start += rows
+
+
 def nonincreasing_rearrangement(z) -> np.ndarray:
     """Absolute values sorted in descending order."""
     return _sorted_abs(z)[::-1]
 
 
-def _ascending_power_sums(z: np.ndarray, p: float, keep: int) -> np.ndarray:
-    """Sum of the ``keep`` smallest p-th powers of each row of z.
+def _ascending_power_sums(z: np.ndarray, p: float, keep: int) -> float:
+    """Sum of the ``keep`` smallest p-th powers of z.
 
-    z is a C-contiguous 1-d array, or (m, n) array of rows, ascending and
-    nonnegative, that the caller owns; the ``keep`` head of each row is
-    raised to p in place and the rest is left alone.  Summing along a
-    contiguous row runs in the order of the 1-d sum, so a 1-d call and a row
-    of a many-row call agree bit for bit.  Every p-mean is one call of this
-    kernel; its caller divides by the sample size.
+    z is a 1-d ascending, nonnegative array that the caller owns; its ``keep``
+    head is raised to p in place and the rest is left alone.  Every p-mean is
+    one call of this kernel; its caller divides by the sample size.
     """
-    head = z[..., :keep]
+    head = z[:keep]
     head **= p
-    return head.sum(axis=-1)
-
-
-def _sorted_power_sums(z: np.ndarray, p: float, keep: int) -> np.ndarray:
-    """:func:`_ascending_power_sums` of z, a C-contiguous (m, n) working copy of
-    nonnegative values, after sorting each row in place."""
-    z.sort(axis=1)
-    return _ascending_power_sums(z, p, keep)
+    return float(head.sum())
 
 
 # The ascending readers.  Each reads xs, a 1-d ascending array of nonnegative
@@ -235,7 +259,7 @@ def _sorted_power_sums(z: np.ndarray, p: float, keep: int) -> np.ndarray:
 def _ascending_head_mean(xs: np.ndarray, p: float, keep: int, own: bool = False) -> float:
     """(1/n) times the sum of the ``keep`` smallest p-th powers of xs."""
     head = xs[:keep]
-    return float(_ascending_power_sums(head if own else head.copy(), p, keep)) / xs.size
+    return _ascending_power_sums(head if own else head.copy(), p, keep) / xs.size
 
 
 def _ascending_threshold(xs: np.ndarray, theta: float) -> float:
@@ -261,7 +285,7 @@ def _ascending_truncated_mean(xs: np.ndarray, p: float, cap: float, own: bool = 
 def _ascending_upper_sum(xs: np.ndarray, p: float, q: float) -> float:
     """Sum of x_i^p over the values of xs above q."""
     above = xs[np.searchsorted(xs, q, side="right"):].copy()
-    return float(_ascending_power_sums(above, p, above.size))
+    return _ascending_power_sums(above, p, above.size)
 
 
 def trimmed_p_mean(values_abs, spec: TrimSpec) -> float:
@@ -272,19 +296,6 @@ def trimmed_p_mean(values_abs, spec: TrimSpec) -> float:
     the untrimmed case agrees bit for bit with ``empirical_p_mean``.
     """
     return _ascending_trimmed_mean(_sorted_abs(values_abs), spec, own=True)
-
-
-def trimmed_p_means(rows_abs, spec: TrimSpec) -> np.ndarray:
-    """:func:`trimmed_p_mean` of every row of an (m, n) matrix, in one sort.
-
-    Every entry equals ``trimmed_p_mean`` of that row bit for bit.  Pass one
-    row per direction; the working copy is made C-contiguous whatever the
-    input's layout, because a row sum only runs in the order of the 1-d sum
-    when the row is contiguous.
-    """
-    z = np.abs(_as_finite(rows_abs, 2), order="C")
-    n = z.shape[1]
-    return _sorted_power_sums(z, spec.p, n - spec.cut_rank(n) + 1) / n
 
 
 def empirical_p_mean(values_abs, p: float) -> float:

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .core import SampleMatrix, _check_open_unit, _check_p
+from .core import SampleMatrix, _block_sizes, _check_open_unit, _check_p
 from .seeding import child_rng, child_seed
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "EmpiricalCDF",
     "draw_sample",
     "marginal_cdf",
-    "clear_marginal_cache",
     "sphere_directions",
     "gaussian_abs_moment",
     "student_abs_moment",
@@ -49,13 +48,6 @@ DIST_NAMES = ("gaussian", "cube_uniform", "product_laplace", "product_student_t"
 CUBE_HALF_WIDTH = math.sqrt(3.0)
 LAPLACE_SCALE = 1.0 / math.sqrt(2.0)
 
-# Reference rows are drawn max(1, this // m) at a time, m being the number of
-# directions they are projected onto (1 for a reference law); compare's
-# directions are projected max(1, this // n) at a time, n being the sample
-# size.  In MomentOracle's streamed pass a block's projections are powered and
-# summed while they and their scratch copy still sit in a 2 MiB L2 cache.
-# Fixed, so results never depend on available memory.
-_BLOCK_ELEMENTS = 1 << 15
 # Largest integer exponent raised by repeated multiplication in place of pow.
 _MAX_MULTIPLY_POWER = 5
 
@@ -70,12 +62,7 @@ def _student_coord_scale(nu: float) -> float:
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """A named isotropic law on R^d.
-
-    ``moment_equiv`` stores (q, L) such that the L_q norm of every marginal is
-    at most L times its L_2 norm; the stored L values are the exact suprema
-    over directions (None when the q-th moment does not exist).
-    """
+    """A named isotropic law on R^d."""
 
     name: str
     dim: int
@@ -103,16 +90,6 @@ class DistributionSpec:
         """Moments of order p exist exactly for p below this value."""
         return self.nu if self.name == "product_student_t" else math.inf
 
-    @property
-    def moment_equiv(self) -> tuple[float, float] | None:
-        if self.name in ("gaussian", "cube_uniform"):
-            return (4.0, 3.0 ** 0.25)
-        if self.name == "product_laplace":
-            return (4.0, 6.0 ** 0.25)
-        if self.nu is not None and self.nu > 4:
-            return (4.0, (3.0 * (self.nu - 2.0) / (self.nu - 4.0)) ** 0.25)
-        return None
-
 
 def spec_from_label(label: str, dim: int) -> DistributionSpec:
     """Inverse of ``DistributionSpec.label``."""
@@ -139,19 +116,6 @@ def _draw_matrix(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np
     if spec.name == "product_laplace":
         return rng.laplace(0.0, LAPLACE_SCALE, size=(n, d))
     return rng.standard_t(spec.nu, size=(n, d)) * _student_coord_scale(spec.nu)
-
-
-def _block_sizes(n: int, m: int) -> list[int]:
-    """Row counts of n rows taken max(1, _BLOCK_ELEMENTS // m) at a time.
-
-    The rows are reference draws projected onto m directions, or directions
-    projected over a sample of m points.  Split draws equal one draw bit for
-    bit, so the reference rows do not depend on m.
-    Each block is drawn in the expression that projects it: with two draw
-    buffers alive at once, every reference build faulted them in anew.
-    """
-    block_rows = max(1, _BLOCK_ELEMENTS // m)
-    return [min(block_rows, n - start) for start in range(0, n, block_rows)]
 
 
 def sphere_directions(dim: int, m: int, seed: int) -> np.ndarray:
@@ -404,9 +368,6 @@ def _reference_law(spec: DistributionSpec, ref_size: int, v_bytes: bytes) -> Emp
     return EmpiricalCDF(np.concatenate(parts))
 
 
-clear_marginal_cache = _reference_law.cache_clear
-
-
 # ---------------------------------------------------------------------------
 # Moment oracle
 # ---------------------------------------------------------------------------
@@ -427,7 +388,7 @@ class MomentOracle:
 
     Uses closed forms whenever available; otherwise streams one shared
     reference sample of ``ref_size`` draws past all the directions at once:
-    each block of about ``_BLOCK_ELEMENTS / m`` rows is drawn, projected,
+    each block of about ``core._BLOCK_ELEMENTS / m`` rows is drawn, projected,
     raised to p and added to the column sums before the next is drawn, so no
     more than one block is ever held.  The draws, and so the reference rows,
     are deterministic in (spec, ref_size, seed); the sums are associated per

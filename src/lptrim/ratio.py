@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RatioParams, _as_finite, _check_delta, _run_starts, _sorted_abs, project_abs
+from .core import RatioParams, _as_finite, _blocked_projections, _check_delta, _run_starts, _sorted_abs
 from .distributions import (
     DistributionSpec,
     EmpiricalCDF,
@@ -329,9 +329,9 @@ def ratio_trial_rows(
     """Property checks for one fresh sample against every probe direction."""
     sample = draw_sample(spec, n, trial_seed)
     rows = []
-    for idx, v in enumerate(directions):
+    for idx, (v, values) in enumerate(zip(directions, _blocked_projections(sample, directions))):
         cdf = marginal_cdf(spec, v, ref_size=ref_size)
-        rep = ratio_properties_report(project_abs(sample, v), cdf, params)
+        rep = ratio_properties_report(values, cdf, params)
         rows.append(DirectionCheckRow(idx, rep.tail_dev, rep.worst_margin, rep.interval_sup, rep.failing))
     return rows
 

@@ -31,7 +31,7 @@ from .checks import (
     scan_error_constant_grid,
 )
 from .config import ConfigError, ExperimentConfig
-from .core import RatioParams, SampleMatrix, TrimSpec, project_abs, trimmed_p_means
+from .core import RatioParams, SampleMatrix, TrimSpec, _blocked_projections, project_abs, trimmed_p_mean
 from .distributions import (
     DistributionSpec,
     MomentDoesNotExistError,
@@ -146,7 +146,7 @@ def _finite(values, p: float):
 
 def _sandwich_task(spec, n, trial_seed, directions, trim) -> np.ndarray:
     sample = draw_sample(spec, n, trial_seed)
-    return trimmed_p_means((sample.data @ directions.T).T, trim)
+    return np.array([trimmed_p_mean(values, trim) for values in _blocked_projections(sample, directions)])
 
 
 def lemma_trial_rows(

@@ -28,7 +28,7 @@ from lptrim.distributions import (
     marginal_cdf,
 )
 from lptrim.oracle import upper_quantile
-from lptrim.ratio import DyadicLevel, ratio_properties_report
+from lptrim.ratio import DirectionCheckRow, DyadicLevel, ratio_properties_report
 from lptrim.seeding import child_seed
 
 
@@ -356,3 +356,23 @@ def per_direction_comparison(spec, n, trial, trial_seed, directions, truths, tri
     row = ComparisonTrialRow(trial, float(q50_t), float(q95_t), float(np.max(trimmed_errs)),
                              float(q50_m), float(q95_m), float(np.max(mean_errs)), winner)
     return row, trimmed, means
+
+
+def per_direction_sandwich(spec, n, trial_seed, directions, trim) -> np.ndarray:
+    """The sandwich trial's estimates, projecting one direction at a time.
+
+    One matrix-vector product and one ``trimmed_p_mean`` per direction.
+    """
+    sample = draw_sample(spec, n, trial_seed)
+    return np.array([trimmed_p_mean(project_abs(sample, v), trim) for v in directions])
+
+
+def per_direction_ratio_rows(spec, n, trial_seed, directions, params, ref_size) -> list[DirectionCheckRow]:
+    """``ratio_trial_rows`` by the loop it ran before it projected directions in
+    blocks: one matrix-vector product and one property report per direction."""
+    sample = draw_sample(spec, n, trial_seed)
+    rows = []
+    for idx, v in enumerate(directions):
+        report = ratio_properties_report(project_abs(sample, v), marginal_cdf(spec, v, ref_size=ref_size), params)
+        rows.append(DirectionCheckRow(idx, report.tail_dev, report.worst_margin, report.interval_sup, report.failing))
+    return rows

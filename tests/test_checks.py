@@ -3,8 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import per_direction_comparison
-from lptrim import checks
+from helpers import per_direction_comparison, per_direction_ratio_rows, per_direction_sandwich
+from lptrim import core
 from lptrim.checks import (
     Verdict,
     _direction_estimates,
@@ -27,8 +27,8 @@ from lptrim.distributions import (
     sphere_directions,
 )
 from lptrim.oracle import upper_quantile
-from lptrim.ratio import ratio_properties_report
-from lptrim.runner import run_compare
+from lptrim.ratio import ratio_properties_report, ratio_trial_rows
+from lptrim.runner import _sandwich_task, run_compare
 
 PARAMS = RatioParams(delta=0.01, lam=0.5, big_c=2.0)
 UNIFORM01 = HalfUniformCDF(width=1.0)
@@ -195,6 +195,7 @@ def compare_rows(tmp_path, **fields):
 
 
 # (n, directions): a block holds max(1, 2**15 // n) directions, 32 at n = 1000
+# for every multi-direction command: compare, sandwich and ratio-check
 BLOCK_CASES = {
     "one-direction": (1000, 1),
     "below-one-block": (1000, 5),
@@ -212,6 +213,8 @@ def test_blocked_projection_matches_the_per_direction_loop(case, theta, monkeypa
     directions = sphere_directions(4, m, 7)
     trim = TrimSpec(p=2.0, theta=theta)
     truths = MomentOracle(spec).moments(directions, trim.p)
+    params = RatioParams(delta=0.05, lam=0.5, big_c=2.0)
+    ref_size = 5000
     blocks = []
 
     def recording_project_abs(sample, v):
@@ -219,16 +222,29 @@ def test_blocked_projection_matches_the_per_direction_loop(case, theta, monkeypa
         blocks.append(out.shape)
         return out
 
-    monkeypatch.setattr(checks, "project_abs", recording_project_abs)
+    # the one blocked loop looks project_abs up in core
+    monkeypatch.setattr(core, "project_abs", recording_project_abs)
     row = comparison_trial_row(spec, n, 0, 11, directions, truths, trim)
     trimmed, means = _direction_estimates(draw_sample(spec, n, 11), directions, trim)
+    sandwich = _sandwich_task(spec, n, 11, directions, trim)
+    # an analytic law in every direction, and reference laws off the axes
+    ratio_laws = (DistributionSpec("gaussian", 4), spec)
+    ratio_rows = [ratio_trial_rows(law, n, 11, directions, params, ref_size) for law in ratio_laws]
     naive_row, naive_trimmed, naive_means = per_direction_comparison(spec, n, 0, 11, directions, truths, trim)
 
     per_block = max(1, 2**15 // n)
     sizes = [min(per_block, m - start) for start in range(0, m, per_block)]
-    assert blocks == [(rows, n) for rows in sizes] * 2
+    assert blocks == [(rows, n) for rows in sizes] * 5
     np.testing.assert_allclose(trimmed, naive_trimmed, rtol=1e-12, atol=0)
     np.testing.assert_allclose(means, naive_means, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(sandwich, per_direction_sandwich(spec, n, 11, directions, trim), rtol=1e-12, atol=0)
+    for law, rows in zip(ratio_laws, ratio_rows):
+        naive = per_direction_ratio_rows(law, n, 11, directions, params, ref_size)
+        assert [r.direction for r in rows] == [r.direction for r in naive] == list(range(m))
+        assert [r.failing for r in rows] == [r.failing for r in naive]
+        for column in ("prop1_dev", "prop2_margin", "prop3_sup"):
+            np.testing.assert_allclose([getattr(r, column) for r in rows], [getattr(r, column) for r in naive],
+                                       rtol=0, atol=1e-12, err_msg=f"{law.label} {column}")
     assert row.winner == naive_row.winner
     if trim.cut_rank(n) == 1:
         for row_ in (row, naive_row):

@@ -10,12 +10,10 @@ import lptrim
 from helpers import fraction_trimmed_mean, naive_power_mean, naive_upper_power_mean
 from lptrim.core import (
     _ascending_head_mean,
-    _ascending_power_sums,
     _ascending_threshold,
     _ascending_trimmed_mean,
     _ascending_truncated_mean,
     _ascending_upper_sum,
-    _sorted_power_sums,
     RatioParams,
     SampleMatrix,
     TrimSpec,
@@ -28,7 +26,6 @@ from lptrim.core import (
     theta_from_epsilon,
     trim_threshold,
     trimmed_p_mean,
-    trimmed_p_means,
     truncated_power_mean,
 )
 from lptrim.distributions import DistributionSpec, EmpiricalCDF, FoldedNormalCDF, MomentOracle
@@ -132,35 +129,39 @@ class TestTrimmedPMean:
             assert got == pytest.approx(float(exact), rel=1e-12)
 
 
-class TestTrimmedPMeans:
-    """The batched kernel against the per-row estimator it replaces, bit for bit."""
+class TestTrimmedPMeanRows:
+    """``trimmed_p_mean`` of each row of a projection block, against the naive sort-then-power sum."""
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
     @pytest.mark.parametrize("theta", [1e-6, 0.002, 0.1, 0.5])
-    def test_rows_equal_trimmed_p_mean(self, rng, p, theta):
+    def test_rows_equal_the_naive_sum(self, rng, p, theta):
         continuous = rng.standard_t(3.0, size=(6, 9000))
         ties = np.round(continuous, 1)
         atoms = np.where(rng.random((6, 9000)) < 0.3, 0.0, continuous)
+        spec = TrimSpec(p=p, theta=theta)
         for rows in (continuous, ties, atoms, continuous[:, :1], -np.abs(ties[:1, :17])):
-            spec = TrimSpec(p=p, theta=theta)
-            expected = [trimmed_p_mean(row, spec) for row in rows]
-            assert trimmed_p_means(rows, spec).tolist() == expected
-            # rows handed over as the transpose of an (n, m) projection matrix
-            assert trimmed_p_means(np.asfortranarray(rows), spec).tolist() == expected
+            drop = spec.cut_rank(rows.shape[1]) - 1
+            expected = [naive_power_mean(row, p, drop=drop) for row in rows]
+            assert [trimmed_p_mean(row, spec) for row in rows] == expected
+            # strided rows, as of the transpose of an (n, m) projection matrix
+            assert [trimmed_p_mean(row, spec) for row in np.asfortranarray(rows)] == expected
 
-    def test_leaves_input_unchanged(self):
-        rows = np.array([[3.0, -1.0, 2.0]])
-        trimmed_p_means(rows, TrimSpec(p=2.0, theta=0.5))
-        assert rows.tolist() == [[3.0, -1.0, 2.0]]
+    def test_leaves_the_block_unchanged(self):
+        # compare estimates both means from the same view into a projection block
+        rows = np.array([[3.0, -1.0, 2.0], [0.5, -4.0, 1.0]])
+        for row in rows:
+            trimmed_p_mean(row, TrimSpec(p=2.0, theta=0.5))
+            empirical_p_mean(row, 2.0)
+        assert rows.tolist() == [[3.0, -1.0, 2.0], [0.5, -4.0, 1.0]]
 
     def test_rejects_bad_input(self):
         spec = TrimSpec(p=2.0, theta=0.1)
-        with pytest.raises(ValueError):
-            trimmed_p_means([1.0, 2.0], spec)
-        with pytest.raises(ValueError):
-            trimmed_p_means(np.empty((2, 0)), spec)
-        with pytest.raises(ValueError):
-            trimmed_p_means([[1.0, np.nan]], spec)
+        with pytest.raises(ValueError, match="1-d"):
+            trimmed_p_mean([[1.0, 2.0]], spec)
+        with pytest.raises(ValueError, match="at least one"):
+            trimmed_p_mean(np.empty((2, 0))[0], spec)
+        with pytest.raises(ValueError, match="finite"):
+            trimmed_p_mean(np.array([[1.0, np.nan]])[0], spec)
 
 
 class TestEmpiricalPMean:
@@ -298,10 +299,10 @@ class TestSortedPowerKernel:
 
     @pytest.mark.parametrize("p", [1.0, 1.7, 2.0, 3.0, 7.3])
     @pytest.mark.parametrize("drop", [0, 1, 17])
-    def test_rows_of_the_batched_mean_equal_the_naive_sum(self, p, drop):
+    def test_rows_of_an_f_ordered_block_equal_the_naive_sum(self, p, drop):
         spec = TrimSpec(p=p, theta=(drop + 0.5) / F_ORDERED.shape[1])
         expected = [naive_power_mean(row, p, drop=drop) for row in F_ORDERED]
-        assert trimmed_p_means(F_ORDERED, spec).tolist() == expected
+        assert [trimmed_p_mean(row, spec) for row in F_ORDERED] == expected
 
 @given(values=finite_values, theta=thetas, p=exponents)
 def test_trim_never_exceeds_plain_mean(values, theta, p):
@@ -378,24 +379,9 @@ def test_ascending_readers_equal_the_sort_first_functions_bit_for_bit(values, th
         assert _ascending_truncated_mean(xs, p, cap) == truncated_power_mean(shuffled, p, cap)
     for q in (0.0, float(xs[0]), float(np.median(xs)), float(xs[-1])):
         # the sort-first sum that truncated_upper_moment made on a reference law
-        above = np.abs(shuffled)[np.abs(shuffled) > q]
-        assert _ascending_upper_sum(xs, p, q) == float(_sorted_power_sums(above[None, :], p, above.size)[0])
+        above = np.sort(np.abs(shuffled)[np.abs(shuffled) > q])
+        assert _ascending_upper_sum(xs, p, q) == float(np.sum(above ** p))
     assert xs.tobytes() == before.tobytes()
-
-
-@_with_examples
-@given(values=atom_values, theta=thetas, p=exponents, seed=st.integers(0, 2**16))
-def test_kernel_rows_equal_trimmed_p_means_bit_for_bit(values, theta, p, seed):
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, 5)) if len(values) >= 4 else 1
-    n = len(values) // m
-    rows = np.array(values[: m * n]).reshape(m, n)
-    shuffled = rng.permuted(rows, axis=1)
-    spec = TrimSpec(p=p, theta=theta)
-    z = np.sort(np.abs(rows), axis=1)
-    got = (_ascending_power_sums(z, p, n - spec.cut_rank(n) + 1) / n).tolist()
-    assert got == trimmed_p_means(shuffled, spec).tolist()
-    assert got == trimmed_p_means(np.asfortranarray(shuffled), spec).tolist()
 
 
 @_with_examples

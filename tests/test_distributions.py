@@ -22,7 +22,6 @@ from lptrim.distributions import (
     MarginalCDF,
     MomentDoesNotExistError,
     MomentOracle,
-    clear_marginal_cache,
     draw_sample,
     gaussian_abs_moment,
     marginal_cdf,
@@ -161,23 +160,26 @@ class TestTrueMoment:
 
 
 class TestMomentEquivalenceMetadata:
+    # L with ||<X, v>||_4 <= L ||<X, v>||_2 for every direction: a unit v has
+    # E <X, v>^4 = 3 + kappa4 sum v_i^4 between 3 and E Y^4 of one
+    # unit-variance coordinate Y, so L = max(3, E Y^4)^(1/4)
     @pytest.mark.parametrize(
-        "spec", [DistributionSpec("gaussian", 8), DistributionSpec("product_laplace", 8)], ids=lambda s: s.name
+        "spec, bound",
+        [
+            (DistributionSpec("gaussian", 8), 3.0 ** 0.25),
+            (DistributionSpec("cube_uniform", 8), 3.0 ** 0.25),
+            (DistributionSpec("product_laplace", 8), 6.0 ** 0.25),
+            (DistributionSpec("product_student_t", 8, nu=10.0), (3.0 * 8.0 / 6.0) ** 0.25),
+        ],
+        ids=["gaussian", "cube_uniform", "product_laplace", "product_student_t"],
     )
-    def test_l4_l2_ratio_never_exceeds_stored_bound(self, spec, rng):
+    def test_l4_l2_ratio_never_exceeds_stored_bound(self, spec, bound, rng):
         # per-direction L4/L2 ratio evaluated exactly through the fourth-moment
         # closed form; Monte Carlo only over the 100 random directions
-        q, stored = spec.moment_equiv
-        assert q == 4.0
         directions = sphere_directions(spec.dim, 100, 17)
         oracle = MomentOracle(spec)
         ratio = oracle.moments(directions, 4) ** 0.25 / oracle.moments(directions, 2) ** 0.5
-        assert np.all(ratio <= stored * (1 + 1e-12))
-
-    def test_student_metadata(self):
-        assert DistributionSpec("product_student_t", 2, nu=4.0).moment_equiv is None
-        q, L = DistributionSpec("product_student_t", 2, nu=10.0).moment_equiv
-        assert L == pytest.approx(4.0 ** 0.25)
+        assert np.all(ratio <= bound * (1 + 1e-12))
 
 
 class TestMarginalCDF:
@@ -236,11 +238,11 @@ class TestMarginalCDF:
         assert cdf.sf(0.5) == 1.0
 
     def test_empirical_mode_reproducible_from_seed(self):
-        clear_marginal_cache()
+        _reference_law.cache_clear()
         spec = DistributionSpec("product_laplace", 3)
         v = np.array([0.6, 0.8, 0.1])
         a = marginal_cdf(spec, v, ref_size=5_000)
-        clear_marginal_cache()
+        _reference_law.cache_clear()
         b = marginal_cdf(spec, v, ref_size=5_000)
         assert np.array_equal(a.values, b.values)
 
@@ -254,7 +256,7 @@ class TestMarginalCDF:
 
     def test_empirical_matches_law(self):
         # reference CDF of a gaussian mixture direction vs the exact folded normal
-        clear_marginal_cache()
+        _reference_law.cache_clear()
         spec = DistributionSpec("product_laplace", 4)
         v = np.array([0.5, 0.5, 0.5, 0.5])
         cdf = marginal_cdf(spec, v, ref_size=200_000)
