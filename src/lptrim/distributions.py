@@ -11,6 +11,13 @@ Every law is centred with identity covariance by construction:
 The marginal law of |<X, v>| is available analytically for the gaussian (any
 direction) and for single-coordinate directions of the product laws; any other
 case falls back to a cached high-resolution empirical reference sample.
+
+Samples (``draw_sample``) are numpy's ``Generator`` draws, which
+``load_sample`` regenerates bit for bit.  The reference streams behind the
+empirical laws and ``MomentOracle`` draw product_laplace as one vectorised
+transform of the same uniform stream (``_reference_rows``): every sign
+agrees with ``Generator.laplace`` and every value to within 2 ulp, so the
+sums and order statistics built from them agree to round-off.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .core import SampleMatrix, _block_sizes, _check_open_unit, _check_p
+from .core import SampleMatrix, _block_sizes, _check_open_unit, _check_p, _sorted_abs
 from .seeding import child_rng, child_seed
 
 __all__ = [
@@ -116,6 +123,36 @@ def _draw_matrix(spec: DistributionSpec, n: int, rng: np.random.Generator) -> np
     if spec.name == "product_laplace":
         return rng.laplace(0.0, LAPLACE_SCALE, size=(n, d))
     return rng.standard_t(spec.nu, size=(n, d)) * _student_coord_scale(spec.nu)
+
+
+def _reference_rows(spec: DistributionSpec, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """``rows`` reference rows of the law; ``_draw_matrix``'s except for product_laplace.
+
+    product_laplace applies numpy's ``random_laplace`` to ``rng.random`` as
+    array operations, not one libm ``log`` call per element:
+    ``-s log((2 - u) - u)`` for u >= 1/2 and ``s log(u + u)`` below.  A zero
+    uniform is skipped and the next one takes its place, so the stream is
+    consumed as ``Generator.laplace`` consumes it and a split of the rows into
+    blocks does not change them.  numpy's SIMD ``log`` may differ from libm's
+    by 2 ulp, which is why samples keep ``_draw_matrix``.
+    """
+    if spec.name != "product_laplace":
+        return _draw_matrix(spec, rows, rng)
+    u = rng.random(rows * spec.dim)
+    while not u.all():
+        kept = u[u != 0.0]
+        u = np.concatenate((kept, rng.random(u.size - kept.size)))
+    u = u.reshape(rows, spec.dim)
+    # (2 - u) - u, rounded as numpy rounds it: 2 - 2u differs by up to 2^-53
+    w = np.subtract(2.0, u)
+    w -= u
+    u += u
+    np.minimum(w, u, out=w)
+    np.log(w, out=w)
+    w *= LAPLACE_SCALE
+    u -= 1.0
+    # the sign of 2u - 1 is exact, and +0.0 at u = 1/2 as numpy's 0.0 - 0.0
+    return np.copysign(w, u, out=w)
 
 
 def sphere_directions(dim: int, m: int, seed: int) -> np.ndarray:
@@ -275,13 +312,10 @@ class FoldedStudentTCDF(MarginalCDF):
 
 
 class EmpiricalCDF(MarginalCDF):
-    """Step CDF over a sorted reference sample; queries are O(log M)."""
+    """Step CDF over the sorted |values| of a nonempty, finite 1-d reference sample; queries are O(log M)."""
 
     def __init__(self, values):
-        xs = np.sort(np.abs(np.asarray(values, dtype=np.float64)))
-        if xs.size < 1 or not np.isfinite(xs).all():
-            raise ValueError("reference sample must be nonempty and finite")
-        self.values = xs
+        self.values = _sorted_abs(values)
 
     @property
     def size(self) -> int:
@@ -364,7 +398,7 @@ def _reference_law(spec: DistributionSpec, ref_size: int, v_bytes: bytes) -> Emp
     digest = hashlib.blake2s(v_bytes).hexdigest()
     rng = np.random.default_rng(child_seed(_REF_SEED_ROOT, "marginal-ref", spec.label, ref_size, digest))
     v = np.frombuffer(v_bytes)
-    parts = [_draw_matrix(spec, rows, rng) @ v for rows in _block_sizes(ref_size, 1)]
+    parts = [_reference_rows(spec, rows, rng) @ v for rows in _block_sizes(ref_size, 1)]
     return EmpiricalCDF(np.concatenate(parts))
 
 
@@ -392,7 +426,9 @@ class MomentOracle:
     raised to p and added to the column sums before the next is drawn, so no
     more than one block is ever held.  The draws, and so the reference rows,
     are deterministic in (spec, ref_size, seed); the sums are associated per
-    block, so a truth depends on m at round-off only.
+    block, so a truth depends on m at round-off only.  The rows come from
+    ``_reference_rows``: product_laplace rows agree with ``Generator.laplace``
+    draws to round-off, where ``draw_sample`` agrees with them bit for bit.
     """
 
     def __init__(self, spec: DistributionSpec, ref_size: int = 1_000_000, seed: int = 0):
@@ -429,7 +465,7 @@ def _streamed_moments(spec: DistributionSpec, dirs: np.ndarray, p: float, ref_si
     acc = np.zeros(m)
     for rows in sizes:
         out = block[:rows]
-        np.matmul(_draw_matrix(spec, rows, rng), dirs.T, out=out)
+        np.matmul(_reference_rows(spec, rows, rng), dirs.T, out=out)
         _abs_power_in_place(out, p, scratch[:rows])
         acc += out.sum(axis=0)
     return acc / ref_size

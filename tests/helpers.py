@@ -23,7 +23,7 @@ from lptrim.distributions import (
     FoldedNormalCDF,
     FoldedStudentTCDF,
     HalfUniformCDF,
-    _draw_matrix,
+    _reference_rows,
     draw_sample,
     marginal_cdf,
 )
@@ -250,18 +250,59 @@ def monte_carlo_moment(spec, v, p: float, size: int, seed: int) -> tuple[float, 
     return float(np.mean(powered)), float(np.std(powered) / np.sqrt(size))
 
 
+def naive_laplace(rng, scale: float, shape) -> np.ndarray:
+    """numpy's ``random_laplace`` transcribed one draw at a time, with ``math.log``.
+
+    Each draw takes one uniform ``u`` from ``rng.random()``; a zero uniform is
+    rejected and the next one taken.  ``Generator.laplace(0, scale, shape)``
+    must equal it bit for bit and leave the generator in the same state.
+    """
+    out = np.empty(shape)
+    flat = out.reshape(-1)
+    for i in range(flat.size):
+        u = rng.random()
+        while u == 0.0:
+            u = rng.random()
+        if u >= 0.5:
+            flat[i] = 0.0 - scale * math.log(2.0 - u - u)
+        else:
+            flat[i] = 0.0 + scale * math.log(u + u)
+    return out
+
+
+class StubUniforms:
+    """A generator stand-in whose ``random`` hands out the given uniforms in order.
+
+    ``random()`` returns one float, ``random(size)`` an array of that shape;
+    ``used`` counts the uniforms handed out.
+    """
+
+    def __init__(self, values):
+        self._values = np.asarray(values, dtype=np.float64)
+        self.used = 0
+
+    def random(self, size=None):
+        count = 1 if size is None else int(np.prod(size))
+        if self.used + count > self._values.size:
+            raise IndexError("the stub's uniform stream ran out")
+        out = self._values[self.used : self.used + count].copy()
+        self.used += count
+        return float(out[0]) if size is None else out.reshape(size)
+
+
 def chunked_reference_moments(spec, dirs, p: float, ref_size: int, rng) -> np.ndarray:
     """The mean of |X @ dirs.T|^p over ``ref_size`` rows of ``rng``, chunk by chunk.
 
     The moment oracle's earlier pass: 200,000-row chunks of draws, each
     projected 4,096 rows at a time, with |x|^p for the integers 3 <= p <= 5
-    as a chain of multiplies by a copy of |x|.  The streamed pass in
+    as a chain of multiplies by a copy of |x|; the rows come from
+    ``_reference_rows``, as the oracle's do.  The streamed pass in
     ``lptrim.distributions`` must agree with it to round-off.
     """
     dirs = np.asarray(dirs, dtype=float)
     acc = np.zeros(dirs.shape[0])
     for chunk_start in range(0, ref_size, 200_000):
-        chunk = _draw_matrix(spec, min(200_000, ref_size - chunk_start), rng)
+        chunk = _reference_rows(spec, min(200_000, ref_size - chunk_start), rng)
         for start in range(0, chunk.shape[0], 4096):
             out = np.abs(chunk[start : start + 4096] @ dirs.T)
             acc += copyto_power_chain(out, p).sum(axis=0)
@@ -283,7 +324,8 @@ def chunked_reference_values(spec, ref_size: int, v) -> np.ndarray:
     """The sorted |<x_i, v>| of a reference law, drawn in 200,000-row chunks.
 
     ``marginal_cdf``'s earlier reference build, seeded as it is by (label,
-    ref_size, v); the block-built reference law must equal it bit for bit.
+    ref_size, v) and drawn through ``_reference_rows`` as it is; the
+    block-built reference law must equal it bit for bit.
     """
     v = np.asarray(v, dtype=float)
     digest = hashlib.blake2s(v.tobytes()).hexdigest()
@@ -292,7 +334,7 @@ def chunked_reference_values(spec, ref_size: int, v) -> np.ndarray:
     remaining = ref_size
     while remaining > 0:
         rows = min(200_000, remaining)
-        parts.append(np.abs(_draw_matrix(spec, rows, rng) @ v))
+        parts.append(np.abs(_reference_rows(spec, rows, rng) @ v))
         remaining -= rows
     return np.sort(np.concatenate(parts))
 

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -278,6 +279,13 @@ class TestSampleFiles:
         loaded = load_sample(path)
         assert np.array_equal(loaded.data, sample.data)
         assert loaded.dist_name == sample.dist_name
+
+    def test_laplace_file_stored_from_generator_laplace_loads(self, tmp_path):
+        # a product_laplace sample as save_sample stored it when draw_sample called Generator.laplace
+        data = np.random.default_rng(9).laplace(0.0, 1.0 / math.sqrt(2.0), (50, 3))
+        path = tmp_path / "s.npz"
+        np.savez(path, data=data, seed=np.int64(9), dist_name=np.str_("product_laplace"))
+        assert load_sample(path).data.tobytes() == data.tobytes()
 
     def test_integrity_error_raised(self, tmp_path):
         sample = draw_sample(DistributionSpec("gaussian", 2), 30, 4)

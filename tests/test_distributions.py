@@ -1,18 +1,22 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from helpers import (
+    StubUniforms,
     chunked_reference_moments,
     chunked_reference_values,
     copyto_power_chain,
     cumulant_fourth_moments,
     monte_carlo_moment,
+    naive_laplace,
     per_law_sf,
 )
 from lptrim import distributions
 from lptrim.distributions import (
+    LAPLACE_SCALE,
     DistributionSpec,
     EmpiricalCDF,
     ExponentialCDF,
@@ -31,6 +35,7 @@ from lptrim.distributions import (
     _abs_power_in_place,
     _draw_matrix,
     _reference_law,
+    _reference_rows,
     _streamed_moments,
 )
 from lptrim.oracle import raw_moment, upper_quantile
@@ -237,6 +242,12 @@ class TestMarginalCDF:
         assert 1.0 - cdf.sf(0.5) - cdf.atom(0.5) == 0.0
         assert cdf.sf(0.5) == 1.0
 
+    @pytest.mark.parametrize("values", [[[1.0, 2.0], [3.0, 4.0]], [], [1.0, math.nan], [1.0, math.inf],
+                                        [-math.inf, 1.0]], ids=["2-d", "empty", "nan", "inf", "-inf"])
+    def test_empirical_rejects_a_bad_reference_at_construction(self, values):
+        with pytest.raises(ValueError):
+            EmpiricalCDF(values)
+
     def test_empirical_mode_reproducible_from_seed(self):
         _reference_law.cache_clear()
         spec = DistributionSpec("product_laplace", 3)
@@ -329,13 +340,14 @@ class TestStreamedMomentsAgainstChunkedPass:
         naive = chunked_reference_moments(spec, dirs, p, 205_001, child_rng(6, "stream"))
         assert got == pytest.approx(naive, rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("draw", [_draw_matrix, _reference_rows], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
-    def test_split_draws_equal_one_draw(self, spec):
+    def test_split_draws_equal_one_draw(self, spec, draw):
         # the streamed pass draws block by block; the reference rows must not depend on the split
-        whole = _draw_matrix(spec, 5_000, child_rng(2, "split"))
+        whole = draw(spec, 5_000, child_rng(2, "split"))
         rng = child_rng(2, "split")
-        parts = [_draw_matrix(spec, rows, rng) for rows in (1, 511, 512, 3_000, 976)]
-        assert np.array_equal(np.vstack(parts), whole)
+        parts = [draw(spec, rows, rng) for rows in (1, 511, 512, 3_000, 976)]
+        assert np.vstack(parts).tobytes() == whole.tobytes()
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.5])
     def test_copy_free_power_equals_the_copyto_chain(self, p, rng):
@@ -344,6 +356,75 @@ class TestStreamedMomentsAgainstChunkedPass:
         want = copyto_power_chain(np.abs(x), p)
         _abs_power_in_place(x, p, np.empty_like(x))
         assert np.array_equal(x, want)
+
+
+LAPLACE_SHAPES = [(1, 1), (163, 20), (32_768, 10)]
+
+
+@lru_cache(maxsize=None)
+def naive_laplace_draw(seed: int, shape: tuple) -> tuple[np.ndarray, dict]:
+    """``naive_laplace`` on ``default_rng(seed)``: the draws and the generator's state after them."""
+    rng = np.random.default_rng(seed)
+    return naive_laplace(rng, LAPLACE_SCALE, shape), rng.bit_generator.state
+
+
+def assert_within_two_ulp(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal sign bits, and every value within 2 ulp (adjacent doubles of one sign differ by 1 in their bits)."""
+    assert got.shape == want.shape
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 2
+
+
+class TestLaplaceReferenceRows:
+    """product_laplace reference rows as array operations, against numpy's scalar sampler."""
+
+    @pytest.mark.parametrize("shape", LAPLACE_SHAPES, ids=str)
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_transcription_equals_generator_laplace(self, seed, shape):
+        want, state = naive_laplace_draw(seed, shape)
+        rng = np.random.default_rng(seed)
+        assert rng.laplace(0.0, LAPLACE_SCALE, shape).tobytes() == want.tobytes()
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("shape", LAPLACE_SHAPES, ids=str)
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    def test_rows_match_the_transcription(self, seed, shape):
+        want, state = naive_laplace_draw(seed, shape)
+        rng = np.random.default_rng(seed)
+        assert_within_two_ulp(_reference_rows(DistributionSpec("product_laplace", shape[1]), shape[0], rng), want)
+        assert rng.bit_generator.state == state
+
+    def test_edge_uniforms(self):
+        half_up, half_down = np.nextafter(0.5, 1.0), np.nextafter(0.5, 0.0)
+        uniforms = [0.5, half_up, half_down, 2.0 ** -53, 1.0 - 2.0 ** -53]
+        got = _reference_rows(DistributionSpec("product_laplace", 5), 1, StubUniforms(uniforms))[0]
+        assert_within_two_ulp(got, naive_laplace(StubUniforms(uniforms), LAPLACE_SCALE, 5))
+        assert got[0] == 0.0 and not np.signbit(got[0])  # numpy's 0.0 - 0.0
+        assert got[1] > 0.0 > got[2]
+        # (2 - u) - u rounds to 2^-53 at u = 1 - 2^-53, where 2 - 2u is 2^-52
+        assert got[4] == pytest.approx(-LAPLACE_SCALE * math.log(2.0 ** -53), rel=1e-15)
+
+    @pytest.mark.parametrize("stream", [
+        [0.0, 0.3, 0.7, 0.1, 0.9, 0.6, 0.2, 0.4],
+        [0.3, 0.7, 0.1, 0.9, 0.6, 0.0, 0.2, 0.4],
+        [0.3, 0.0, 0.7, 0.0, 0.1, 0.9, 0.0, 0.6, 0.2, 0.4],  # the refill of two zeros draws a zero
+    ], ids=["first", "last", "in-refill"])
+    def test_zero_uniforms_are_skipped(self, stream):
+        nonzero = [u for u in stream[:-1] if u != 0.0]
+        spec = DistributionSpec("product_laplace", 2)
+        stub = StubUniforms(stream)
+        got = _reference_rows(spec, 3, stub)
+        assert stub.used == len(stream) - 1
+        assert got.tobytes() == _reference_rows(spec, 3, StubUniforms(nonzero)).tobytes()
+        naive_stub = StubUniforms(stream)
+        assert_within_two_ulp(got, naive_laplace(naive_stub, LAPLACE_SCALE, (3, 2)))
+        assert naive_stub.used == stub.used
+
+    @pytest.mark.parametrize("n, dim, seed", [(1, 1, 0), (500, 3, 9), (2_000, 20, 31)])
+    def test_samples_stay_generator_laplace(self, n, dim, seed):
+        # samples are regenerated bit for bit by load_sample, so they keep numpy's sampler
+        want = np.random.default_rng(seed).laplace(0.0, 1.0 / math.sqrt(2.0), (n, dim))
+        assert draw_sample(DistributionSpec("product_laplace", dim), n, seed).data.tobytes() == want.tobytes()
 
 
 class TestReferenceLawAgainstChunkedBuild:
