@@ -35,7 +35,7 @@ from .core import (
     trimmed_p_mean,
     empirical_p_mean,
 )
-from .distributions import DistributionSpec, draw_sample
+from .distributions import DistributionSpec, _closed_form, draw_sample
 from .oracle import (
     error_functional,
     raw_moment,
@@ -136,8 +136,9 @@ def check_trimmed_sum_brackets(report: RatioReport, trim: TrimSpec) -> CheckOutc
         return CheckOutcome(name, Verdict.NOT_APPLICABLE, reason=gate)
     _, _, q_lo, q_hi = _bracket_quantiles(cdf, trim.theta, params)
     threshold = _ascending_threshold(values, trim.theta)
+    threshold_p = _closed_form(trim.p, lambda: threshold ** trim.p)
     estimate = _ascending_trimmed_mean(values, trim)
-    lower = _ascending_truncated_mean(values, trim.p, q_lo) - trim.theta * threshold ** trim.p
+    lower = _ascending_truncated_mean(values, trim.p, q_lo) - trim.theta * threshold_p
     upper = _ascending_truncated_mean(values, trim.p, q_hi)
     tol = _tol(_REL_TOL_EXACT, lower, estimate, upper)
     ok = (lower <= estimate + tol) and (estimate <= upper + tol)
@@ -166,7 +167,7 @@ def check_empirical_integral_sandwich(report: RatioReport, p: float, t_cap: floa
         return CheckOutcome(name, Verdict.NOT_APPLICABLE, reason="dyadic ratio property fails")
     empirical = _ascending_truncated_mean(values, p, t_cap)
     err = error_functional(cdf, p, t_cap, delta)
-    capped_moment = tail_integral_moment(cdf, p, t_cap) - t_cap ** p * tail_at_cap
+    capped_moment = tail_integral_moment(cdf, p, t_cap) - _closed_form(p, lambda: t_cap ** p * tail_at_cap)
     full_moment = raw_moment(cdf, p)
     tol = _tol(_REL_TOL_ORACLE, empirical, full_moment, err)
     ok = (capped_moment - err <= empirical + tol) and (empirical <= full_moment + err + tol)
@@ -210,7 +211,7 @@ def check_moment_sandwich(report: RatioReport, trim: TrimSpec) -> CheckOutcome:
     else:
         # E f^p 1{f >= q_lo}: strict-tail moment plus the point mass at q_lo
         tail_moment = truncated_upper_moment(cdf, trim.p, theta_plus)
-        tail_moment += q_lo ** trim.p * float(cdf.atom(q_lo))
+        tail_moment += _closed_form(trim.p, lambda: q_lo ** trim.p * float(cdf.atom(q_lo)))
     upper = moment + err_hi
     lower = moment - (1.0 + 1.0 / (1.0 - params.lam)) * tail_moment - err_lo
     tol = _tol(_REL_TOL_ORACLE, estimate, upper, lower)

@@ -9,7 +9,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import RatioParams, TrimSpec, _check_delta, _check_open_unit, _check_p, theta_from_epsilon
+from .core import RatioParams, TrimSpec, _check_open_unit, _check_p, theta_from_epsilon
 from .distributions import DIST_NAMES, DistributionSpec
 
 __all__ = ["ExperimentConfig", "ConfigError", "ENV_OUT_DIR", "MAX_THREADS"]
@@ -118,9 +118,8 @@ class ExperimentConfig:
             self.resolved_n, self.resolved_theta
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot derive n and theta from epsilon={self.epsilon}: {exc}") from None
-        try:  # the properties' delta rule; RatioParams admits delta = 0 for the trim arithmetic
-            _check_delta(self.delta)
-            self.trim, self.ratio_params  # TrimSpec checks p and theta, RatioParams lam and C
+        try:  # TrimSpec checks p and theta, RatioParams delta, lam and C
+            self.trim, self.ratio_params
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

@@ -67,6 +67,19 @@ def _check_p(p) -> None:
         raise ValueError(f"p must be a finite real >= 1, got {p}")
 
 
+def _as_directions(v, dim: int, block: bool = True) -> np.ndarray:
+    """The rule for every direction: a finite float64 array of shape (dim,), or with ``block`` (m >= 1, dim)."""
+    v = np.asarray(v, dtype=np.float64)
+    if block and v.ndim == 2:
+        if v.shape[0] < 1 or v.shape[1] != dim:
+            raise ValueError(f"direction block has shape {v.shape}, expected (m >= 1, {dim})")
+    elif v.shape != (dim,):
+        raise ValueError(f"direction has shape {v.shape}, expected ({dim},)")
+    if not np.isfinite(v).all():
+        raise ValueError("direction must be finite")
+    return v
+
+
 def _check_delta(delta) -> None:
     """The rule for the tail mass of the ratio properties: delta lies in (0, 1/2]."""
     if not (0 < delta <= 0.5):
@@ -174,8 +187,7 @@ class RatioParams:
     big_c: float
 
     def __post_init__(self):
-        if not (0 <= self.delta <= 0.5):
-            raise ValueError(f"delta must lie in [0, 1/2], got {self.delta}")
+        _check_delta(self.delta)
         _check_open_unit("lam", self.lam)
         if not (self.big_c >= 1):
             raise ValueError(f"big_c must be >= 1, got {self.big_c}")
@@ -204,14 +216,7 @@ def project_abs(sample: SampleMatrix, v) -> np.ndarray:
     holding the projections onto direction j: one matrix product, whose rows
     agree with the one-direction products up to round-off.
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 2:
-        if v.shape[0] < 1 or v.shape[1] != sample.dim:
-            raise ValueError(f"direction block has shape {v.shape}, expected (m >= 1, {sample.dim})")
-    elif v.shape != (sample.dim,):
-        raise ValueError(f"direction has shape {v.shape}, expected ({sample.dim},)")
-    if not np.isfinite(v).all():
-        raise ValueError("direction must be finite")
+    v = _as_directions(v, sample.dim)
     if v.ndim == 1:
         return np.abs(sample.data @ v)
     out = v @ sample.data.T
@@ -236,16 +241,14 @@ def nonincreasing_rearrangement(z) -> np.ndarray:
     return _sorted_abs(z)[::-1]
 
 
-def _ascending_power_sums(z: np.ndarray, p: float, keep: int) -> float:
-    """Sum of the ``keep`` smallest p-th powers of z.
+def _ascending_power_sums(z: np.ndarray, p: float) -> float:
+    """Sum of the p-th powers of z, a 1-d ascending, nonnegative array that the caller owns.
 
-    z is a 1-d ascending, nonnegative array that the caller owns; its ``keep``
-    head is raised to p in place and the rest is left alone.  Every p-mean is
-    one call of this kernel; its caller divides by the sample size.
+    z is raised to p in place.  Every p-mean is one call of this kernel; its
+    caller divides by the sample size.
     """
-    head = z[:keep]
-    head **= p
-    return float(head.sum())
+    z **= p
+    return float(z.sum())
 
 
 # The ascending readers.  Each reads xs, a 1-d ascending array of nonnegative
@@ -259,7 +262,7 @@ def _ascending_power_sums(z: np.ndarray, p: float, keep: int) -> float:
 def _ascending_head_mean(xs: np.ndarray, p: float, keep: int, own: bool = False) -> float:
     """(1/n) times the sum of the ``keep`` smallest p-th powers of xs."""
     head = xs[:keep]
-    return _ascending_power_sums(head if own else head.copy(), p, keep) / xs.size
+    return _ascending_power_sums(head if own else head.copy(), p) / xs.size
 
 
 def _ascending_threshold(xs: np.ndarray, theta: float) -> float:
@@ -285,7 +288,7 @@ def _ascending_truncated_mean(xs: np.ndarray, p: float, cap: float, own: bool = 
 def _ascending_upper_sum(xs: np.ndarray, p: float, q: float) -> float:
     """Sum of x_i^p over the values of xs above q."""
     above = xs[np.searchsorted(xs, q, side="right"):].copy()
-    return _ascending_power_sums(above, p, above.size)
+    return _ascending_power_sums(above, p)
 
 
 def trimmed_p_mean(values_abs, spec: TrimSpec) -> float:

@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .core import SampleMatrix, _block_sizes, _check_open_unit, _check_p, _sorted_abs
+from .core import SampleMatrix, _as_directions, _block_sizes, _check_open_unit, _check_p, _sorted_abs
 from .seeding import child_rng, child_seed
 
 __all__ = [
@@ -224,14 +224,19 @@ def _scalar_or_array(t, fn):
     return out
 
 
-def _closed_form(p: float, formula) -> float:
-    """The value of ``formula()``; one beyond float64 raises MomentDoesNotExistError."""
+def _closed_form(p: float, formula):
+    """The value of ``formula()``, a float or an array; one beyond float64 raises MomentDoesNotExistError.
+
+    The only float64-overflow check, for every value of order p that may
+    overflow: an OverflowError, an inf or a nan (inf - inf) raises here,
+    naming p.
+    """
     try:
         value = formula()
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
-        raise MomentDoesNotExistError(f"the p={p} moment overflows float64")
+    if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+        raise MomentDoesNotExistError(f"the p={p} moment or its estimate overflows float64")
     return value
 
 
@@ -375,9 +380,7 @@ _REF_SEED_ROOT = 20_260_810
 
 def marginal_cdf(spec: DistributionSpec, v, ref_size: int = 1_000_000) -> MarginalCDF:
     """The law of |<X, v>|; analytic where known, cached empirical otherwise."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (spec.dim,):
-        raise ValueError(f"direction has shape {v.shape}, expected ({spec.dim},)")
+    v = _as_directions(v, spec.dim, block=False)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError("direction v = 0 gives a degenerate marginal")
@@ -437,9 +440,8 @@ class MomentOracle:
         self.seed = int(seed)
 
     def moments(self, directions, p: float) -> np.ndarray:
-        dirs = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-        if dirs.shape[1] != self.spec.dim:
-            raise ValueError(f"directions have dim {dirs.shape[1]}, expected {self.spec.dim}")
+        """E |<X, v>|^p for one direction v of shape (d,), or each row v of an (m, d) block."""
+        dirs = np.atleast_2d(_as_directions(directions, self.spec.dim))
         _check_moment_exists(self.spec, p)
         norms = np.linalg.norm(dirs, axis=1)
         if self.spec.name == "gaussian":

@@ -89,18 +89,15 @@ def tail_cutoff(cdf: MarginalCDF) -> float:
 
 
 def _quad(fn, lo: float, hi: float, p: float) -> float:
-    """The integral of the nonnegative ``fn`` over (lo, hi).
+    """The integral of the nonnegative ``fn`` over (lo, hi); its caller guards against overflow.
 
-    One beyond float64 raises MomentDoesNotExistError naming p.  So does a
-    negative result, which the integrand cannot give: it means the adaptive
-    quadrature failed (it happens for a slowly decaying tail over a long
-    range).
+    A negative result, which the integrand cannot give, raises
+    MomentDoesNotExistError naming p: the adaptive quadrature failed (it
+    happens for a slowly decaying tail over a long range).
     """
     if hi <= lo:
         return 0.0
-    value = _closed_form(
-        p, lambda: float(integrate.quad(fn, lo, hi, epsrel=QUAD_REL_TOL, epsabs=1e-14, limit=400)[0])
-    )
+    value = float(integrate.quad(fn, lo, hi, epsrel=QUAD_REL_TOL, epsabs=1e-14, limit=400)[0])
     if value < 0:
         raise MomentDoesNotExistError(
             f"the p={p} quadrature of a nonnegative integrand over ({lo:g}, {hi:g}) returned {value!r}: "
@@ -131,12 +128,16 @@ def _tail_functional(cdf: MarginalCDF, p: float, t_max: float, root: bool) -> fl
         raise ValueError(f"t_max must be nonnegative, got {t_max}")
     if t_max == 0:
         return 0.0
-    if isinstance(cdf, EmpiricalCDF):
+
+    def value():
+        if not isinstance(cdf, EmpiricalCDF):
+            return _split_at_cutoff(cdf, p, 0.0, t_max, root)
         if root:
             return _empirical_sqrt_tail_integral(cdf, p, t_max)
         # exact for a step tail: the mean of min(f, t_max)^p over the reference
         return _ascending_truncated_mean(cdf.values, p, t_max)
-    return _split_at_cutoff(cdf, p, 0.0, t_max, root)
+
+    return _closed_form(p, value)
 
 
 def _split_at_cutoff(cdf: MarginalCDF, p: float, t_min: float, t_max: float, root: bool) -> float:
@@ -165,7 +166,7 @@ def _split_at_cutoff(cdf: MarginalCDF, p: float, t_min: float, t_max: float, roo
             f"the p={p} integral diverges as the cap grows (order {order}, finite only below "
             f"{cdf.max_finite_moment}), and the float tail is 0 beyond {lo:g}, short of the cap {t_max:g}"
         )
-    return _closed_form(p, lambda: value)
+    return value
 
 
 # The quadratures of analytic laws are memoised: a law is a hashable frozen
@@ -214,10 +215,10 @@ def truncated_upper_moment(cdf: MarginalCDF, p: float, kappa: float) -> float:
     _check_moment_exists(cdf, p)
     q = upper_quantile(cdf, kappa)
     if isinstance(cdf, EmpiricalCDF):
-        return _ascending_upper_sum(cdf.values, p, q) / cdf.size
-    # the integral first: an overflowing p raises from it as infeasible, where q ** p would not
-    tail_part = _split_at_cutoff(cdf, p, q, max(tail_cutoff(cdf), q), root=False)
-    return q ** p * cdf.sf(q) + tail_part
+        return _closed_form(p, lambda: _ascending_upper_sum(cdf.values, p, q) / cdf.size)
+    return _closed_form(
+        p, lambda: q ** p * cdf.sf(q) + _split_at_cutoff(cdf, p, q, max(tail_cutoff(cdf), q), root=False)
+    )
 
 
 def qnorm_error_coef(p: float, q: float) -> float:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RatioParams, _as_finite, _blocked_projections, _check_delta, _run_starts, _sorted_abs
+from .core import RatioParams, _as_finite, _blocked_projections, _run_starts, _sorted_abs
 from .distributions import (
     DistributionSpec,
     EmpiricalCDF,
@@ -288,7 +288,6 @@ def ratio_properties_report(values_abs, cdf: MarginalCDF, params: RatioParams) -
     the candidate pairs serve both ratio properties; the tail-ratio supremum
     is the dyadic supremum at level j = 0.
     """
-    _check_delta(params.delta)
     d = _distinct_pass(values_abs, cdf)
     sf0 = float(cdf.sf(0.0))
     pn, pr = _candidates(d, sf0)

@@ -34,8 +34,8 @@ from .config import ConfigError, ExperimentConfig
 from .core import RatioParams, SampleMatrix, TrimSpec, _blocked_projections, project_abs, trimmed_p_mean
 from .distributions import (
     DistributionSpec,
-    MomentDoesNotExistError,
     MomentOracle,
+    _closed_form,
     draw_sample,
     marginal_cdf,
     spec_from_label,
@@ -137,13 +137,6 @@ def _map_tasks(task_fn, arg_tuples: list[tuple], threads: int) -> list:
         return list(pool.map(task_fn, *zip(*arg_tuples)))
 
 
-def _finite(values, p: float):
-    """``values``, unless a moment or an estimate of it overflowed float64."""
-    if not np.isfinite(values).all():
-        raise MomentDoesNotExistError(f"the p={p} moment or its estimate overflows float64")
-    return values
-
-
 def _sandwich_task(spec, n, trial_seed, directions, trim) -> np.ndarray:
     sample = draw_sample(spec, n, trial_seed)
     return np.array([trimmed_p_mean(values, trim) for values in _blocked_projections(sample, directions)])
@@ -200,7 +193,7 @@ def _truths(config: ExperimentConfig) -> tuple[DistributionSpec, np.ndarray, np.
     spec = config.spec()
     directions = sphere_directions(spec.dim, config.directions, child_seed(config.seed, "directions"))
     oracle = MomentOracle(spec, ref_size=config.ref_size, seed=child_seed(config.seed, "oracle"))
-    return spec, directions, _finite(oracle.moments(directions, config.p), config.p)
+    return spec, directions, _closed_form(config.p, lambda: oracle.moments(directions, config.p))
 
 
 def run_sandwich(config: ExperimentConfig) -> RunResult:
@@ -211,7 +204,7 @@ def run_sandwich(config: ExperimentConfig) -> RunResult:
         (spec, config.resolved_n, child_seed(config.seed, "trial", t), directions, config.trim)
         for t in range(config.trials)
     ]
-    estimates = _finite(_map_tasks(_sandwich_task, tasks, config.threads), config.p)
+    estimates = _closed_form(config.p, lambda: _map_tasks(_sandwich_task, tasks, config.threads))
 
     rows = []
     trial_max = []
@@ -332,7 +325,7 @@ def run_compare(config: ExperimentConfig) -> RunResult:
         for t in range(config.trials)
     ]
     results = _map_tasks(comparison_trial_row, tasks, config.threads)
-    _finite([(r.max_trimmed, r.max_mean) for r in results], config.p)
+    _closed_form(config.p, lambda: [(r.max_trimmed, r.max_mean) for r in results])
     rows = [dataclasses.astuple(r) for r in results]
     win_rate = float(np.mean([r.winner == "trimmed" for r in results]))
     q90_trimmed, q90_mean = q90_max_errors(results)

@@ -234,22 +234,32 @@ class TestExitCodes:
         ])
         assert code == 3
 
-    @pytest.mark.parametrize("args", [
-        ["compare", "--dist", "gaussian", "--dim", "1", "--p", "400", "--n", "50", "--directions", "2", "--trials", "1"],
-        ["sandwich", "--dist", "gaussian", "--dim", "1", "--p", "400", "--n", "50", "--directions", "2", "--trials", "1"],
-        ["oracle", "--dist", "gaussian", "--query", "tail-moment", "--p", "400"],
-        ["oracle", "--dist", "gaussian", "--query", "upper-moment", "--p", "400", "--kappa", "0.1"],
-        ["lemma-check", "--n", "500", "--trials", "1"],
-    ], ids=["compare", "sandwich", "oracle-tail-moment", "oracle-upper-moment", "lemma-check"])
-    def test_overflowing_moment_is_three(self, tmp_path, capsys, args):
+    @pytest.mark.parametrize("p, args", [
+        (400, ["compare", "--dist", "gaussian", "--dim", "1", "--p", "400", "--n", "50", "--directions", "2",
+               "--trials", "1"]),
+        (400, ["sandwich", "--dist", "gaussian", "--dim", "1", "--p", "400", "--n", "50", "--directions", "2",
+               "--trials", "1"]),
+        (400, ["oracle", "--dist", "gaussian", "--query", "tail-moment", "--p", "400"]),
+        (400, ["oracle", "--dist", "gaussian", "--query", "upper-moment", "--p", "400", "--kappa", "0.1"]),
+        (400, ["lemma-check", "--n", "500", "--trials", "1"]),
+        (400, ["oracle", "--dist", "gaussian", "--query", "upper-moment", "--p", "400", "--kappa", "1e-16"]),
+        (2000, ["oracle", "--dist", "cube_uniform", "--query", "upper-moment", "--p", "2000", "--kappa", "1e-13"]),
+        (2000, ["lemma-check", "--n", "500", "--trials", "1"]),
+    ], ids=["compare", "sandwich", "oracle-tail-moment", "oracle-upper-moment", "lemma-check",
+            "oracle-upper-moment-beyond-cutoff", "oracle-upper-moment-cube", "lemma-check-threshold"])
+    def test_overflowing_moment_is_three(self, tmp_path, capsys, p, args):
         # compare and sandwich overflow a closed form; the oracle queries and the
-        # lemma-check config (p=400) overflow the quadrature integrand p t^(p-1)
+        # lemma-check config (p=400) overflow the quadrature integrand p t^(p-1).
+        # Q(kappa) at or beyond the tail cutoff leaves no integral to overflow,
+        # so the upper moment overflows in Q^p P(f > Q); at p=2000 lemma-check
+        # overflows the trim threshold's p-th power first
         config = tmp_path / "f.json"
-        config.write_text(json.dumps({"lemma_ps": [400], "lemma_dists": ["gaussian"]}))
+        config.write_text(json.dumps({"lemma_ps": [p], "lemma_dists": ["gaussian"]}))
         code = main(args + ["--config", str(config), "--out-dir", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 3
-        assert err.startswith("infeasible:") and "p=400" in err
+        assert err.startswith("infeasible:") and f"p={p}" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("args", [
         ["ratio-check", "--dist", "gaussian", "--dim", "2", "--n", "500", "--directions", "3", "--trials", "1"],

@@ -28,7 +28,7 @@ from lptrim.core import (
     trimmed_p_mean,
     truncated_power_mean,
 )
-from lptrim.distributions import DistributionSpec, EmpiricalCDF, FoldedNormalCDF, MomentOracle
+from lptrim.distributions import DistributionSpec, EmpiricalCDF, FoldedNormalCDF, MomentOracle, marginal_cdf
 from lptrim.oracle import error_functional, raw_moment, tail_integral_moment, truncated_upper_moment, upper_quantile
 from lptrim.ratio import ratio_properties_report
 
@@ -200,7 +200,8 @@ class TestAdjustedTrimLevels:
         assert adjusted_trim_levels(0.1, RatioParams(0.01, 0.5, 2.0)) == (0.28, pytest.approx(0.04))
 
     def test_degenerate_delta(self):
-        hi, lo = adjusted_trim_levels(0.1, RatioParams(0.0, 0.5, 2.0))
+        # delta = 0 is no RatioParams; a tiny delta leaves the levels theta / (1 -+ lam)
+        hi, lo = adjusted_trim_levels(0.1, RatioParams(1e-300, 0.5, 2.0))
         assert hi == pytest.approx(0.2)
         assert lo == pytest.approx(0.1 / 1.5)
 
@@ -472,6 +473,8 @@ DELTA_RULE_CASES = {
     "error_functional reference delta=0.6": lambda: error_functional(REFERENCE, 2.0, 1.0, 0.6),
     "error_functional delta=nan": lambda: error_functional(FOLDED, 2.0, 1.0, NAN),
     "ratio_properties_report delta=0": lambda: ratio_properties_report(SAMPLE, FOLDED, RatioParams(0.0, 0.5, 2.0)),
+    "RatioParams delta=0": lambda: RatioParams(delta=0.0, lam=0.5, big_c=2.0),
+    "RatioParams delta=nan": lambda: RatioParams(delta=NAN, lam=0.5, big_c=2.0),
 }
 
 
@@ -479,6 +482,27 @@ DELTA_RULE_CASES = {
 def test_property_checks_state_one_delta_rule(name):
     with pytest.raises(ValueError, match=r"^delta must lie in \(0, 1/2\], got "):
         DELTA_RULE_CASES[name]()
+
+
+DIRECTION_RULE_CASES = {
+    "project_abs": lambda v: project_abs(SampleMatrix(np.ones((2, 3)), seed=0, dist_name="test"), v),
+    "project_abs block": lambda v: project_abs(SampleMatrix(np.ones((2, 3)), seed=0, dist_name="test"), [v, v]),
+    "marginal_cdf gaussian": lambda v: marginal_cdf(DistributionSpec("gaussian", 3), v),
+    "marginal_cdf product_laplace": lambda v: marginal_cdf(DistributionSpec("product_laplace", 3), v, ref_size=10),
+    "MomentOracle.moments gaussian": lambda v: MomentOracle(DistributionSpec("gaussian", 3)).moments(v, 3.0),
+    "MomentOracle.moments product_laplace block": lambda v: MomentOracle(
+        DistributionSpec("product_laplace", 3), ref_size=10).moments([v, v], 3.0),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [NAN, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("name", list(DIRECTION_RULE_CASES))
+def test_every_direction_taker_states_one_direction_rule(name, bad):
+    with pytest.raises(ValueError, match="^direction must be finite$"):
+        DIRECTION_RULE_CASES[name]([1.0, bad, 0.0])
+    with pytest.raises(ValueError, match=r"^direction (block )?has shape .*, expected \((m >= 1, )?3,?\)$"):
+        DIRECTION_RULE_CASES[name]([1.0, 0.0])
 
 
 def test_trimspec_validation():

@@ -33,6 +33,7 @@ from lptrim.distributions import (
     sphere_directions,
     student_abs_moment,
     _abs_power_in_place,
+    _closed_form,
     _draw_matrix,
     _reference_law,
     _reference_rows,
@@ -134,12 +135,18 @@ class TestTrueMoment:
             (lambda p: ExponentialCDF(scale=1.0).exact_moment(p), 171.0),
             (lambda p: ExponentialCDF(scale=10.0).exact_moment(p), 150.0),
             (lambda p: FoldedNormalCDF(scale=3.0).exact_moment(p), 300.0),
+            (lambda p: _closed_form(p, lambda: np.array([1.0, 10.0]) ** p), 400.0),
+            (lambda p: _closed_form(p, lambda: np.diff(np.array([10.0, 20.0]) ** p)), 400.0),
         ],
-        ids=["gaussian_gamma", "student_exp", "exponential_gamma", "exponential_product", "folded_normal_product"],
+        ids=["gaussian_gamma", "student_exp", "exponential_gamma", "exponential_product", "folded_normal_product",
+             "array_inf", "array_inf_minus_inf"],
     )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
     def test_overflowing_closed_form_raises_naming_p(self, moment, p):
         # math.gamma and math.exp raise OverflowError; a product of two finite
-        # factors overflows to inf instead; both must surface as infeasible
+        # factors overflows to inf instead, and an array to inf or to nan;
+        # each must surface as infeasible
         with pytest.raises(MomentDoesNotExistError, match=f"p={p}"):
             moment(p)
 
