@@ -211,6 +211,11 @@ class MarginalCDF:
         """P(f >= t), the left limit of the tail function."""
         return self.sf(t) + self.atom(t)
 
+    def tails(self, t):
+        """``(sf(t), atom(t), sf_left(t))`` from one evaluation of the law; sf_left is sf + atom."""
+        sf, atom = self.sf(t), self.atom(t)
+        return sf, atom, sf + atom
+
     def exact_moment(self, p: float) -> float | None:
         """Closed-form E f^p when one is known, else None."""
         return None
@@ -330,16 +335,20 @@ class EmpiricalCDF(MarginalCDF):
         return self._fraction_above(t, "right")
 
     def atom(self, t):
-        xs, m = self.values, self.values.size
-
-        def mass(a):
-            return (np.searchsorted(xs, a, side="right") - np.searchsorted(xs, a, side="left")) / m
-
-        return _scalar_or_array(t, mass)
+        return self.tails(t)[1]
 
     def sf_left(self, t):
         # exact single-count form of P(f >= t), avoiding the sf + atom rounding
         return self._fraction_above(t, "left")
+
+    def tails(self, t):
+        """``(sf(t), atom(t), sf_left(t))``, each counted exactly from one left and one right search."""
+        xs, m = self.values, self.values.size
+        arr = np.asarray(t, dtype=np.float64)
+        left = np.searchsorted(xs, arr, side="left")
+        right = np.searchsorted(xs, arr, side="right")
+        out = ((m - right) / m, (right - left) / m, (m - left) / m)
+        return tuple(float(x) for x in out) if arr.ndim == 0 else out
 
     def _fraction_above(self, t, side: str):
         """The share of reference values above t ("right") or at and above it ("left")."""
@@ -401,7 +410,7 @@ def _reference_law(spec: DistributionSpec, ref_size: int, v_bytes: bytes) -> Emp
     digest = hashlib.blake2s(v_bytes).hexdigest()
     rng = np.random.default_rng(child_seed(_REF_SEED_ROOT, "marginal-ref", spec.label, ref_size, digest))
     v = np.frombuffer(v_bytes)
-    parts = [_reference_rows(spec, rows, rng) @ v for rows in _block_sizes(ref_size, 1)]
+    parts = [_reference_rows(spec, rows, rng) @ v for rows in _block_sizes(ref_size, spec.dim, power_of_two=True)]
     return EmpiricalCDF(np.concatenate(parts))
 
 
@@ -425,11 +434,12 @@ class MomentOracle:
 
     Uses closed forms whenever available; otherwise streams one shared
     reference sample of ``ref_size`` draws past all the directions at once:
-    each block of about ``core._BLOCK_ELEMENTS / m`` rows is drawn, projected,
-    raised to p and added to the column sums before the next is drawn, so no
-    more than one block is ever held.  The draws, and so the reference rows,
-    are deterministic in (spec, ref_size, seed); the sums are associated per
-    block, so a truth depends on m at round-off only.  The rows come from
+    each block of ``core._BLOCK_ELEMENTS // max(m, d)`` rows is drawn,
+    projected, raised to p and added to the column sums before the next is
+    drawn, so no more than one block, at most 256 KiB in its widest array, is
+    ever held.  The draws, and so the reference rows, are deterministic in
+    (spec, ref_size, seed); the sums are associated per block, so a truth
+    depends on m (below d, on d) at round-off only.  The rows come from
     ``_reference_rows``: product_laplace rows agree with ``Generator.laplace``
     draws to round-off, where ``draw_sample`` agrees with them bit for bit.
     """
@@ -461,7 +471,7 @@ def _streamed_moments(spec: DistributionSpec, dirs: np.ndarray, p: float, ref_si
                       rng: np.random.Generator) -> np.ndarray:
     """The mean of |X @ dirs.T|^p over ``ref_size`` rows of ``rng``, a block at a time."""
     m = dirs.shape[0]
-    sizes = _block_sizes(ref_size, m)
+    sizes = _block_sizes(ref_size, max(m, spec.dim))
     block = np.empty((sizes[0], m))
     scratch = np.empty_like(block)
     acc = np.zeros(m)

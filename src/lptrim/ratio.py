@@ -69,13 +69,7 @@ def _distinct_pass(values_abs, cdf: MarginalCDF) -> _Distinct:
     starts = _run_starts(xs)
     u = xs[starts]
     counts = np.diff(np.append(starts, xs.size))
-    sf_u = np.asarray(cdf.sf(u), dtype=np.float64)
-    atom_u = np.asarray(cdf.atom(u), dtype=np.float64)
-    if isinstance(cdf, EmpiricalCDF):
-        # counted exactly, not rounded as a sum of two quotients
-        sfl_u = np.asarray(cdf.sf_left(u), dtype=np.float64)
-    else:
-        sfl_u = sf_u + atom_u  # what MarginalCDF.sf_left computes
+    sf_u, atom_u, sfl_u = (np.asarray(x, dtype=np.float64) for x in cdf.tails(u))
     return _Distinct(xs=xs, u=u, starts=starts, counts=counts, sf=sf_u, atom=atom_u, sf_left=sfl_u)
 
 

@@ -2,12 +2,16 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lptrim
 from helpers import second_pass_scan_rows
 from lptrim.cli import _build_parser, main
 from lptrim.config import ENV_OUT_DIR, MAX_THREADS, ConfigError, ExperimentConfig
@@ -260,6 +264,23 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("infeasible:") and f"p={p}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("p, args", [
+        ("1e+308", ["sandwich", "--dist=product_laplace", "--p=1e308", "--ref-size=1000"]),
+        ("511.0", ["compare", "--dist=product_laplace", "--dim=1", "--n=2000", "--ref-size=50", "--p=511"]),
+    ], ids=["sandwich-truths", "compare-estimates"])
+    def test_overflow_exits_three_without_a_numpy_warning(self, tmp_path, p, args, threads):
+        # the truths overflow in the oracle's pass, the estimates in the trial tasks.  A fresh
+        # interpreter: numpy's warnings go to the stderr of the process and of its workers.
+        # Four directions and two trials keep each run under a second.
+        args = [*args, "--directions=4", "--trials=2"]
+        env = {**os.environ, "PYTHONPATH": str(Path(lptrim.__file__).parent.parent)}
+        argv = [sys.executable, "-m", "lptrim.cli", *args, f"--threads={threads}", f"--out-dir={tmp_path}"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(f"infeasible: the p={p} moment")
+        assert "RuntimeWarning" not in proc.stderr
 
     @pytest.mark.parametrize("args", [
         ["ratio-check", "--dist", "gaussian", "--dim", "2", "--n", "500", "--directions", "3", "--trials", "1"],

@@ -244,6 +244,40 @@ class TestMarginalCDF:
             assert cdf.sf(array).tobytes() == per_law_sf(cdf, array).tobytes()
         assert cdf.atom(array).tobytes() == np.zeros(array.size).tobytes()
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
+    def test_analytic_tails_are_sf_atom_and_their_sum(self, spec):
+        v = np.zeros(spec.dim)
+        v[0] = 0.7
+        cdf = marginal_cdf(spec, v)
+        quartiles = [upper_quantile(cdf, eta) for eta in (0.75, 0.5, 0.25)]
+        points = [-1.0, 0.0, *quartiles, 40.0]
+        for t in [*points, np.array(points)]:
+            sf, atom = cdf.sf(t), cdf.atom(t)
+            got = cdf.tails(t)
+            assert [type(x) for x in got] == [type(sf)] * 3
+            assert np.array(got).tobytes() == np.array([sf, atom, sf + atom]).tobytes()
+
+    def test_reference_law_tails_are_the_three_counts_bit_for_bit(self):
+        # 999 values on six levels: every value is tied and carries an atom
+        values = np.random.default_rng(5).integers(1, 7, size=999) / 4.0
+        cdf = EmpiricalCDF(values)
+        levels = np.unique(values)
+        below, between, above = [-1.0, 0.0, 0.1], (levels[1:] + levels[:-1]) / 2, [1.6, 2.0, math.inf]
+        points = np.concatenate((below, levels, between, above))
+        m = values.size
+        counts = [
+            [np.count_nonzero(values > t) / m for t in points],
+            [np.count_nonzero(values == t) / m for t in points],
+            [np.count_nonzero(values >= t) / m for t in points],
+        ]
+        got = cdf.tails(points)
+        assert np.array(got).tobytes() == np.array(counts).tobytes()
+        assert np.array(got).tobytes() == np.array([cdf.sf(points), cdf.atom(points), cdf.sf_left(points)]).tobytes()
+        for i, t in enumerate(points):
+            got = cdf.tails(float(t))
+            assert all(type(x) is float for x in got)
+            assert got == (counts[0][i], counts[1][i], counts[2][i]) == (cdf.sf(t), cdf.atom(t), cdf.sf_left(t))
+
     def test_empirical_below_minimum_is_zero(self):
         cdf = EmpiricalCDF([1.0, 2.0, 3.0])
         assert 1.0 - cdf.sf(0.5) - cdf.atom(0.5) == 0.0
@@ -450,6 +484,50 @@ class TestReferenceLawAgainstChunkedBuild:
         for v in sphere_directions(spec.dim, 3, 11):
             built = _reference_law.__wrapped__(spec, ref_size, v.tobytes())
             assert np.array_equal(built.values, chunked_reference_values(spec, ref_size, v))
+
+
+def record_reference_blocks(monkeypatch) -> list[tuple]:
+    """The shape of every block of reference rows drawn from now on, recorded through ``_reference_rows``."""
+    blocks = []
+
+    def recording_reference_rows(spec, rows, rng):
+        out = _reference_rows(spec, rows, rng)
+        blocks.append(out.shape)
+        return out
+
+    # both reference passes look _reference_rows up in distributions
+    monkeypatch.setattr(distributions, "_reference_rows", recording_reference_rows)
+    return blocks
+
+
+class TestReferenceBlocks:
+    """The blocks the two reference passes draw: at most 2^15 values in the widest array."""
+
+    @pytest.mark.parametrize("dim, rows", [(1, 32_768), (3, 8_192), (10, 2_048), (20, 1_024)])
+    def test_reference_law_blocks_are_the_largest_power_of_two(self, dim, rows, monkeypatch):
+        blocks = record_reference_blocks(monkeypatch)
+        v = sphere_directions(dim, 1, 3)[0]
+        _reference_law.__wrapped__(DistributionSpec("cube_uniform", dim), 70_001, v.tobytes())
+        sizes = [shape[0] for shape in blocks]
+        assert all(shape[1] == dim for shape in blocks)
+        assert sum(sizes) == 70_001
+        # a power of two, so a multiple of 4 rows as OpenBLAS's dgemv groups them; all full but the last
+        assert sizes[:-1] == [rows] * (len(sizes) - 1) and 0 < sizes[-1] <= rows
+        assert rows & (rows - 1) == 0 and rows * dim <= 2**15 < 2 * rows * dim
+
+    @pytest.mark.parametrize("m", [1, 7, 200])
+    @pytest.mark.parametrize("dim", [1, 3, 10, 20])
+    def test_streamed_moment_blocks_bound_the_wider_of_m_and_d(self, dim, m, monkeypatch):
+        blocks = record_reference_blocks(monkeypatch)
+        dirs = sphere_directions(dim, m, 4)
+        _streamed_moments(DistributionSpec("cube_uniform", dim), dirs, 3.0, 70_001, child_rng(6, "stream"))
+        sizes = [shape[0] for shape in blocks]
+        rows = 2**15 // max(m, dim)
+        assert sum(sizes) == 70_001
+        assert sizes[:-1] == [rows] * (len(sizes) - 1) and 0 < sizes[-1] <= rows
+        assert rows * dim <= 2**15 and rows * m <= 2**15
+        if (dim, m) == (20, 200):
+            assert rows == 163  # the sandwich's blocks, unchanged by the width rule
 
 
 class TestFourthMomentsFromCoordinateLaws:
