@@ -33,14 +33,16 @@ __all__ = [
     "truncated_power_mean",
 ]
 
-# A block holds at most this many float64 values in its widest array: reference
-# rows are drawn about this // max(m, d) at a time, d being the draw's width
-# and m the number of directions they are projected onto (1 for a reference
-# law); the probe directions of every multi-direction command are projected
-# max(1, this // n) at a time, n being the sample size.  A block's draw, its
-# projections and their scratch copy then stay in a 2 MiB L2 cache while they
-# are transformed, powered and summed.  Fixed, so results never depend on
-# available memory.
+# Rows are taken in blocks sized by this many float64 values: reference rows
+# are drawn max(1, this // m) at a time for the streamed moment pass, m
+# being the number of directions they are projected onto, and for a reference
+# law the largest power of two of rows with rows x d <= this at a time, d being
+# the draw's width; the probe directions of every multi-direction command are
+# projected max(1, this // n) at a time, n being the sample size.  In
+# MomentOracle's streamed pass a block's projections are powered and summed,
+# and a reference law's draw is transformed, while they and their scratch copy
+# still sit in a 2 MiB L2 cache.  Fixed, so results never depend on available
+# memory.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -93,25 +95,19 @@ def _check_open_unit(name: str, value, error: type[ValueError] = ValueError) -> 
         raise error(f"{name} must lie in (0, 1), got {value}")
 
 
-def _block_sizes(n: int, width: int, power_of_two: bool = False) -> list[int]:
+def _block_sizes(n: int, width: int) -> list[int]:
     """Row counts of n rows taken max(1, _BLOCK_ELEMENTS // width) at a time.
 
-    ``width`` counts the values of one row in the block's widest array: the
-    larger of a reference draw's d columns and the m directions it is
-    projected onto, or the m points of a sample that directions are projected
-    over.  With ``power_of_two`` the count is rounded down to a power of two,
-    as a reference law takes its rows: OpenBLAS's dgemv computes the rows of
-    ``rows @ v`` in groups of four, so blocks of a power of two (>= 4) rows
-    keep every row in the group it has in any split into multiples of four,
-    and the law does not depend on the block (2^15 // 20 = 1,638 rows would
-    move rows at round-off).  Split draws equal one draw bit for bit, so the
-    reference rows themselves never depend on the blocks.
+    ``width`` counts the values of one row of the block: the m directions
+    reference draws are projected onto, the d columns of a reference law's
+    draw (rounded up to a power of two, see ``distributions._reference_law``)
+    or the m points of a sample that directions are projected over.  Split
+    draws equal one draw bit for bit, so the reference rows never depend on
+    the blocks.
     Each block is drawn in the expression that projects it: with two draw
     buffers alive at once, every reference build faulted them in anew.
     """
     block_rows = max(1, _BLOCK_ELEMENTS // width)
-    if power_of_two:
-        block_rows = 1 << (block_rows.bit_length() - 1)
     return [min(block_rows, n - start) for start in range(0, n, block_rows)]
 
 

@@ -335,7 +335,12 @@ class EmpiricalCDF(MarginalCDF):
         return self._fraction_above(t, "right")
 
     def atom(self, t):
-        return self.tails(t)[1]
+        xs, m = self.values, self.values.size
+
+        def mass(a):
+            return (np.searchsorted(xs, a, side="right") - np.searchsorted(xs, a, side="left")) / m
+
+        return _scalar_or_array(t, mass)
 
     def sf_left(self, t):
         # exact single-count form of P(f >= t), avoiding the sf + atom rounding
@@ -344,11 +349,9 @@ class EmpiricalCDF(MarginalCDF):
     def tails(self, t):
         """``(sf(t), atom(t), sf_left(t))``, each counted exactly from one left and one right search."""
         xs, m = self.values, self.values.size
-        arr = np.asarray(t, dtype=np.float64)
-        left = np.searchsorted(xs, arr, side="left")
-        right = np.searchsorted(xs, arr, side="right")
-        out = ((m - right) / m, (right - left) / m, (m - left) / m)
-        return tuple(float(x) for x in out) if arr.ndim == 0 else out
+        left, right = (_scalar_or_array(t, lambda a, side=side: np.searchsorted(xs, a, side=side))
+                       for side in ("left", "right"))
+        return (m - right) / m, (right - left) / m, (m - left) / m
 
     def _fraction_above(self, t, side: str):
         """The share of reference values above t ("right") or at and above it ("left")."""
@@ -410,7 +413,13 @@ def _reference_law(spec: DistributionSpec, ref_size: int, v_bytes: bytes) -> Emp
     digest = hashlib.blake2s(v_bytes).hexdigest()
     rng = np.random.default_rng(child_seed(_REF_SEED_ROOT, "marginal-ref", spec.label, ref_size, digest))
     v = np.frombuffer(v_bytes)
-    parts = [_reference_rows(spec, rows, rng) @ v for rows in _block_sizes(ref_size, spec.dim, power_of_two=True)]
+    # The largest power of two of rows with rows x d <= 2^15 (2,048 at d = 10):
+    # OpenBLAS's dgemv computes the rows of ``rows @ v`` in groups of four, so
+    # power-of-two blocks keep each row in the group it has in any split into
+    # multiples of four, and the law does not depend on the block (blocks of
+    # 2^15 // 20 = 1,638 rows move values at round-off).
+    width = 1 << (spec.dim - 1).bit_length()
+    parts = [_reference_rows(spec, rows, rng) @ v for rows in _block_sizes(ref_size, width)]
     return EmpiricalCDF(np.concatenate(parts))
 
 
@@ -434,12 +443,11 @@ class MomentOracle:
 
     Uses closed forms whenever available; otherwise streams one shared
     reference sample of ``ref_size`` draws past all the directions at once:
-    each block of ``core._BLOCK_ELEMENTS // max(m, d)`` rows is drawn,
-    projected, raised to p and added to the column sums before the next is
-    drawn, so no more than one block, at most 256 KiB in its widest array, is
-    ever held.  The draws, and so the reference rows, are deterministic in
-    (spec, ref_size, seed); the sums are associated per block, so a truth
-    depends on m (below d, on d) at round-off only.  The rows come from
+    each block of about ``core._BLOCK_ELEMENTS / m`` rows is drawn, projected,
+    raised to p and added to the column sums before the next is drawn, so no
+    more than one block is ever held.  The draws, and so the reference rows,
+    are deterministic in (spec, ref_size, seed); the sums are associated per
+    block, so a truth depends on m at round-off only.  The rows come from
     ``_reference_rows``: product_laplace rows agree with ``Generator.laplace``
     draws to round-off, where ``draw_sample`` agrees with them bit for bit.
     """
@@ -471,7 +479,7 @@ def _streamed_moments(spec: DistributionSpec, dirs: np.ndarray, p: float, ref_si
                       rng: np.random.Generator) -> np.ndarray:
     """The mean of |X @ dirs.T|^p over ``ref_size`` rows of ``rng``, a block at a time."""
     m = dirs.shape[0]
-    sizes = _block_sizes(ref_size, max(m, spec.dim))
+    sizes = _block_sizes(ref_size, m)
     block = np.empty((sizes[0], m))
     scratch = np.empty_like(block)
     acc = np.zeros(m)

@@ -501,7 +501,7 @@ def record_reference_blocks(monkeypatch) -> list[tuple]:
 
 
 class TestReferenceBlocks:
-    """The blocks the two reference passes draw: at most 2^15 values in the widest array."""
+    """The blocks the two reference passes draw: at most 2^15 values in the draw and in the projections."""
 
     @pytest.mark.parametrize("dim, rows", [(1, 32_768), (3, 8_192), (10, 2_048), (20, 1_024)])
     def test_reference_law_blocks_are_the_largest_power_of_two(self, dim, rows, monkeypatch):
@@ -515,19 +515,21 @@ class TestReferenceBlocks:
         assert sizes[:-1] == [rows] * (len(sizes) - 1) and 0 < sizes[-1] <= rows
         assert rows & (rows - 1) == 0 and rows * dim <= 2**15 < 2 * rows * dim
 
-    @pytest.mark.parametrize("m", [1, 7, 200])
-    @pytest.mark.parametrize("dim", [1, 3, 10, 20])
-    def test_streamed_moment_blocks_bound_the_wider_of_m_and_d(self, dim, m, monkeypatch):
+    @pytest.mark.parametrize("dim, m", [
+        (dim, m) for dim in (1, 3, 10, 20) for m in (1, 7, 200) if m >= dim
+    ])
+    def test_streamed_moment_blocks_are_sized_by_m(self, dim, m, monkeypatch):
+        # only m >= d: below d a block's draw holds more than 2^15 values (ROADMAP smaller points)
         blocks = record_reference_blocks(monkeypatch)
         dirs = sphere_directions(dim, m, 4)
         _streamed_moments(DistributionSpec("cube_uniform", dim), dirs, 3.0, 70_001, child_rng(6, "stream"))
         sizes = [shape[0] for shape in blocks]
-        rows = 2**15 // max(m, dim)
+        rows = 2**15 // m
         assert sum(sizes) == 70_001
         assert sizes[:-1] == [rows] * (len(sizes) - 1) and 0 < sizes[-1] <= rows
-        assert rows * dim <= 2**15 and rows * m <= 2**15
+        assert rows * dim <= 2**15
         if (dim, m) == (20, 200):
-            assert rows == 163  # the sandwich's blocks, unchanged by the width rule
+            assert rows == 163  # the sandwich's blocks
 
 
 class TestFourthMomentsFromCoordinateLaws:
