@@ -124,9 +124,9 @@ def _sorted_abs(values) -> np.ndarray:
     return z
 
 
-def _run_starts(xs: np.ndarray) -> np.ndarray:
-    """The index of the first copy of each distinct value of an ascending xs."""
-    return np.flatnonzero(np.concatenate(([True], xs[1:] != xs[:-1])))
+def _run_heads(xs: np.ndarray) -> np.ndarray:
+    """A mask of an ascending xs, true at the first copy of each distinct value."""
+    return np.concatenate(([True], xs[1:] != xs[:-1]))
 
 
 @dataclass(frozen=True)

@@ -198,7 +198,11 @@ class MarginalCDF:
     def sf(self, t):
         if isinstance(t, float):
             return 1.0 if t < 0 else float(self._tail(t))
-        return _scalar_or_array(t, lambda a: np.where(a < 0, 1.0, self._tail(np.maximum(a, 0.0))))
+        def tail(a):
+            out = np.asarray(self._tail(np.maximum(a, 0.0)))  # a fresh array, 0-d for a 0-d a
+            np.copyto(out, 1.0, where=a < 0)
+            return out
+        return _scalar_or_array(t, tail)
 
     def _tail(self, x):
         """P(f > x) for a float or an array of x >= 0."""
@@ -212,9 +216,9 @@ class MarginalCDF:
         return self.sf(t) + self.atom(t)
 
     def tails(self, t):
-        """``(sf(t), atom(t), sf_left(t))`` from one evaluation of the law; sf_left is sf + atom."""
-        sf, atom = self.sf(t), self.atom(t)
-        return sf, atom, sf + atom
+        """``(sf(t), atom(t), sf_left(t))``: the atom is 0, so sf_left is the sf array itself; no caller may write it."""
+        sf = self.sf(t)
+        return sf, self.atom(t), sf
 
     def exact_moment(self, p: float) -> float | None:
         """Closed-form E f^p when one is known, else None."""
@@ -483,11 +487,13 @@ def _streamed_moments(spec: DistributionSpec, dirs: np.ndarray, p: float, ref_si
     block = np.empty((sizes[0], m))
     scratch = np.empty_like(block)
     acc = np.zeros(m)
-    for rows in sizes:
+    for i, rows in enumerate(sizes):
         out = block[:rows]
         np.matmul(_reference_rows(spec, rows, rng), dirs.T, out=out)
         _abs_power_in_place(out, p, scratch[:rows])
         acc += out.sum(axis=0)
+        if i == 0:  # an order that overflows does so here: raise now, not after every block
+            _closed_form(p, lambda: acc)
     return acc / ref_size
 
 

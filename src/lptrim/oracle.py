@@ -20,7 +20,7 @@ from .core import (
     _check_delta,
     _check_open_unit,
     _check_p,
-    _run_starts,
+    _run_heads,
 )
 from .distributions import EmpiricalCDF, MarginalCDF, MomentDoesNotExistError, _check_moment_exists, _closed_form
 
@@ -201,7 +201,7 @@ def raw_moment(cdf: MarginalCDF, p: float) -> float:
 def _empirical_sqrt_tail_integral(cdf: EmpiricalCDF, p: float, t_max: float) -> float:
     # sqrt of a step tail is still a step function; sum its pieces exactly.
     xs, m = cdf.values, cdf.size
-    u = xs[_run_starts(xs)]
+    u = xs[_run_heads(xs)]
     edges = np.concatenate(([0.0], np.minimum(u, t_max), [t_max]))
     # tail level on each interval (edges[k], edges[k+1]) is the mass above edges[k]
     counts_gt = m - np.searchsorted(xs, edges[:-1], side="right")

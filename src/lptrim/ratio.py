@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .core import RatioParams, _as_finite, _blocked_projections, _run_starts, _sorted_abs
+from .core import RatioParams, _as_finite, _blocked_projections, _run_heads, _sorted_abs
 from .distributions import (
     DistributionSpec,
     EmpiricalCDF,
@@ -52,12 +53,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class _Distinct:
-    """The sorted sample, its distinct values and the true law at them."""
+    """The sorted sample, its distinct values and the true law at them.
+
+    Without ties ``u`` is ``xs``; for an analytic law ``sf_left`` is the same
+    array as ``sf``, since its atom is 0.  No code may write into any field.
+    """
 
     xs: np.ndarray  # sorted |values|
     u: np.ndarray  # distinct values, ascending
-    starts: np.ndarray  # index in xs of each distinct value's first copy
-    counts: np.ndarray  # multiplicity of each distinct value
+    above: np.ndarray  # share of xs at or above each distinct value, then 0 past the last
+    share: np.ndarray  # share of xs equal to each distinct value
     sf: np.ndarray  # P(f > u)
     atom: np.ndarray  # P(f = u)
     sf_left: np.ndarray  # P(f >= u)
@@ -66,37 +71,23 @@ class _Distinct:
 def _distinct_pass(values_abs, cdf: MarginalCDF) -> _Distinct:
     """Sort once, group equal values, and evaluate the law once per distinct value."""
     xs = _sorted_abs(values_abs)
-    starts = _run_starts(xs)
-    u = xs[starts]
-    counts = np.diff(np.append(starts, xs.size))
+    n = xs.size
+    heads = _run_heads(xs)
+    if heads.all():  # no ties, as for a continuous law with probability 1
+        u, (above, share) = xs, _untied_shares(n)
+    else:
+        starts = np.flatnonzero(heads)
+        u, above, share = xs[starts], np.append(n - starts, 0) / n, np.diff(np.append(starts, n)) / n
     sf_u, atom_u, sfl_u = (np.asarray(x, dtype=np.float64) for x in cdf.tails(u))
-    return _Distinct(xs=xs, u=u, starts=starts, counts=counts, sf=sf_u, atom=atom_u, sf_left=sfl_u)
+    return _Distinct(xs=xs, u=u, above=above, share=share, sf=sf_u, atom=atom_u, sf_left=sfl_u)
 
 
-def _candidates(d: _Distinct, sf0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical/true tail pairs at every one-sided limit, in increasing t.
-
-    Returns (pn, pr): first the t -> 0+ pair, then for each distinct value
-    its left limit (none at 0) and its right limit.  The supremum of the
-    ratio deviation over any admissible region {t : P(f > t) >= level} is
-    attained among these pairs plus the region-boundary pairs added per
-    level.  The true tail is nonincreasing in t, so each region's pairs are
-    a prefix whenever the float tail is too.
-    """
-    xs, n = d.xs, d.xs.size
-    m = 2 * d.u.size + 1
-    pn = np.empty(m)
-    pr = np.empty(m)
-    above = n - d.starts
-    np.divide(above, n, out=pn[1::2])
-    above -= d.counts
-    np.divide(above, n, out=pn[2::2])
-    pr[1::2] = d.sf_left
-    pr[2::2] = d.sf
-    first = int(d.u[0] == 0.0)  # no left limit at 0: the t -> 0+ pair takes its slot
-    pn[first] = (n - np.searchsorted(xs, 0.0, side="right")) / n
-    pr[first] = sf0
-    return pn[first:], pr[first:]
+@lru_cache(maxsize=4)
+def _untied_shares(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``above`` and ``share`` of n distinct values: read-only, and shared by every sample of size n."""
+    above, share = np.arange(n, -1, -1) / n, np.full(n, 1.0 / n)
+    above.flags.writeable = share.flags.writeable = False
+    return above, share
 
 
 def _boundary_dev(xs, cdf: MarginalCDF, level: float, worst: float) -> float:
@@ -153,35 +144,42 @@ def _admissible_levels(cdf: MarginalCDF, delta: float, sf0: float) -> list[float
         levels.append(level)
 
 
-def _dyadic_levels(xs, pn, pr, cdf: MarginalCDF, delta: float, sf0: float) -> tuple[DyadicLevel, ...]:
+def _dyadic_levels(d: _Distinct, cdf: MarginalCDF, delta: float, sf0: float) -> tuple[DyadicLevel, ...]:
     """Exact sup of |P_N/P - 1| over every admissible dyadic region, from one pass.
 
-    The regions shrink as the level rises, so each is a prefix of the
-    candidates ordered by falling true tail; a float tail that is not
-    nonincreasing is reordered once.  The prefix for delta is scanned once,
-    from the innermost prefix outwards, one segment per level.
+    Each supremum is attained among the empirical/true tail pairs at the
+    one-sided limits of the sample points, plus the region-boundary pairs:
+    the t -> 0+ pair, which lies in every admissible region, and two groups
+    in increasing t, the left limit at each distinct value (none at 0) and
+    the right limit at each.  The regions shrink as the level rises and the
+    true tail is nonincreasing, so within a group each region is a prefix;
+    a float tail that is not nonincreasing is reordered once.  Each group's
+    prefix for delta is scanned once, from the innermost prefix outwards,
+    one segment per level.
     """
     levels = _admissible_levels(cdf, delta, sf0)
     if not levels:
         return ()
-    if np.any(pr[1:] > pr[:-1]):
-        order = np.argsort(-pr, kind="stable")
-        pn, pr = pn[order], pr[order]
-    # size of each prefix {i : pr[i] >= level}, nonincreasing in the level
-    sizes = pr.size - np.searchsorted(pr[::-1], levels, side="left")
-    dev = pn[: sizes[0]] / pr[: sizes[0]]
-    dev -= 1.0
-    np.abs(dev, out=dev)
-    sups = [0.0] * len(levels)
-    worst, done = 0.0, 0
-    for j in range(len(levels) - 1, -1, -1):
-        size = int(sizes[j])
-        if size > done:
-            worst = max(worst, float(dev[done:size].max()))
-            done = size
-        sups[j] = worst
+    first = int(d.u[0] == 0.0)  # the sample's zeros are above no t > 0
+    sups = [abs(float(d.above[first]) / sf0 - 1.0)] * len(levels)
+    for pn, pr in ((d.above[first:-1], d.sf_left[first:]), (d.above[1:], d.sf)):
+        if np.any(pr[1:] > pr[:-1]):
+            order = np.argsort(-pr, kind="stable")
+            pn, pr = pn[order], pr[order]
+        # size of each prefix {i : pr[i] >= level}, nonincreasing in the level
+        sizes = pr.size - np.searchsorted(pr[::-1], levels, side="left")
+        dev = np.divide(pn[: sizes[0]], pr[: sizes[0]])
+        dev -= 1.0
+        np.abs(dev, out=dev)
+        worst, done = 0.0, 0
+        for j in range(len(levels) - 1, -1, -1):
+            size = int(sizes[j])
+            if size > done:
+                worst = max(worst, float(dev[done:size].max()))
+                done = size
+            sups[j] = max(sups[j], worst)
     return tuple(
-        DyadicLevel(j=j, level=level, bound=2.0 ** (-j / 2.0), worst_dev=_boundary_dev(xs, cdf, level, sups[j]))
+        DyadicLevel(j=j, level=level, bound=2.0 ** (-j / 2.0), worst_dev=_boundary_dev(d.xs, cdf, level, sups[j]))
         for j, level in enumerate(levels)
     )
 
@@ -204,14 +202,19 @@ def interval_excess_sup(values_abs, cdf: MarginalCDF) -> float:
 
 
 def _interval_excess(d: _Distinct) -> float:
-    gains = d.counts / d.xs.size - 1.5 * d.atom
-    gaps = 1.5 * np.maximum(d.sf[:-1] - d.sf[1:] - d.atom[1:], 0.0)
-    # prefix form: value(i..j) = Q[j] - (Q[i] - gains[i])
-    e = gains.copy()
-    e[1:] -= gaps
-    q_pref = np.cumsum(e)
-    start_cost = np.minimum.accumulate(q_pref - gains)
-    return max(0.0, float(np.max(q_pref - start_cost)))
+    # prefix form: value(i..j) = Q[j] - (Q[i] - gains[i]); each step in place on two working arrays
+    gains = d.share - 1.5 * d.atom
+    q_pref = np.empty_like(gains)
+    gaps = np.subtract(d.sf[:-1], d.sf[1:], out=q_pref[1:])
+    gaps -= d.atom[1:]
+    np.maximum(gaps, 0.0, out=gaps)
+    gaps *= 1.5
+    np.subtract(gains[1:], gaps, out=gaps)
+    q_pref[0] = gains[0]
+    np.cumsum(q_pref, out=q_pref)
+    # fmin's accumulate is faster than minimum's, and equal here: a NaN would reach q_pref too
+    start_cost = np.fmin.accumulate(np.subtract(q_pref, gains, out=gains), out=gains)
+    return max(0.0, float(np.max(np.subtract(q_pref, start_cost, out=start_cost))))
 
 
 def rademacher_interval_complexity(values_abs, signs) -> float:
@@ -283,9 +286,7 @@ def ratio_properties_report(values_abs, cdf: MarginalCDF, params: RatioParams) -
     is the dyadic supremum at level j = 0.
     """
     d = _distinct_pass(values_abs, cdf)
-    sf0 = float(cdf.sf(0.0))
-    pn, pr = _candidates(d, sf0)
-    levels = _dyadic_levels(d.xs, pn, pr, cdf, params.delta, sf0)
+    levels = _dyadic_levels(d, cdf, params.delta, float(cdf.sf(0.0)))
     if not levels:
         raise ValueError(f"no tail mass reaches delta={params.delta}; empty admissible range")
     return RatioReport(levels=levels, interval_sup=_interval_excess(d), params=params, values=d.xs, cdf=cdf)

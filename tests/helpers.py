@@ -213,6 +213,27 @@ def exhaustive_interval_excess(values, cdf) -> float:
     return best
 
 
+def allocating_interval_excess(values, cdf) -> float:
+    """The interval-excess scan as first written, one fresh array per step: the reference for the in-place scan.
+
+    The body is the scan's first form verbatim, over the distinct values and
+    counts of ``np.unique`` and the law's own ``sf`` and ``atom``; O(n), so it
+    reaches the sample sizes the exhaustive search cannot.
+    """
+    xs = np.sort(np.abs(np.asarray(values, dtype=float)))
+    u, counts = np.unique(xs, return_counts=True)
+    sf = np.asarray(cdf.sf(u), dtype=float)
+    atom = np.asarray(cdf.atom(u), dtype=float)
+    gains = counts / xs.size - 1.5 * atom
+    gaps = 1.5 * np.maximum(sf[:-1] - sf[1:] - atom[1:], 0.0)
+    # prefix form: value(i..j) = Q[j] - (Q[i] - gains[i])
+    e = gains.copy()
+    e[1:] -= gaps
+    q_pref = np.cumsum(e)
+    start_cost = np.minimum.accumulate(q_pref - gains)
+    return max(0.0, float(np.max(q_pref - start_cost)))
+
+
 def interval_excess_by_masses(values, cdf) -> float:
     """Same maximum, but interval masses are evaluated directly from the CDF."""
     xs = np.sort(np.abs(np.asarray(values, dtype=float)))

@@ -15,6 +15,7 @@ from helpers import (
     per_law_sf,
 )
 from lptrim import distributions
+from lptrim.cli import main
 from lptrim.distributions import (
     LAPLACE_SCALE,
     DistributionSpec,
@@ -530,6 +531,14 @@ class TestReferenceBlocks:
         assert rows * dim <= 2**15
         if (dim, m) == (20, 200):
             assert rows == 163  # the sandwich's blocks
+
+    def test_overflowing_order_stops_after_the_first_block(self, tmp_path, capsys, monkeypatch):
+        # at the default --ref-size of 10^6 rows and 500 directions the stream holds 15,385 blocks
+        blocks = record_reference_blocks(monkeypatch)
+        code = main(["sandwich", "--dist=product_laplace", "--p=1e308", "--threads=1", f"--out-dir={tmp_path}"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("infeasible: the p=1e+308 moment or its estimate overflows float64")
+        assert blocks == [(2**15 // 500, 20)]
 
 
 class TestFourthMomentsFromCoordinateLaws:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    allocating_interval_excess,
     exhaustive_interval_excess,
     exhaustive_rademacher,
     grid_ratio_deviation,
@@ -24,7 +25,6 @@ from lptrim.distributions import (
     marginal_cdf,
 )
 from lptrim.ratio import (
-    _candidates,
     _distinct_pass,
     interval_excess_sup,
     rademacher_interval_complexity,
@@ -118,7 +118,26 @@ class TestDyadicRatio:
         ]
         got = [(level.j, level.worst_dev) for level in rep.levels]
         assert got == expected
+        assert rep.interval_sup == 0.0010447621108626293
         assert "dyadic" not in rep.failing
+
+    def test_golden_record_with_ties_reproduces_bit_for_bit(self):
+        # the same size with ties on both sides, frozen like the record above:
+        # values rounded to 2 decimals (310 distinct |values|, zero among them)
+        # against a reference law rounded alike, with an atom at all but 3
+        local = np.random.default_rng(child_seed(2024, "golden-ties"))
+        values = np.round(local.standard_normal(10_000), 2)
+        cdf = EmpiricalCDF(np.round(local.standard_normal(100_000), 2))
+        rep = report(values, cdf, 0.05)
+        expected = [
+            (0, 0.05, 0.03857416944360281),
+            (1, 0.1, 0.03857416944360281),
+            (2, 0.2, 0.03743231578121331),
+            (3, 0.4, 0.01785890966656778),
+            (4, 0.8, 0.004108765025539585),
+        ]
+        assert [(level.j, level.level, level.worst_dev) for level in rep.levels] == expected
+        assert rep.interval_sup == 0.0007050000000000112
 
     def test_passing_level_one_implies_tail_at_inverse_sqrt2(self, rng):
         for trial in range(20):
@@ -203,6 +222,16 @@ def _scan_cases():
 
 SCAN_CASES = _scan_cases()
 
+# (sampler, law) pairs for the differential gates at ratio-check's sample size, n = 10^4
+SIZED_LAWS = [
+    (lambda rng, n: rng.standard_normal(n), FoldedNormalCDF(scale=1.0)),
+    (lambda rng, n: rng.uniform(-1.0, 1.0, n), HalfUniformCDF(width=1.0)),
+    (lambda rng, n: rng.laplace(0.0, 1.0, n), ExponentialCDF(scale=1.0)),
+    (lambda rng, n: rng.standard_t(4.5, n), FoldedStudentTCDF(nu=4.5, scale=1.0)),
+    (lambda rng, n: rng.integers(0, 8, n) / 7.0, EmpiricalCDF(np.random.default_rng(8).integers(0, 8, 10**5) / 7.0)),
+]
+SIZED_LAW_IDS = ["folded_normal", "half_uniform", "exponential", "student", "reference_with_atoms"]
+
 
 class TestLevelScanAgainstMasks:
     """The one-pass level scan equals a fresh mask per level, bit for bit."""
@@ -216,6 +245,13 @@ class TestLevelScanAgainstMasks:
             assert report(values, cdf, delta).levels == masked_dyadic_levels(values, cdf, delta)
             compared += 1
         assert compared >= len(SCAN_CASES) // 2
+
+    @pytest.mark.parametrize("draw, cdf", SIZED_LAWS, ids=SIZED_LAW_IDS)
+    @pytest.mark.parametrize("delta", [0.01, 0.05])
+    def test_every_level_equals_the_masked_scan_at_the_workload_size(self, draw, cdf, delta):
+        for seed in range(3):
+            values = draw(np.random.default_rng(70 + seed), 10_000)
+            assert report(values, cdf, delta).levels == masked_dyadic_levels(values, cdf, delta)
 
     def test_interval_sup_equals_the_exhaustive_search(self):
         for _, values, cdf in SCAN_CASES:
@@ -246,8 +282,7 @@ class TestLevelScanAgainstMasks:
             local = np.random.default_rng(40 + seed)
             values = np.append(local.uniform(0.0, 2.0, 400), local.integers(0, 8, 40) / 4.0)
             d = _distinct_pass(values, cdf)
-            _, pr = _candidates(d, cdf.sf(0.0))
-            assert np.any(pr[1:] > pr[:-1])  # the reorder path runs
+            assert d.sf_left is d.sf and np.any(d.sf[1:] > d.sf[:-1])  # both candidate groups are reordered
             assert report(values, cdf, delta).levels == masked_dyadic_levels(values, cdf, delta)
 
 
@@ -291,6 +326,20 @@ class TestIntervalExcess:
             got = interval_excess_sup(values, cdf)
             brute = max(0.0, interval_excess_by_masses(values, cdf))
             assert got == pytest.approx(brute, abs=1e-10)
+
+
+class TestIntervalExcessAgainstTheAllocatingScan:
+    """The in-place interval scan equals its first, allocating form bit for bit."""
+
+    def test_scan_cases(self):
+        for _, values, cdf in SCAN_CASES:
+            assert interval_excess_sup(values, cdf) == allocating_interval_excess(values, cdf)
+
+    @pytest.mark.parametrize("draw, cdf", SIZED_LAWS, ids=SIZED_LAW_IDS)
+    def test_samples_at_the_workload_size(self, draw, cdf):
+        for seed in range(3):
+            values = draw(np.random.default_rng(60 + seed), 10_000)
+            assert interval_excess_sup(values, cdf) == allocating_interval_excess(values, cdf)
 
 
 class TestRademacher:
@@ -410,8 +459,8 @@ class TestSharedDistinctPass:
         u, first, counts = np.unique(xs, return_index=True, return_counts=True)
         assert np.array_equal(d.xs, xs)
         assert np.array_equal(d.u, u)
-        assert np.array_equal(d.starts, first)
-        assert np.array_equal(d.counts, counts)
+        assert d.above.tobytes() == (np.append(xs.size - first, 0) / xs.size).tobytes()
+        assert d.share.tobytes() == (counts / xs.size).tobytes()
         assert np.array_equal(d.sf, UNIFORM01.sf(u))
         assert np.array_equal(d.sf_left, UNIFORM01.sf_left(u))
 
