@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -62,7 +61,7 @@ class _Distinct:
     xs: np.ndarray  # sorted |values|
     u: np.ndarray  # distinct values, ascending
     above: np.ndarray  # share of xs at or above each distinct value, then 0 past the last
-    share: np.ndarray  # share of xs equal to each distinct value
+    share: np.ndarray | float  # share of xs equal to each distinct value; the float 1/n without ties
     sf: np.ndarray  # P(f > u)
     atom: np.ndarray  # P(f = u)
     sf_left: np.ndarray  # P(f >= u)
@@ -74,20 +73,12 @@ def _distinct_pass(values_abs, cdf: MarginalCDF) -> _Distinct:
     n = xs.size
     heads = _run_heads(xs)
     if heads.all():  # no ties, as for a continuous law with probability 1
-        u, (above, share) = xs, _untied_shares(n)
+        u, above, share = xs, np.arange(n, -1, -1) / n, 1.0 / n
     else:
         starts = np.flatnonzero(heads)
         u, above, share = xs[starts], np.append(n - starts, 0) / n, np.diff(np.append(starts, n)) / n
     sf_u, atom_u, sfl_u = (np.asarray(x, dtype=np.float64) for x in cdf.tails(u))
     return _Distinct(xs=xs, u=u, above=above, share=share, sf=sf_u, atom=atom_u, sf_left=sfl_u)
-
-
-@lru_cache(maxsize=4)
-def _untied_shares(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``above`` and ``share`` of n distinct values: read-only, and shared by every sample of size n."""
-    above, share = np.arange(n, -1, -1) / n, np.full(n, 1.0 / n)
-    above.flags.writeable = share.flags.writeable = False
-    return above, share
 
 
 def _boundary_dev(xs, cdf: MarginalCDF, level: float, worst: float) -> float:
@@ -148,14 +139,14 @@ def _dyadic_levels(d: _Distinct, cdf: MarginalCDF, delta: float, sf0: float) -> 
     """Exact sup of |P_N/P - 1| over every admissible dyadic region, from one pass.
 
     Each supremum is attained among the empirical/true tail pairs at the
-    one-sided limits of the sample points, plus the region-boundary pairs:
-    the t -> 0+ pair, which lies in every admissible region, and two groups
-    in increasing t, the left limit at each distinct value (none at 0) and
-    the right limit at each.  The regions shrink as the level rises and the
-    true tail is nonincreasing, so within a group each region is a prefix;
-    a float tail that is not nonincreasing is reordered once.  Each group's
-    prefix for delta is scanned once, from the innermost prefix outwards,
-    one segment per level.
+    one-sided limits of the sample points and at the region's boundary.
+    The one-sided pairs are the t -> 0+ pair, which lies in every
+    admissible region, and two groups in increasing t: the left limit at
+    each distinct value (none at 0) and the right limit at each.  The
+    regions shrink as the level rises and the true tail is nonincreasing,
+    so within a group each region is a prefix; a float tail that is not
+    nonincreasing is reordered once.  Each group's prefix for delta is
+    scanned once, from the innermost prefix outwards, one segment per level.
     """
     levels = _admissible_levels(cdf, delta, sf0)
     if not levels:

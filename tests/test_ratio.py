@@ -460,7 +460,7 @@ class TestSharedDistinctPass:
         assert np.array_equal(d.xs, xs)
         assert np.array_equal(d.u, u)
         assert d.above.tobytes() == (np.append(xs.size - first, 0) / xs.size).tobytes()
-        assert d.share.tobytes() == (counts / xs.size).tobytes()
+        assert np.broadcast_to(d.share, u.shape).tobytes() == (counts / xs.size).tobytes()
         assert np.array_equal(d.sf, UNIFORM01.sf(u))
         assert np.array_equal(d.sf_left, UNIFORM01.sf_left(u))
 
