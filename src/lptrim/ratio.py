@@ -151,7 +151,7 @@ def _dyadic_levels(d: _Distinct, cdf: MarginalCDF, delta: float, sf0: float) -> 
     levels = _admissible_levels(cdf, delta, sf0)
     if not levels:
         return ()
-    first = int(d.u[0] == 0.0)  # the sample's zeros are above no t > 0
+    first = int(d.u[0] == 0.0)  # no left limit at 0, and the t -> 0+ pair counts no zeros
     sups = [abs(float(d.above[first]) / sf0 - 1.0)] * len(levels)
     for pn, pr in ((d.above[first:-1], d.sf_left[first:]), (d.above[1:], d.sf)):
         if np.any(pr[1:] > pr[:-1]):
@@ -159,7 +159,7 @@ def _dyadic_levels(d: _Distinct, cdf: MarginalCDF, delta: float, sf0: float) -> 
             pn, pr = pn[order], pr[order]
         # size of each prefix {i : pr[i] >= level}, nonincreasing in the level
         sizes = pr.size - np.searchsorted(pr[::-1], levels, side="left")
-        dev = np.divide(pn[: sizes[0]], pr[: sizes[0]])
+        dev = pn[: sizes[0]] / pr[: sizes[0]]
         dev -= 1.0
         np.abs(dev, out=dev)
         worst, done = 0.0, 0
