@@ -24,7 +24,6 @@ from enum import Enum
 import numpy as np
 
 from .core import (
-    SampleMatrix,
     TrimSpec,
     _ascending_threshold,
     _ascending_trimmed_mean,
@@ -307,14 +306,22 @@ class ComparisonTrialRow:
     winner: str
 
 
-def _direction_estimates(sample: SampleMatrix, directions: np.ndarray, trim: TrimSpec) -> tuple[np.ndarray, np.ndarray]:
-    """``trimmed_p_mean`` and ``empirical_p_mean`` of |<X, v>| for each direction v."""
-    m = directions.shape[0]
-    trimmed, means = np.empty(m), np.empty(m)
-    for idx, values in enumerate(_blocked_projections(sample, directions)):
-        trimmed[idx] = trimmed_p_mean(values, trim)
-        means[idx] = empirical_p_mean(values, trim.p)
-    return trimmed, means
+def trial_errors(spec: DistributionSpec, n: int, trial_seed: int, directions: np.ndarray, truths: np.ndarray,
+                 trim: TrimSpec, plain_mean: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates of E |<X, v>|^p on one fresh sample and their relative errors against ``truths``.
+
+    Row 0 of each array holds ``trimmed_p_mean`` along every direction v; with
+    ``plain_mean`` row 1 holds ``empirical_p_mean``.  An estimate or error
+    beyond float64 is reported once, by the ``_closed_form`` guard, not by numpy.
+    """
+    estimates = np.empty((1 + plain_mean, directions.shape[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx, values in enumerate(_blocked_projections(draw_sample(spec, n, trial_seed), directions)):
+            estimates[0, idx] = trimmed_p_mean(values, trim)
+            if plain_mean:
+                estimates[1, idx] = empirical_p_mean(values, trim.p)
+        errors = np.abs(estimates - truths) / truths
+    return estimates, _closed_form(trim.p, lambda: errors)
 
 
 def comparison_trial_row(
@@ -326,17 +333,10 @@ def comparison_trial_row(
     truths: np.ndarray,
     trim: TrimSpec,
 ) -> ComparisonTrialRow:
-    """Relative-error quantiles of both estimators for one fresh sample.
-
-    An estimate that overflows float64 is not reported by numpy: its
-    caller's ``_closed_form`` guard raises on the row's maxima.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        trimmed, means = _direction_estimates(draw_sample(spec, n, trial_seed), directions, trim)
-        trimmed_errs = np.abs(trimmed - truths) / truths
-        mean_errs = np.abs(means - truths) / truths
-        q50_t, q95_t = np.quantile(trimmed_errs, [0.5, 0.95])
-        q50_m, q95_m = np.quantile(mean_errs, [0.5, 0.95])
+    """Relative-error quantiles of both estimators for one fresh sample."""
+    _, (trimmed_errs, mean_errs) = trial_errors(spec, n, trial_seed, directions, truths, trim, plain_mean=True)
+    q50_t, q95_t = np.quantile(trimmed_errs, [0.5, 0.95])
+    q50_m, q95_m = np.quantile(mean_errs, [0.5, 0.95])
     winner = "trimmed" if q95_t < q95_m else ("mean" if q95_m < q95_t else "tie")
     return ComparisonTrialRow(
         trial=trial,

@@ -339,12 +339,7 @@ class EmpiricalCDF(MarginalCDF):
         return self._fraction_above(t, "right")
 
     def atom(self, t):
-        xs, m = self.values, self.values.size
-
-        def mass(a):
-            return (np.searchsorted(xs, a, side="right") - np.searchsorted(xs, a, side="left")) / m
-
-        return _scalar_or_array(t, mass)
+        return self.tails(t)[1]
 
     def sf_left(self, t):
         # exact single-count form of P(f >= t), avoiding the sf + atom rounding

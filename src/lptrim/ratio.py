@@ -140,19 +140,26 @@ def _dyadic_levels(d: _Distinct, cdf: MarginalCDF, delta: float, sf0: float) -> 
 
     Each supremum is attained among the empirical/true tail pairs at the
     one-sided limits of the sample points and at the region's boundary.
-    The one-sided pairs are the t -> 0+ pair, which lies in every
-    admissible region, and two groups in increasing t: the left limit at
+    The one-sided pairs form two groups in increasing t: the left limit at
     each distinct value (none at 0) and the right limit at each.  The
     regions shrink as the level rises and the true tail is nonincreasing,
     so within a group each region is a prefix; a float tail that is not
     nonincreasing is reordered once.  Each group's prefix for delta is
     scanned once, from the innermost prefix outwards, one segment per level.
+
+    The t -> 0+ pair ``(P_N(f > 0), sf0)`` never raises a supremum, so it is
+    left out.  With a zero in the sample it is the right-limit pair at
+    ``u[0] = 0``, which every admissible prefix holds since ``sf0 >= level``.
+    Without one it deviates by ``1/sf0 - 1``, which is 0 for an analytic law.
+    That is at most the left-limit deviation at ``u[0]`` where that pair is
+    admissible, and elsewhere at most the boundary deviation at Q(level) <
+    ``u[0]``, since ``P(f >= q) <= sf0`` for ``q > 0``.
     """
     levels = _admissible_levels(cdf, delta, sf0)
     if not levels:
         return ()
-    first = int(d.u[0] == 0.0)  # no left limit at 0, and the t -> 0+ pair counts no zeros
-    sups = [abs(float(d.above[first]) / sf0 - 1.0)] * len(levels)
+    first = int(d.u[0] == 0.0)  # no left limit at 0
+    sups = [0.0] * len(levels)
     for pn, pr in ((d.above[first:-1], d.sf_left[first:]), (d.above[1:], d.sf)):
         if np.any(pr[1:] > pr[:-1]):
             order = np.argsort(-pr, kind="stable")

@@ -29,9 +29,10 @@ from .checks import (
     comparison_trial_row,
     q90_max_errors,
     scan_error_constant_grid,
+    trial_errors,
 )
 from .config import ConfigError, ExperimentConfig
-from .core import RatioParams, SampleMatrix, TrimSpec, _blocked_projections, project_abs, trimmed_p_mean
+from .core import RatioParams, SampleMatrix, TrimSpec, project_abs
 from .distributions import (
     DistributionSpec,
     MomentOracle,
@@ -137,13 +138,6 @@ def _map_tasks(task_fn, arg_tuples: list[tuple], threads: int) -> list:
         return list(pool.map(task_fn, *zip(*arg_tuples)))
 
 
-def _sandwich_task(spec, n, trial_seed, directions, trim) -> np.ndarray:
-    sample = draw_sample(spec, n, trial_seed)
-    # an overflow is reported once, by the _closed_form guard over the estimates, not by numpy
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.array([trimmed_p_mean(values, trim) for values in _blocked_projections(sample, directions)])
-
-
 def lemma_trial_rows(
     spec: DistributionSpec,
     n: int,
@@ -205,18 +199,15 @@ def run_sandwich(config: ExperimentConfig) -> RunResult:
     start = time.perf_counter()
     spec, directions, truths = _truths(config)
     tasks = [
-        (spec, config.resolved_n, child_seed(config.seed, "trial", t), directions, config.trim)
+        (spec, config.resolved_n, child_seed(config.seed, "trial", t), directions, truths, config.trim)
         for t in range(config.trials)
     ]
-    estimates = _closed_form(config.p, lambda: _map_tasks(_sandwich_task, tasks, config.threads))
-
     rows = []
     trial_max = []
-    for t, est in enumerate(estimates):
-        rel = np.abs(est - truths) / truths
-        trial_max.append(float(np.max(rel)))
+    for t, (est, rel) in enumerate(_map_tasks(trial_errors, tasks, config.threads)):
+        trial_max.append(float(np.max(rel[0])))
         rows.extend(
-            (t, j, float(est[j]), float(truths[j]), float(rel[j]))
+            (t, j, float(est[0, j]), float(truths[j]), float(rel[0, j]))
             for j in range(directions.shape[0])
         )
     all_rel = np.array([r[4] for r in rows])
@@ -329,7 +320,6 @@ def run_compare(config: ExperimentConfig) -> RunResult:
         for t in range(config.trials)
     ]
     results = _map_tasks(comparison_trial_row, tasks, config.threads)
-    _closed_form(config.p, lambda: [(r.max_trimmed, r.max_mean) for r in results])
     rows = [dataclasses.astuple(r) for r in results]
     win_rate = float(np.mean([r.winner == "trimmed" for r in results]))
     q90_trimmed, q90_mean = q90_max_errors(results)

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from helpers import per_direction_comparison, per_direction_ratio_rows, per_direction_sandwich
-from lptrim import core
+from lptrim import checks, core
 from lptrim.checks import (
     Verdict,
-    _direction_estimates,
     check_empirical_integral_sandwich,
     check_moment_sandwich,
     check_trim_threshold_sandwich,
     check_trimmed_sum_brackets,
     comparison_trial_row,
     scan_error_constant_grid,
+    trial_errors,
 )
 from lptrim.config import ExperimentConfig
 from lptrim.core import RatioParams, TrimSpec, project_abs, trim_threshold, trimmed_p_mean, truncated_power_mean
@@ -28,7 +28,7 @@ from lptrim.distributions import (
 )
 from lptrim.oracle import upper_quantile
 from lptrim.ratio import ratio_properties_report, ratio_trial_rows
-from lptrim.runner import _sandwich_task, run_compare
+from lptrim.runner import run_compare
 
 PARAMS = RatioParams(delta=0.01, lam=0.5, big_c=2.0)
 UNIFORM01 = HalfUniformCDF(width=1.0)
@@ -225,8 +225,17 @@ def test_blocked_projection_matches_the_per_direction_loop(case, theta, monkeypa
     # the one blocked loop looks project_abs up in core
     monkeypatch.setattr(core, "project_abs", recording_project_abs)
     row = comparison_trial_row(spec, n, 0, 11, directions, truths, trim)
-    trimmed, means = _direction_estimates(draw_sample(spec, n, 11), directions, trim)
-    sandwich = _sandwich_task(spec, n, 11, directions, trim)
+    plain_means = []
+
+    def counting_empirical_p_mean(values, p):
+        plain_means.append(p)
+        return core.empirical_p_mean(values, p)
+
+    monkeypatch.setattr(checks, "empirical_p_mean", counting_empirical_p_mean)
+    (trimmed, means), _ = trial_errors(spec, n, 11, directions, truths, trim, plain_mean=True)
+    assert len(plain_means) == m  # one plain mean per direction for compare
+    (sandwich,), _ = trial_errors(spec, n, 11, directions, truths, trim)
+    assert len(plain_means) == m  # and none for the sandwich, which does not report it
     # an analytic law in every direction, and reference laws off the axes
     ratio_laws = (DistributionSpec("gaussian", 4), spec)
     ratio_rows = [ratio_trial_rows(law, n, 11, directions, params, ref_size) for law in ratio_laws]

@@ -268,10 +268,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("p, args", [
         ("1e+308", ["sandwich", "--dist=product_laplace", "--p=1e308", "--ref-size=1000"]),
+        ("511.0", ["sandwich", "--dist=product_laplace", "--dim=1", "--n=2000", "--ref-size=50", "--p=511",
+                   "--theta=1e-6"]),
         ("511.0", ["compare", "--dist=product_laplace", "--dim=1", "--n=2000", "--ref-size=50", "--p=511"]),
-    ], ids=["sandwich-truths", "compare-estimates"])
+    ], ids=["sandwich-truths", "sandwich-estimates", "compare-estimates"])
     def test_overflow_exits_three_without_a_numpy_warning(self, tmp_path, p, args, threads):
-        # the truths overflow in the oracle's pass, the estimates in the trial tasks.  A fresh
+        # the truths overflow in the oracle's pass, the estimates in the trial task; without
+        # --theta=1e-6 the sandwich's trim would keep its estimate finite.  A fresh
         # interpreter: numpy's warnings go to the stderr of the process and of its workers.
         # Four directions and two trials keep each run under a second.
         args = [*args, "--directions=4", "--trials=2"]
