@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import RatioParams, TrimSpec, _check_open_unit, _check_p, theta_from_epsilon
-from .distributions import DIST_NAMES, DistributionSpec
+from .distributions import DEFAULT_REF_SIZE, DIST_NAMES, DistributionSpec
 
 __all__ = ["ExperimentConfig", "ConfigError", "ENV_OUT_DIR", "MAX_THREADS"]
 
@@ -57,7 +57,7 @@ class ExperimentConfig:
     pass_rate_threshold: float = 0.95
     ratio_fail_threshold: float = 0.05
     min_win_rate: float | None = None
-    ref_size: int = 1_000_000
+    ref_size: int = DEFAULT_REF_SIZE
     t_level: float | None = None
     lemma_dists: tuple[str, ...] = DIST_NAMES
     lemma_ps: tuple[float, ...] = LEMMA_DEFAULT_PS

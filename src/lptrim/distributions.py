@@ -10,7 +10,8 @@ Every law is centred with identity covariance by construction:
 
 The marginal law of |<X, v>| is available analytically for the gaussian (any
 direction) and for single-coordinate directions of the product laws; any other
-case falls back to a cached high-resolution empirical reference sample.
+case falls back to a high-resolution empirical reference sample, which a
+process-wide cache keeps for reuse unless its caller says otherwise.
 
 Samples (``draw_sample``) are numpy's ``Generator`` draws, which
 ``load_sample`` regenerates bit for bit.  The reference streams behind the
@@ -385,28 +386,42 @@ def _single_coordinate_weight(v: np.ndarray) -> float | None:
     return None
 
 
+def _needs_reference_law(spec: DistributionSpec, v: np.ndarray) -> bool:
+    """Whether ``marginal_cdf`` answers v with a sampled reference law: no analytic law is known."""
+    return spec.name != "gaussian" and _single_coordinate_weight(v) is None
+
+
 # Fixed root of the reference seeds, which derive from (law, v, ref_size).
 _REF_SEED_ROOT = 20_260_810
 
+# Rows of a reference law, and of the moment oracle's reference stream, unless a caller says otherwise.
+DEFAULT_REF_SIZE = 1_000_000
 
-def marginal_cdf(spec: DistributionSpec, v, ref_size: int = 1_000_000) -> MarginalCDF:
-    """The law of |<X, v>|; analytic where known, cached empirical otherwise."""
+# Reference laws the process keeps for reuse, the most recently used first.
+REFERENCE_LAWS_KEPT = 32
+
+
+def marginal_cdf(spec: DistributionSpec, v, ref_size: int = DEFAULT_REF_SIZE, *, keep: bool = True) -> MarginalCDF:
+    """The law of |<X, v>|; analytic where known, a sampled reference law otherwise.
+
+    A reference law is kept in a cache of ``REFERENCE_LAWS_KEPT`` laws, or
+    with ``keep=False`` built afresh and left to die with its last reference.
+    """
     v = _as_directions(v, spec.dim, block=False)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError("direction v = 0 gives a degenerate marginal")
+    if _needs_reference_law(spec, v):
+        # The direction is keyed by its bytes: -0.0 == 0.0 would merge two
+        # directions whose reference seeds differ.
+        build = _reference_law if keep else _reference_law.__wrapped__
+        return build(spec, ref_size, v.tobytes())
     if spec.name == "gaussian":
         return FoldedNormalCDF(scale=norm)
-    weight = _single_coordinate_weight(v)
-    if weight is not None:
-        return _coordinate_abs_cdf(spec, weight)
-
-    # The direction is keyed by its bytes: -0.0 == 0.0 would merge two
-    # directions whose reference seeds differ.
-    return _reference_law(spec, ref_size, v.tobytes())
+    return _coordinate_abs_cdf(spec, _single_coordinate_weight(v))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=REFERENCE_LAWS_KEPT)
 def _reference_law(spec: DistributionSpec, ref_size: int, v_bytes: bytes) -> EmpiricalCDF:
     """The law of |<X, v>| over ``ref_size`` reference rows, seeded by (label, ref_size, v)."""
     digest = hashlib.blake2s(v_bytes).hexdigest()
@@ -451,7 +466,7 @@ class MomentOracle:
     draws to round-off, where ``draw_sample`` agrees with them bit for bit.
     """
 
-    def __init__(self, spec: DistributionSpec, ref_size: int = 1_000_000, seed: int = 0):
+    def __init__(self, spec: DistributionSpec, ref_size: int = DEFAULT_REF_SIZE, seed: int = 0):
         self.spec = spec
         self.ref_size = int(ref_size)
         self.seed = int(seed)

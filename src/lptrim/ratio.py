@@ -23,9 +23,12 @@ import numpy as np
 
 from .core import RatioParams, _as_finite, _blocked_projections, _run_heads, _sorted_abs
 from .distributions import (
+    DEFAULT_REF_SIZE,
+    REFERENCE_LAWS_KEPT,
     DistributionSpec,
     EmpiricalCDF,
     MarginalCDF,
+    _needs_reference_law,
     draw_sample,
     marginal_cdf,
     sphere_directions,
@@ -81,27 +84,31 @@ def _distinct_pass(values_abs, cdf: MarginalCDF) -> _Distinct:
     return _Distinct(xs=xs, u=u, above=above, share=share, sf=sf_u, atom=atom_u, sf_left=sfl_u)
 
 
-def _boundary_dev(xs, cdf: MarginalCDF, level: float, worst: float) -> float:
-    """``worst`` raised to the deviation at the boundary of {t > 0 : P(f > t) >= level}."""
-    if level >= 1.0:
-        # The region is {t > 0 : P(f > t) = 1}, reached only by a reference
-        # law, whose tail is 1 exactly below its smallest value, Q(1).
-        q = float(cdf.values[0])
-    else:
-        q = upper_quantile(cdf, level)
+def _boundary_devs(xs, cdf: MarginalCDF, levels: list[float], sups: list[float]) -> list[float]:
+    """Each level's ``sups`` entry raised to the deviation at the boundary of {t > 0 : P(f > t) >= level}.
+
+    The boundary is the level's upper quantile Q(level); the sample's tails
+    at all of them come from one left and one right search.
+    """
+    # The region of level 1 is {t > 0 : P(f > t) = 1}, reached only by a
+    # reference law, whose tail is 1 exactly below its smallest value, Q(1).
+    qs = np.array([float(cdf.values[0]) if level >= 1.0 else upper_quantile(cdf, level) for level in levels])
     n = xs.size
-    pn_ge = (n - np.searchsorted(xs, q, side="left")) / n
-    pn_gt = (n - np.searchsorted(xs, q, side="right")) / n
-    if isinstance(cdf, EmpiricalCDF):
-        pr_left = cdf.sf_left(q)
-        if pr_left >= level and q > 0:
-            worst = max(worst, abs(pn_ge / pr_left - 1.0))
-        pr_right = cdf.sf(q)
-        if pr_right >= level:
-            worst = max(worst, abs(pn_gt / pr_right - 1.0))
-    elif q > 0:
+    pn_ge = ((n - np.searchsorted(xs, qs, side="left")) / n).tolist()
+    pn_gt = ((n - np.searchsorted(xs, qs, side="right")) / n).tolist()
+    empirical = isinstance(cdf, EmpiricalCDF)
+    if empirical:
+        pr_gt, _, pr_ge = (a.tolist() for a in cdf.tails(qs))
+    else:
         # Continuous tail: its value at the region boundary is the level itself.
-        worst = max(worst, abs(pn_ge / level - 1.0), abs(pn_gt / level - 1.0))
+        pr_gt = pr_ge = levels
+    worst = []
+    for j, (level, q, sup) in enumerate(zip(levels, qs.tolist(), sups)):
+        if q > 0 and pr_ge[j] >= level:
+            sup = max(sup, abs(pn_ge[j] / pr_ge[j] - 1.0))
+        if (q > 0 or empirical) and pr_gt[j] >= level:
+            sup = max(sup, abs(pn_gt[j] / pr_gt[j] - 1.0))
+        worst.append(sup)
     return worst
 
 
@@ -177,8 +184,8 @@ def _dyadic_levels(d: _Distinct, cdf: MarginalCDF, delta: float, sf0: float) -> 
                 done = size
             sups[j] = max(sups[j], worst)
     return tuple(
-        DyadicLevel(j=j, level=level, bound=2.0 ** (-j / 2.0), worst_dev=_boundary_dev(d.xs, cdf, level, sups[j]))
-        for j, level in enumerate(levels)
+        DyadicLevel(j=j, level=level, bound=2.0 ** (-j / 2.0), worst_dev=worst)
+        for j, (level, worst) in enumerate(zip(levels, _boundary_devs(d.xs, cdf, levels, sups)))
     )
 
 
@@ -316,14 +323,23 @@ def ratio_trial_rows(
     trial_seed: int,
     directions: np.ndarray,
     params: RatioParams,
-    ref_size: int = 1_000_000,
+    ref_size: int = DEFAULT_REF_SIZE,
 ) -> list[DirectionCheckRow]:
-    """Property checks for one fresh sample against every probe direction."""
+    """Property checks for one fresh sample against every probe direction.
+
+    Every trial asks for its reference laws in the same order, so a cache
+    smaller than their number never serves one: the laws are kept for the
+    next trial only when all of them fit, and otherwise each dies with its
+    report.
+    """
+    laws = len({v.tobytes() for v in directions if _needs_reference_law(spec, v)})
+    keep = laws <= REFERENCE_LAWS_KEPT
     sample = draw_sample(spec, n, trial_seed)
     rows = []
     for idx, (v, values) in enumerate(zip(directions, _blocked_projections(sample, directions))):
-        cdf = marginal_cdf(spec, v, ref_size=ref_size)
+        cdf = marginal_cdf(spec, v, ref_size=ref_size, keep=keep)
         rep = ratio_properties_report(values, cdf, params)
         rows.append(DirectionCheckRow(idx, rep.tail_dev, rep.worst_margin, rep.interval_sup, rep.failing))
+        del cdf, rep  # an unkept law dies here, before the next one is built
     return rows
 

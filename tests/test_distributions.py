@@ -299,6 +299,17 @@ class TestMarginalCDF:
         b = marginal_cdf(spec, v, ref_size=5_000)
         assert np.array_equal(a.values, b.values)
 
+    def test_unkept_law_equals_the_kept_one_and_stays_out_of_the_cache(self):
+        _reference_law.cache_clear()
+        spec = DistributionSpec("product_laplace", 3)
+        v = np.array([0.6, 0.8, 0.1])
+        built = marginal_cdf(spec, v, ref_size=5_000, keep=False)
+        assert _reference_law.cache_info().currsize == 0
+        kept = marginal_cdf(spec, v, ref_size=5_000)
+        assert kept is not built and np.array_equal(kept.values, built.values)
+        assert marginal_cdf(spec, v, ref_size=5_000, keep=False) is not kept
+        _reference_law.cache_clear()
+
     def test_coordinate_marginals_are_analytic(self):
         for spec in ALL_SPECS:
             v = np.zeros(spec.dim)

@@ -11,6 +11,7 @@ from helpers import (
     interval_excess_by_masses,
     masked_dyadic_levels,
 )
+from lptrim import ratio
 from lptrim.config import ConfigError, ExperimentConfig
 from lptrim.core import RatioParams, project_abs
 from lptrim.distributions import (
@@ -20,16 +21,20 @@ from lptrim.distributions import (
     FoldedNormalCDF,
     FoldedStudentTCDF,
     HalfUniformCDF,
+    REFERENCE_LAWS_KEPT,
     MarginalCDF,
+    _reference_law,
     draw_sample,
     marginal_cdf,
 )
 from lptrim.ratio import (
     _distinct_pass,
     interval_excess_sup,
+    probe_directions,
     rademacher_interval_complexity,
     ratio_floor,
     ratio_properties_report,
+    ratio_trial_rows,
 )
 from lptrim.oracle import upper_quantile
 from lptrim.runner import run_ratio_check
@@ -470,3 +475,45 @@ class TestSharedDistinctPass:
         assert np.array_equal(d.sf, cdf.sf(d.u))
         assert np.array_equal(d.atom, cdf.atom(d.u))
         assert np.array_equal(d.sf_left, cdf.sf_left(d.u))
+
+
+LAPLACE3 = DistributionSpec("product_laplace", 3)
+
+
+def laplace_trials(directions, trials=2):
+    """``trials`` trials of ratio_trial_rows on product_laplace at d = 3 over ``directions``."""
+    params = RatioParams(delta=0.05, lam=0.5, big_c=2.0)
+    return [ratio_trial_rows(LAPLACE3, 500, child_seed(5, "trial", t), directions, params, ref_size=2000)
+            for t in range(trials)]
+
+
+class TestReferenceLawsKept:
+    """A trial keeps its reference laws for the next one only when all of them fit in the cache."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        _reference_law.cache_clear()
+        yield
+        _reference_law.cache_clear()
+
+    def test_few_laws_are_built_once_over_two_trials(self):
+        laplace_trials(probe_directions(3, 4, seed=1))  # the 4 sphere directions need reference laws
+        info = _reference_law.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (4, 4, 4)
+
+    def test_more_laws_than_the_cache_holds_are_not_kept(self):
+        laplace_trials(probe_directions(3, REFERENCE_LAWS_KEPT + 2, seed=1), trials=1)
+        info = _reference_law.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
+
+    # the capacity the keep rule reads is moved so that each case takes the other path
+    @pytest.mark.parametrize("sphere, capacity, kept", [(4, 0, 0), (REFERENCE_LAWS_KEPT + 2, 10**6, 32)],
+                             ids=["few_laws_unkept", "many_laws_kept"])
+    def test_rows_are_bit_equal_whether_or_not_laws_are_kept(self, sphere, capacity, kept, monkeypatch):
+        directions = probe_directions(3, sphere, seed=1)
+        rows = laplace_trials(directions)
+        _reference_law.cache_clear()
+        monkeypatch.setattr(ratio, "REFERENCE_LAWS_KEPT", capacity)
+        other = laplace_trials(directions)
+        assert _reference_law.cache_info().currsize == kept
+        assert repr(other) == repr(rows)
