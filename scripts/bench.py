@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Write a BENCH_<label>.json file from the unmodified perfbench runner.
 
-    python scripts/bench.py --label L --tree PATH [--tree PATH]
+    python scripts/bench.py --label L --tree PATH [--tree PATH] [--seed N]
 
 Each tree is a checkout of lptrim (for a before/after pair: the parent
 commit, then the change).  Before the first round every ``__pycache__``
@@ -11,12 +11,13 @@ imports bytecode an earlier process left while another compiles its sources
 ``setup_s`` and ``peak_rss_mb``.  For every workload named in this
 checkout's BENCHMARK.json, each of 10 rounds runs
 
-    python3 perfbench/run.py --workload W --seed 30 --seconds T --trace 0
+    python3 perfbench/run.py --workload W --seed N --seconds T --trace 0
 
 once inside each tree, in a fresh process, alternating from round to round
-which tree goes first; T is BENCHMARK.json's ``run_seconds``.  run.py's
-last two lines are parsed: the per-run quartiles of the scaled ``wall_s``,
-the rows digest and the end-to-end metrics.
+which tree goes first; N is ``--seed`` (30 unless given) and T is
+BENCHMARK.json's ``run_seconds``, both recorded in the file's ``command``.
+run.py's last two lines are parsed: the per-run quartiles of the scaled
+``wall_s``, the rows digest and the end-to-end metrics.
 
 ``BENCH_<label>.json``, written at the root of this checkout, holds the
 environment line (cores, python, numpy, scipy, blas), each tree's
@@ -50,7 +51,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEED = 30
+SEED = 30  # the workloads' seed unless --seed names another
 ROUNDS = 10
 GAIN_WINS = 9  # pairs of ROUNDS the second tree must win for a gain
 
@@ -60,9 +61,9 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": q2, "q1": q1, "q3": q3}
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     """One ``perfbench/run.py`` invocation in ``tree``; its parsed result."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
@@ -138,6 +139,7 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True)
     parser.add_argument("--tree", action="append", required=True, type=Path,
                         help="checkout to measure; give two for a before/after pair")
+    parser.add_argument("--seed", type=int, default=SEED, help=f"the workloads' seed (default {SEED})")
     args = parser.parse_args(argv)
     if len(args.tree) > 2:
         parser.error("give one or two trees")
@@ -151,14 +153,14 @@ def main(argv=None) -> int:
         clear_bytecode(tree)
     keys = ["before", "after"] if len(trees) == 2 else ["tree"]
     env = None
-    out = {"label": args.label, "command": f"perfbench/run.py --seed {SEED} --seconds {seconds:g} --trace 0",
+    out = {"label": args.label, "command": f"perfbench/run.py --seed {args.seed} --seconds {seconds:g} --trace 0",
            "trees": {key: describe(t) for key, t in zip(keys, trees)}, "rounds": ROUNDS, "workloads": {}}
     for name in workloads:
         per_tree = [[] for _ in trees]
         for rnd in range(ROUNDS):
             order = range(len(trees)) if rnd % 2 == 0 else reversed(range(len(trees)))
             for i in order:
-                result = run_once(trees[i], name, seconds)
+                result = run_once(trees[i], name, seconds, args.seed)
                 run_env = result.pop("env")
                 env = env or run_env
                 per_tree[i].append(result)

@@ -33,16 +33,16 @@ __all__ = [
     "truncated_power_mean",
 ]
 
-# Rows are taken in blocks sized by this many float64 values: reference rows
-# are drawn max(1, this // m) at a time for the streamed moment pass, m
-# being the number of directions they are projected onto, and for a reference
-# law the largest power of two of rows with rows x d <= this at a time, d being
-# the draw's width; the probe directions of every multi-direction command are
-# projected max(1, this // n) at a time, n being the sample size.  In
-# MomentOracle's streamed pass a block's projections are powered and summed,
-# and a reference law's draw is transformed, while they and their scratch copy
-# still sit in a 2 MiB L2 cache.  Fixed, so results never depend on available
-# memory.
+# Rows are taken in blocks sized by this many float64 values: the streamed
+# moment pass projects reference rows max(1, this // m) at a time, m being the
+# number of directions, and draws at once the most whole blocks (at least one)
+# whose draw fits in this; a reference law draws the largest power of two of
+# rows with rows x d <= this at a time, d being the draw's width; the probe
+# directions of every multi-direction command are projected max(1, this // n)
+# at a time, n being the sample size.  In MomentOracle's streamed pass a
+# block's projections are powered and summed (by one einsum), and a reference
+# law's draw is transformed, while they and their scratch copy still sit in a
+# 2 MiB L2 cache.  Fixed, so results never depend on available memory.
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -104,7 +104,7 @@ def _block_sizes(n: int, width: int) -> list[int]:
     or the m points of a sample that directions are projected over.  Split
     draws equal one draw bit for bit, so the reference rows never depend on
     the blocks.
-    Each block is drawn in the expression that projects it: with two draw
+    A reference law's block is drawn where it is projected: with two draw
     buffers alive at once, every reference build faulted them in anew.
     """
     block_rows = max(1, _BLOCK_ELEMENTS // width)

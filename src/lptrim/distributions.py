@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .core import SampleMatrix, _as_directions, _block_sizes, _check_open_unit, _check_p, _sorted_abs
+from .core import _BLOCK_ELEMENTS, SampleMatrix, _as_directions, _block_sizes, _check_open_unit, _check_p, _sorted_abs
 from .seeding import child_rng, child_seed
 
 __all__ = [
@@ -457,11 +457,11 @@ class MomentOracle:
 
     Uses closed forms whenever available; otherwise streams one shared
     reference sample of ``ref_size`` draws past all the directions at once:
-    each block of about ``core._BLOCK_ELEMENTS / m`` rows is drawn, projected,
-    raised to p and added to the column sums before the next is drawn, so no
-    more than one block is ever held.  The draws, and so the reference rows,
-    are deterministic in (spec, ref_size, seed); the sums are associated per
-    block, so a truth depends on m at round-off only.  The rows come from
+    blocks of about ``core._BLOCK_ELEMENTS / m`` rows are projected, raised to
+    p and added to the column sums one by one, drawn as many whole blocks at a
+    time as fit in ``_BLOCK_ELEMENTS`` values (at least one).  The reference
+    rows are deterministic in (spec, ref_size, seed) whatever the split; the
+    sums are associated per block, so a truth depends on m at round-off only.  The rows come from
     ``_reference_rows``: product_laplace rows agree with ``Generator.laplace``
     draws to round-off, where ``draw_sample`` agrees with them bit for bit.
     """
@@ -494,32 +494,43 @@ def _streamed_moments(spec: DistributionSpec, dirs: np.ndarray, p: float, ref_si
     """The mean of |X @ dirs.T|^p over ``ref_size`` rows of ``rng``, a block at a time."""
     m = dirs.shape[0]
     sizes = _block_sizes(ref_size, m)
+    group = max(1, _BLOCK_ELEMENTS // (sizes[0] * spec.dim))  # whole blocks per draw
     block = np.empty((sizes[0], m))
     scratch = np.empty_like(block)
     acc = np.zeros(m)
     for i, rows in enumerate(sizes):
+        if i % group == 0:
+            drawn = _reference_rows(spec, sum(sizes[i:i + group]), rng)
+        start = i % group * sizes[0]
         out = block[:rows]
-        np.matmul(_reference_rows(spec, rows, rng), dirs.T, out=out)
-        _abs_power_in_place(out, p, scratch[:rows])
-        acc += out.sum(axis=0)
+        np.matmul(drawn[start:start + rows], dirs.T, out=out)
+        acc += _abs_power_sums(out, p, scratch[:rows])
         if i == 0:  # an order that overflows does so here: raise now, not after every block
             _closed_form(p, lambda: acc)
     return acc / ref_size
 
 
-def _abs_power_in_place(x: np.ndarray, p: float, scratch: np.ndarray) -> None:
-    """x = |x| ** p, by repeated multiplication for the integers 3 <= p <= 5.
+def _abs_power_sums(x: np.ndarray, p: float, scratch: np.ndarray) -> np.ndarray:
+    """The column sums of |x| ** p, by repeated multiplication for the integers 3 <= p <= 5; x is overwritten.
 
     A chain of p - 1 multiplies beats float ``pow`` up to p = 5 (p = 3 by
     about a third) and loses from p = 8 on; it agrees with ``pow`` to a few
     ulps.  The chain starts from x * x, which equals |x| * |x| exactly, so
-    |x| is written to ``scratch`` once and x itself is never copied.
+    |x| is written to ``scratch`` once and x itself is never copied.  Over two
+    columns or more its last two multiplies and the column sum are one
+    ``np.einsum``, which forms the same products and sums each column row
+    after row as ``x.sum(axis=0)`` does; numpy sums a lone column pairwise,
+    so there the chain runs to its end.
     """
     if 3 <= p <= _MAX_MULTIPLY_POWER and p == int(p):
         np.abs(x, out=scratch)
-        x *= x
-        for _ in range(int(p) - 2):
-            x *= scratch
+        factors = [x] + [scratch] * (int(p) - 2)  # x's multipliers in the chain, in order
+        fused = x.shape[1] > 1
+        for factor in factors[:len(factors) - 2 * fused]:
+            x *= factor
+        if fused:
+            return np.einsum("ij,ij,ij->j", x, *factors[-2:])
     else:
         np.abs(x, out=x)
         x **= p
+    return x.sum(axis=0)

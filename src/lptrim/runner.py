@@ -37,6 +37,7 @@ from .distributions import (
     DistributionSpec,
     MomentOracle,
     _closed_form,
+    _reference_law,
     draw_sample,
     marginal_cdf,
     spec_from_label,
@@ -238,7 +239,10 @@ def run_ratio_check(config: ExperimentConfig) -> RunResult:
         (spec, n, child_seed(config.seed, "trial", t), directions, config.ratio_params, config.ref_size)
         for t in range(config.trials)
     ]
-    results = _map_tasks(ratio_trial_rows, tasks, config.threads)
+    try:
+        results = _map_tasks(ratio_trial_rows, tasks, config.threads)
+    finally:  # the laws the trials kept for each other die with the run, not with the process
+        _reference_law.cache_clear()
 
     rows = []
     failed_trials = []

@@ -1,6 +1,8 @@
-"""The pair verdicts of scripts/bench.py, on hand-made rounds."""
+"""The pair verdicts of scripts/bench.py, on hand-made rounds, and the seed it passes to perfbench/run.py."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -78,3 +80,27 @@ def test_a_metric_missing_from_a_round_gets_no_verdict():
     v, won = judge(before, after)
     assert set(v["gain"]) == set(v["within_bound"]) == {"wall_s"}
     assert won["evals_per_s"] == 9  # the pair with a missing figure counts for neither
+
+
+@pytest.mark.parametrize("argv, seed", [([], 30), (["--seed", "7"], 7)], ids=["default", "held_out"])
+def test_the_seed_reaches_every_run_and_the_command(argv, seed, tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 2, "workloads": [{"name": "w"}], "end_to_end": METRICS[:1]}))
+    wall = {"median": 1.0, "q1": 1.0, "q3": 1.0, "runs": [1.0]}
+    printed = json.dumps({"wall_s": wall, "rows_sha256": "0", "env": {}}) + "\n" + json.dumps(
+        {"correct": 1, "metrics": {"wall_s": {"value": 1.0}}})
+    runs = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        if cmd[0] == "git":
+            return subprocess.CompletedProcess(cmd, 1, "", "")
+        runs.append(cmd)
+        return subprocess.CompletedProcess(cmd, 0, printed, "")
+
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    assert bench.main(["--label", "seed", "--tree", str(tmp_path), *argv]) == 0
+    assert len(runs) == bench.ROUNDS
+    assert all(cmd[1] == "perfbench/run.py" and cmd[cmd.index("--seed") + 1] == str(seed) for cmd in runs)
+    written = json.loads((tmp_path / "BENCH_seed.json").read_text())
+    assert written["command"] == f"perfbench/run.py --seed {seed} --seconds 2 --trace 0"

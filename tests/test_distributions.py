@@ -12,6 +12,7 @@ from helpers import (
     cumulant_fourth_moments,
     monte_carlo_moment,
     naive_laplace,
+    per_block_streamed_moments,
     per_law_sf,
 )
 from lptrim import distributions
@@ -33,7 +34,7 @@ from lptrim.distributions import (
     spec_from_label,
     sphere_directions,
     student_abs_moment,
-    _abs_power_in_place,
+    _abs_power_sums,
     _closed_form,
     _draw_matrix,
     _reference_law,
@@ -402,13 +403,46 @@ class TestStreamedMomentsAgainstChunkedPass:
         parts = [draw(spec, rows, rng) for rows in (1, 511, 512, 3_000, 976)]
         assert np.vstack(parts).tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("m", [1, 17])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.5])
-    def test_copy_free_power_equals_the_copyto_chain(self, p, rng):
-        x = rng.standard_normal((300, 17)) * np.exp(rng.uniform(-20, 20, (300, 17)))
-        x[0, :3] = [0.0, -0.0, -1e-300]
-        want = copyto_power_chain(np.abs(x), p)
-        _abs_power_in_place(x, p, np.empty_like(x))
-        assert np.array_equal(x, want)
+    def test_copy_free_power_equals_the_copyto_chain(self, p, m, rng):
+        # 17 columns take the einsum for 3 <= p <= 5, one column the whole chain and a pairwise sum
+        x = rng.standard_normal((300, m)) * np.exp(rng.uniform(-20, 20, (300, m)))
+        x[0, :3] = [0.0, -0.0, -1e-300][:m]
+        want = copyto_power_chain(np.abs(x), p).sum(axis=0)
+        assert np.array_equal(_abs_power_sums(x, p, np.empty_like(x)), want)
+
+
+def streamed_draws(ref_size: int, m: int, dim: int) -> list[int]:
+    """The rows of each draw of the streamed pass: the most whole blocks of 2^15 // m rows whose rows x d
+    values fit in 2^15, at least one block, a draw after another until ``ref_size`` rows are drawn."""
+    rows = 2**15 // m
+    group_rows = max(1, 2**15 // (rows * dim)) * rows
+    return [min(group_rows, ref_size - start) for start in range(0, ref_size, group_rows)]
+
+
+GATE_REF_SIZE = 65_537
+
+
+class TestStreamedMomentsAgainstPerBlockDraws:
+    """The grouped draws and fused sums of the streamed pass against the per-block pass they replaced."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 163, 200, 500])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 3.0, 5.0])
+    @pytest.mark.parametrize("dim", [1, 3, 20])
+    @pytest.mark.parametrize("name, nu", [("product_laplace", None), ("cube_uniform", None),
+                                          ("product_student_t", 4.5)], ids=["laplace", "cube", "student_t"])
+    def test_truths_equal_bit_for_bit(self, name, nu, dim, p, m):
+        spec = DistributionSpec(name, dim, nu)
+        rows, draws = 2**15 // m, streamed_draws(GATE_REF_SIZE, m, dim)
+        # a draw boundary is crossed, and the last draw is a partial group (if a group can be) of whole
+        # blocks and a partial one
+        assert len(draws) > 1 and draws[-1] % rows
+        assert draws[0] == rows or -(-draws[-1] // rows) < draws[0] // rows
+        dirs = sphere_directions(dim, m, 8)
+        got = _streamed_moments(spec, dirs, p, GATE_REF_SIZE, child_rng(6, "stream"))
+        want = per_block_streamed_moments(spec, dirs, p, GATE_REF_SIZE, child_rng(6, "stream"))
+        assert np.array_equal(got, want)
 
 
 LAPLACE_SHAPES = [(1, 1), (163, 20), (32_768, 10)]
@@ -512,6 +546,18 @@ def record_reference_blocks(monkeypatch) -> list[tuple]:
     return blocks
 
 
+def record_projection_blocks(monkeypatch) -> list[tuple]:
+    """The shape of every block of projections the streamed pass powers from now on."""
+    blocks = []
+
+    def recording_power_sums(x, p, scratch):
+        blocks.append(x.shape)
+        return _abs_power_sums(x, p, scratch)
+
+    monkeypatch.setattr(distributions, "_abs_power_sums", recording_power_sums)
+    return blocks
+
+
 class TestReferenceBlocks:
     """The blocks the two reference passes draw: at most 2^15 values in the draw and in the projections."""
 
@@ -532,24 +578,32 @@ class TestReferenceBlocks:
     ])
     def test_streamed_moment_blocks_are_sized_by_m(self, dim, m, monkeypatch):
         # only m >= d: below d a block's draw holds more than 2^15 values (ROADMAP smaller points)
-        blocks = record_reference_blocks(monkeypatch)
+        draws = record_reference_blocks(monkeypatch)
+        blocks = record_projection_blocks(monkeypatch)
         dirs = sphere_directions(dim, m, 4)
         _streamed_moments(DistributionSpec("cube_uniform", dim), dirs, 3.0, 70_001, child_rng(6, "stream"))
-        sizes = [shape[0] for shape in blocks]
         rows = 2**15 // m
-        assert sum(sizes) == 70_001
+        sizes = [shape[0] for shape in blocks]
+        assert all(shape[1] == m for shape in blocks) and sum(sizes) == 70_001
         assert sizes[:-1] == [rows] * (len(sizes) - 1) and 0 < sizes[-1] <= rows
         assert rows * dim <= 2**15
+        # each draw is whole blocks, as many as fit in 2^15 values; the last ends with the partial block
+        drawn = [shape[0] for shape in draws]
+        assert all(shape[1] == dim for shape in draws) and sum(drawn) == 70_001
+        assert all(r % rows == 0 and r * dim <= 2**15 < r * dim + rows * dim for r in drawn[:-1])
+        assert drawn == streamed_draws(70_001, m, dim)
         if (dim, m) == (20, 200):
-            assert rows == 163  # the sandwich's blocks
+            assert rows == 163 and drawn[0] == 1_630  # the sandwich's blocks, ten to a draw
 
     def test_overflowing_order_stops_after_the_first_block(self, tmp_path, capsys, monkeypatch):
-        # at the default --ref-size of 10^6 rows and 500 directions the stream holds 15,385 blocks
-        blocks = record_reference_blocks(monkeypatch)
+        # at the default --ref-size of 10^6 rows and 500 directions the stream holds 15,385 blocks in 616 draws
+        draws = record_reference_blocks(monkeypatch)
+        blocks = record_projection_blocks(monkeypatch)
         code = main(["sandwich", "--dist=product_laplace", "--p=1e308", "--threads=1", f"--out-dir={tmp_path}"])
         assert code == 3
         assert capsys.readouterr().err.startswith("infeasible: the p=1e+308 moment or its estimate overflows float64")
-        assert blocks == [(2**15 // 500, 20)]
+        assert blocks == [(2**15 // 500, 500)]
+        assert draws == [(25 * (2**15 // 500), 20)]  # one draw of the 25 blocks whose 20 columns fit in 2^15
 
 
 class TestFourthMomentsFromCoordinateLaws:

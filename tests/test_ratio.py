@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from helpers import (
     interval_excess_by_masses,
     masked_dyadic_levels,
 )
-from lptrim import ratio
+from lptrim import ratio, runner
 from lptrim.config import ConfigError, ExperimentConfig
 from lptrim.core import RatioParams, project_abs
 from lptrim.distributions import (
@@ -517,3 +518,39 @@ class TestReferenceLawsKept:
         other = laplace_trials(directions)
         assert _reference_law.cache_info().currsize == kept
         assert repr(other) == repr(rows)
+
+
+class TestRunDropsItsLaws:
+    """A ratio-check run empties the reference-law cache when it returns or raises."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        _reference_law.cache_clear()
+        yield
+        _reference_law.cache_clear()
+
+    @staticmethod
+    def rows_of(tmp_path):
+        # 30 sphere directions at d = 5: every law fits in the cache, so the trials keep them for each other
+        config = ExperimentConfig(dist="product_laplace", dim=5, n=400, directions=30, trials=2, ref_size=5_000,
+                                  delta=0.05, seed=3, out_dir=str(tmp_path))
+        return run_ratio_check(config).rows_path.read_bytes()
+
+    def test_a_returning_run_leaves_no_law_and_the_same_rows(self, tmp_path, monkeypatch):
+        rows = self.rows_of(tmp_path / "cleared")
+        assert _reference_law.cache_info().currsize == 0
+        # a run that leaves the cache alone, as every run did before
+        monkeypatch.setattr(runner, "_reference_law", SimpleNamespace(cache_clear=lambda: None))
+        kept = self.rows_of(tmp_path / "kept")
+        assert _reference_law.cache_info().currsize == 30
+        assert kept == rows
+
+    def test_a_raising_run_leaves_no_law(self, tmp_path, monkeypatch):
+        def failing_trial(*args):
+            ratio_trial_rows(*args)
+            raise RuntimeError("trial failed")
+
+        monkeypatch.setattr(runner, "ratio_trial_rows", failing_trial)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            self.rows_of(tmp_path)
+        assert _reference_law.cache_info().currsize == 0
