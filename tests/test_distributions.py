@@ -533,7 +533,7 @@ class TestReferenceLawAgainstChunkedBuild:
 
 
 def record_reference_blocks(monkeypatch) -> list[tuple]:
-    """The shape of every block of reference rows drawn from now on, recorded through ``_reference_rows``."""
+    """The shape of every draw of reference rows from now on, recorded through ``_reference_rows``."""
     blocks = []
 
     def recording_reference_rows(spec, rows, rng):
