@@ -458,12 +458,13 @@ class MomentOracle:
     Uses closed forms whenever available; otherwise streams one shared
     reference sample of ``ref_size`` draws past all the directions at once:
     blocks of about ``core._BLOCK_ELEMENTS / m`` rows are projected, raised to
-    p and added to the column sums one by one, drawn as many whole blocks at a
-    time as fit in ``_BLOCK_ELEMENTS`` values (at least one).  The reference
-    rows are deterministic in (spec, ref_size, seed) whatever the split; the
-    sums are associated per block, so a truth depends on m at round-off only.  The rows come from
-    ``_reference_rows``: product_laplace rows agree with ``Generator.laplace``
-    draws to round-off, where ``draw_sample`` agrees with them bit for bit.
+    p and summed by column one by one, drawn as many whole blocks at a time as
+    fit in ``_BLOCK_ELEMENTS`` values (at least one).  The rows are
+    deterministic in (spec, ref_size, seed) whatever the split; the sums are
+    associated per block, so a truth depends on m at round-off only.  The rows
+    come from ``_reference_rows``: product_laplace rows agree with
+    ``Generator.laplace`` draws to round-off, where ``draw_sample`` agrees
+    with them bit for bit.
     """
 
     def __init__(self, spec: DistributionSpec, ref_size: int = DEFAULT_REF_SIZE, seed: int = 0):
@@ -501,7 +502,7 @@ def _streamed_moments(spec: DistributionSpec, dirs: np.ndarray, p: float, ref_si
     for i, rows in enumerate(sizes):
         if i % group == 0:
             drawn = _reference_rows(spec, sum(sizes[i:i + group]), rng)
-        start = i % group * sizes[0]
+        start = (i % group) * sizes[0]
         out = block[:rows]
         np.matmul(drawn[start:start + rows], dirs.T, out=out)
         acc += _abs_power_sums(out, p, scratch[:rows])
@@ -517,10 +518,9 @@ def _abs_power_sums(x: np.ndarray, p: float, scratch: np.ndarray) -> np.ndarray:
     about a third) and loses from p = 8 on; it agrees with ``pow`` to a few
     ulps.  The chain starts from x * x, which equals |x| * |x| exactly, so
     |x| is written to ``scratch`` once and x itself is never copied.  Over two
-    columns or more its last two multiplies and the column sum are one
-    ``np.einsum``, which forms the same products and sums each column row
-    after row as ``x.sum(axis=0)`` does; numpy sums a lone column pairwise,
-    so there the chain runs to its end.
+    columns or more one ``np.einsum`` makes the last two multiplies and the
+    sums, with the products and the row order of ``x.sum(axis=0)``; that
+    adds a lone column pairwise, so there the chain runs to its end.
     """
     if 3 <= p <= _MAX_MULTIPLY_POWER and p == int(p):
         np.abs(x, out=scratch)
