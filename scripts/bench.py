@@ -21,7 +21,8 @@ run.py's last two lines are parsed: the per-run quartiles of the scaled
 
 ``BENCH_<label>.json``, written at the root of this checkout, holds the
 environment line (cores, python, numpy, scipy, blas), each tree's
-``git describe --always --dirty`` (or its directory name outside git) and,
+``git describe --always --dirty`` (or its directory name outside git), each
+tree's code size in ``src_lines`` (the lines of its ``src/lptrim/*.py``) and,
 per workload and tree (``before`` and ``after`` for a pair, else ``tree``),
 every round's figures plus ``metrics``: the median, q1 and q3 over the
 rounds of each end-to-end metric (for ``wall_s``, of the rounds' medians).
@@ -95,6 +96,11 @@ def describe(tree: Path) -> str:
     return proc.stdout.strip() if proc.returncode == 0 else tree.name
 
 
+def src_lines(tree: Path) -> int:
+    """The lines of the tree's ``src/lptrim/*.py``, counted as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "lptrim").glob("*.py"))
+
+
 def summarise(rounds: list[dict]) -> dict:
     """The quartiles over the rounds of every end-to-end metric that every round reported."""
     return {"metrics": {name: _quartiles([r["metrics"][name] for r in rounds])
@@ -154,7 +160,8 @@ def main(argv=None) -> int:
     keys = ["before", "after"] if len(trees) == 2 else ["tree"]
     env = None
     out = {"label": args.label, "command": f"perfbench/run.py --seed {args.seed} --seconds {seconds:g} --trace 0",
-           "trees": {key: describe(t) for key, t in zip(keys, trees)}, "rounds": ROUNDS, "workloads": {}}
+           "trees": {key: describe(t) for key, t in zip(keys, trees)},
+           "src_lines": {key: src_lines(t) for key, t in zip(keys, trees)}, "rounds": ROUNDS, "workloads": {}}
     for name in workloads:
         per_tree = [[] for _ in trees]
         for rnd in range(ROUNDS):

@@ -181,11 +181,12 @@ class MarginalCDF:
     """Law of |<X, v>| for a fixed direction.
 
     The strict tail ``sf(t) = P(f > t)`` and the point mass ``atom(t) = P(f = t)``
-    both accept scalars or arrays.  An analytic law defines only its tail at
-    t >= 0, ``_tail``; ``sf`` is 1 below 0.  A float query (Python ``float``
-    or ``np.float64``) to an analytic ``sf`` returns a Python float without
-    building an array: quadrature and bisection ask for one point per call.
-    Objects are immutable after construction and safe for concurrent queries.
+    both accept scalars or arrays.  Every law defines its tail at t >= 0,
+    ``_tail``; ``sf`` is 1 below 0, and a law with atoms also defines
+    ``tails``, from which ``sf_left`` reads.  A float query (Python ``float``
+    or ``np.float64``) to ``sf`` returns a Python float without building an
+    array: quadrature and bisection ask for one point per call.  Objects are
+    immutable after construction and safe for concurrent queries.
     """
 
     #: moments of order >= this bound diverge (math.inf when all exist)
@@ -214,7 +215,7 @@ class MarginalCDF:
 
     def sf_left(self, t):
         """P(f >= t), the left limit of the tail function."""
-        return self.sf(t) + self.atom(t)
+        return self.tails(t)[2]
 
     def tails(self, t):
         """``(sf(t), atom(t), sf_left(t))``: the atom is 0, so sf_left is the sf array itself; no caller may write it."""
@@ -336,15 +337,11 @@ class EmpiricalCDF(MarginalCDF):
     def size(self) -> int:
         return self.values.size
 
-    def sf(self, t):
-        return self._fraction_above(t, "right")
+    def _tail(self, x):
+        return (self.size - np.searchsorted(self.values, x, side="right")) / self.size
 
     def atom(self, t):
         return self.tails(t)[1]
-
-    def sf_left(self, t):
-        # exact single-count form of P(f >= t), avoiding the sf + atom rounding
-        return self._fraction_above(t, "left")
 
     def tails(self, t):
         """``(sf(t), atom(t), sf_left(t))``, each counted exactly from one left and one right search."""
@@ -352,11 +349,6 @@ class EmpiricalCDF(MarginalCDF):
         left, right = (_scalar_or_array(t, lambda a, side=side: np.searchsorted(xs, a, side=side))
                        for side in ("left", "right"))
         return (m - right) / m, (right - left) / m, (m - left) / m
-
-    def _fraction_above(self, t, side: str):
-        """The share of reference values above t ("right") or at and above it ("left")."""
-        xs, m = self.values, self.values.size
-        return _scalar_or_array(t, lambda a: (m - np.searchsorted(xs, a, side=side)) / m)
 
     def quantile_upper(self, eta: float) -> float:
         """Smallest t with P(f > t) < eta: the k-th largest value, k = ceil(eta * size).

@@ -8,6 +8,7 @@ one source of numerical error entirely.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,24 +89,6 @@ def tail_cutoff(cdf: MarginalCDF) -> float:
     return _doubling_bracket(cdf, TAIL_MASS_CUTOFF)[1]
 
 
-def _quad(fn, lo: float, hi: float, p: float) -> float:
-    """The integral of the nonnegative ``fn`` over (lo, hi); its caller guards against overflow.
-
-    A negative result, which the integrand cannot give, raises
-    MomentDoesNotExistError naming p: the adaptive quadrature failed (it
-    happens for a slowly decaying tail over a long range).
-    """
-    if hi <= lo:
-        return 0.0
-    value = float(integrate.quad(fn, lo, hi, epsrel=QUAD_REL_TOL, epsabs=1e-14, limit=400)[0])
-    if value < 0:
-        raise MomentDoesNotExistError(
-            f"the p={p} quadrature of a nonnegative integrand over ({lo:g}, {hi:g}) returned {value!r}: "
-            "the quadrature failed"
-        )
-    return value
-
-
 def tail_integral_moment(cdf: MarginalCDF, p: float, t_max: float) -> float:
     """Integral of p t^(p-1) P(f > t) dt over (0, t_max).
 
@@ -177,7 +160,17 @@ def _split_at_cutoff(cdf: MarginalCDF, p: float, t_min: float, t_max: float, roo
 # a zero tail as inf * 0.
 @lru_cache(maxsize=4096)
 def _tail_integral(cdf: MarginalCDF, p: float, lo: float, hi: float, root: bool) -> float:
-    """Integral of p t^(p-1) P(f > t), or with ``root`` of p t^(p-1) sqrt(P(f > t)), over (lo, hi)."""
+    """Integral of p t^(p-1) P(f > t), or with ``root`` of p t^(p-1) sqrt(P(f > t)), over (lo, hi).
+
+    Its callers guard against overflow.  A negative result, which the
+    integrand cannot give, means the adaptive quadrature failed (a slowly
+    decaying tail over a long range): it raises MomentDoesNotExistError naming
+    p, without scipy's warning.  Any other result passes scipy's warnings on;
+    recording them swaps process-wide state, so run concurrent calls in
+    processes, as the runners do.
+    """
+    if hi <= lo:
+        return 0.0
 
     def integrand(t):
         tail = cdf.sf(t)
@@ -185,7 +178,17 @@ def _tail_integral(cdf: MarginalCDF, p: float, lo: float, hi: float, root: bool)
             return 0.0
         return p * t ** (p - 1.0) * (math.sqrt(tail) if root else tail)
 
-    return _quad(integrand, lo, hi, p)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = float(integrate.quad(integrand, lo, hi, epsrel=QUAD_REL_TOL, epsabs=1e-14, limit=400)[0])
+    if value < 0:
+        raise MomentDoesNotExistError(
+            f"the p={p} quadrature of a nonnegative integrand over ({lo:g}, {hi:g}) returned {value!r}: "
+            "the quadrature failed"
+        )
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    return value
 
 
 def raw_moment(cdf: MarginalCDF, p: float) -> float:

@@ -80,7 +80,7 @@ def _distinct_pass(values_abs, cdf: MarginalCDF) -> _Distinct:
     else:
         starts = np.flatnonzero(heads)
         u, above, share = xs[starts], np.append(n - starts, 0) / n, np.diff(np.append(starts, n)) / n
-    sf_u, atom_u, sfl_u = (np.asarray(x, dtype=np.float64) for x in cdf.tails(u))
+    sf_u, atom_u, sfl_u = cdf.tails(u)
     return _Distinct(xs=xs, u=u, above=above, share=share, sf=sf_u, atom=atom_u, sf_left=sfl_u)
 
 

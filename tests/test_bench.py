@@ -82,8 +82,9 @@ def test_a_metric_missing_from_a_round_gets_no_verdict():
     assert won["evals_per_s"] == 9  # the pair with a missing figure counts for neither
 
 
-@pytest.mark.parametrize("argv, seed", [([], 30), (["--seed", "7"], 7)], ids=["default", "held_out"])
-def test_the_seed_reaches_every_run_and_the_command(argv, seed, tmp_path, monkeypatch):
+@pytest.fixture
+def fake_runs(tmp_path, monkeypatch):
+    """The commands bench.main runs, each answered with one fixed perfbench result, from ``tmp_path``."""
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
         {"run_seconds": 2, "workloads": [{"name": "w"}], "end_to_end": METRICS[:1]}))
     wall = {"median": 1.0, "q1": 1.0, "q3": 1.0, "runs": [1.0]}
@@ -99,8 +100,28 @@ def test_the_seed_reaches_every_run_and_the_command(argv, seed, tmp_path, monkey
 
     monkeypatch.setattr(bench, "ROOT", tmp_path)
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    return runs
+
+
+@pytest.mark.parametrize("argv, seed", [([], 30), (["--seed", "7"], 7)], ids=["default", "held_out"])
+def test_the_seed_reaches_every_run_and_the_command(argv, seed, tmp_path, fake_runs):
     assert bench.main(["--label", "seed", "--tree", str(tmp_path), *argv]) == 0
-    assert len(runs) == bench.ROUNDS
-    assert all(cmd[1] == "perfbench/run.py" and cmd[cmd.index("--seed") + 1] == str(seed) for cmd in runs)
+    assert len(fake_runs) == bench.ROUNDS
+    assert all(cmd[1] == "perfbench/run.py" and cmd[cmd.index("--seed") + 1] == str(seed) for cmd in fake_runs)
     written = json.loads((tmp_path / "BENCH_seed.json").read_text())
     assert written["command"] == f"perfbench/run.py --seed {seed} --seconds 2 --trace 0"
+
+
+def test_each_tree_records_the_lines_of_its_package(tmp_path, fake_runs):
+    trees = [tmp_path / "before", tmp_path / "after"]
+    for tree, sources in zip(trees, [{"a.py": "x = 1\ny = 2\n", "b.py": "\n\n# three\n"}, {"a.py": "x = 1\n"}]):
+        package = tree / "src" / "lptrim"
+        package.mkdir(parents=True)
+        for name, text in sources.items():
+            (package / name).write_text(text)
+        (package / "notes.txt").write_text("not code\n")  # only the .py files count
+        (tree / "src" / "outside.py").write_text("nor code outside the package\n")
+    assert [bench.src_lines(tree) for tree in trees] == [5, 1]
+    assert bench.main(["--label", "size", "--tree", str(trees[0]), "--tree", str(trees[1])]) == 0
+    written = json.loads((tmp_path / "BENCH_size.json").read_text())
+    assert written["src_lines"] == {"before": 5, "after": 1}

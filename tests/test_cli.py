@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 import lptrim
 from helpers import second_pass_scan_rows
@@ -566,16 +567,29 @@ class TestOracleCommand:
         assert code == 3
         assert capsys.readouterr().err.startswith("infeasible:")
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    @pytest.mark.parametrize("t", ["1e6", "1e308"])
-    def test_negative_quadrature_is_three(self, capsys, t):
+    @pytest.mark.parametrize("args", [
+        ["--nu", "2.01", "--p", "2", "--t", "1e6"],
+        ["--nu", "2.01", "--p", "2", "--t", "1e308"],
+        ["--nu", "2.05", "--p", "1.5"],
+        ["--nu", "2.01", "--p", "1"],
+        ["--nu", "2.2", "--p", "1.5"],
+    ], ids=["1e6", "1e308", "nu2.05-p1.5", "nu2.01-p1", "nu2.2-p1.5"])
+    def test_negative_quadrature_is_three(self, capsys, recwarn, args):
         # near nu = 2 one adaptive quad over (0, cutoff) misses the slow tail and returns a
-        # negative integral of a nonnegative integrand (-0.849 at t = 1e6)
-        code = main(["oracle", "--dist", "product_student_t", "--nu", "2.01",
-                     "--query", "tail-moment", "--p", "2", "--t", t])
+        # negative integral of a nonnegative integrand (-0.849 at t = 1e6); scipy's
+        # IntegrationWarning on the way adds nothing to the error
+        code = main(["oracle", "--dist", "product_student_t", "--query", "tail-moment", *args])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("infeasible:") and "quadrature failed" in err
+        assert len(recwarn) == 0
+
+    def test_a_quadrature_that_returns_passes_its_warning_on(self, capsys):
+        with pytest.warns(scipy.integrate.IntegrationWarning, match="does not converge"):
+            code = main(["oracle", "--dist", "product_student_t", "--nu", "2.2",
+                         "--query", "tail-moment", "--p", "1"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 0.39495725904294154
 
     def test_error_functional_cap_far_beyond_the_tail_cutoff(self, capsys):
         values = []

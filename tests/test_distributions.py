@@ -228,6 +228,7 @@ class TestMarginalCDF:
             assert hash(cdf) == hash(cdf)
         assert hash(FoldedNormalCDF(scale=1.5)) == hash(examples[FoldedNormalCDF])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # an atom that evaluates the tail overflows at 1e308
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
     def test_tail_template_equals_the_per_law_sf_bit_for_bit(self, spec):
         v = np.zeros(spec.dim)
@@ -260,25 +261,32 @@ class TestMarginalCDF:
             assert np.array(got).tobytes() == np.array([sf, atom, sf + atom]).tobytes()
 
     def test_reference_law_tails_are_the_three_counts_bit_for_bit(self):
-        # 999 values on six levels: every value is tied and carries an atom
-        values = np.random.default_rng(5).integers(1, 7, size=999) / 4.0
+        # 999 signed values on 13 levels, 0 among them: every |value| is tied and carries an atom
+        values = np.random.default_rng(5).integers(-6, 7, size=999) / 4.0
         cdf = EmpiricalCDF(values)
-        levels = np.unique(values)
-        below, between, above = [-1.0, 0.0, 0.1], (levels[1:] + levels[:-1]) / 2, [1.6, 2.0, math.inf]
-        points = np.concatenate((below, levels, between, above))
-        m = values.size
-        counts = [
-            [np.count_nonzero(values > t) / m for t in points],
-            [np.count_nonzero(values == t) / m for t in points],
-            [np.count_nonzero(values >= t) / m for t in points],
-        ]
-        got = cdf.tails(points)
-        assert np.array(got).tobytes() == np.array(counts).tobytes()
-        assert np.array(got).tobytes() == np.array([cdf.sf(points), cdf.atom(points), cdf.sf_left(points)]).tobytes()
-        for i, t in enumerate(points):
-            got = cdf.tails(float(t))
-            assert all(type(x) is float for x in got)
-            assert got == (counts[0][i], counts[1][i], counts[2][i]) == (cdf.sf(t), cdf.atom(t), cdf.sf_left(t))
+        assert cdf.values[0] == 0.0
+        levels = np.unique(cdf.values)
+        between = (levels[1:] + levels[:-1]) / 2
+        points = np.concatenate(([-math.inf, -1.0, -0.25, -0.0, 0.0], levels, between, [1.6, 2.0, math.inf, math.nan]))
+        m, magnitudes = values.size, np.abs(values)
+        counts = np.array([
+            [np.count_nonzero(magnitudes > t) / m for t in points],
+            [np.count_nonzero(magnitudes == t) / m for t in points],
+            [np.count_nonzero(magnitudes >= t) / m for t in points],
+        ])
+
+        def each_query(t):
+            return [*cdf.tails(t), cdf.sf(t), cdf.atom(t), cdf.sf_left(t)]
+
+        got = each_query(points)
+        assert all(type(x) is np.ndarray and x.dtype == np.float64 for x in got)
+        assert np.array(got).tobytes() == np.concatenate((counts, counts)).tobytes()
+        for i, t in enumerate(points.tolist()):
+            want = counts[:, i].tolist() * 2
+            for query in (t, np.float64(t), np.array(t)):
+                got = each_query(query)
+                assert all(type(x) is float for x in got), query
+                assert np.array(got).tobytes() == np.array(want).tobytes(), query
 
     def test_empirical_below_minimum_is_zero(self):
         cdf = EmpiricalCDF([1.0, 2.0, 3.0])
