@@ -200,18 +200,23 @@ class RatioParams:
 
 
 def cut_rank(theta: float, n: int) -> int:
-    """Rank k = ceil(theta * n) of the trim threshold, counted from the top.
+    """Rank k of the trim threshold, counted from the top: k - 1 is the largest count c with c / n < theta.
 
     The k - 1 largest values are discarded and the k-th largest is the
-    threshold.  Float round-off just above an integer is forgiven so that
-    e.g. theta=0.1, n=10**4 yields k=1000 rather than 1001.  Since theta < 1,
-    1 <= k <= n: at least one value is always kept.
+    threshold, which a share below theta of the values exceeds, c / n
+    rounded as an ``EmpiricalCDF`` tail rounds it.  The loops take back the
+    round-off of ceil(theta * n) in a step or two (theta = 0.1, n = 10**4
+    gives 1000, not 1001).  Since 0 < theta < 1, 1 <= k <= n.
     """
     _check_open_unit("theta", theta)
     if n < 1:
         raise ValueError("need n >= 1")
-    k = math.ceil(theta * n - 1e-9)
-    return max(k, 1)
+    k = math.ceil(theta * n)
+    while (k - 1) / n >= theta:
+        k -= 1
+    while k / n < theta:
+        k += 1
+    return k
 
 
 def project_abs(sample: SampleMatrix, v) -> np.ndarray:
@@ -272,7 +277,7 @@ def _ascending_head_mean(xs: np.ndarray, p: float, keep: int, own: bool = False)
 
 
 def _ascending_threshold(xs: np.ndarray, theta: float) -> float:
-    """The ceil(theta * n)-th largest value of xs."""
+    """The cut_rank(theta, n)-th largest value of xs: the smallest value that fewer than a share theta exceed."""
     return float(xs[xs.size - cut_rank(theta, xs.size)])
 
 
@@ -300,7 +305,7 @@ def _ascending_upper_sum(xs: np.ndarray, p: float, q: float) -> float:
 def trimmed_p_mean(values_abs, spec: TrimSpec) -> float:
     """Mean of the p-th powers after discarding the cut_rank - 1 largest values.
 
-    Equivalently: with k = ceil(theta * n), sum the n - k + 1 smallest p-th
+    Equivalently: with k = cut_rank(theta, n), sum the n - k + 1 smallest p-th
     powers and divide by n.  Summation runs over the ascending sort so that
     the untrimmed case agrees bit for bit with ``empirical_p_mean``.
     """
@@ -319,7 +324,7 @@ def empirical_p_mean(values_abs, p: float) -> float:
 
 
 def trim_threshold(values_abs, theta: float) -> float:
-    """The ceil(theta * n)-th largest absolute value (the trim threshold)."""
+    """The cut_rank(theta, n)-th largest absolute value (the trim threshold)."""
     return _ascending_threshold(_sorted_abs(values_abs), theta)
 
 

@@ -31,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import special
 
-from .core import _BLOCK_ELEMENTS, SampleMatrix, _as_directions, _block_sizes, _check_open_unit, _check_p, _sorted_abs
+from .core import _BLOCK_ELEMENTS, SampleMatrix, _as_directions, _block_sizes, _check_p, _sorted_abs
 from .seeding import child_rng, child_seed
 
 __all__ = [
@@ -349,15 +349,6 @@ class EmpiricalCDF(MarginalCDF):
         left, right = (_scalar_or_array(t, lambda a, side=side: np.searchsorted(xs, a, side=side))
                        for side in ("left", "right"))
         return (m - right) / m, (right - left) / m, (m - left) / m
-
-    def quantile_upper(self, eta: float) -> float:
-        """Smallest t with P(f > t) < eta: the k-th largest value, k = ceil(eta * size).
-
-        Fewer than eta * size values exceed it, and at least k exceed anything
-        below it.  Since 0 < eta < 1, 1 <= k <= size.
-        """
-        _check_open_unit("eta", eta)
-        return float(self.values[self.size - math.ceil(eta * self.size)])
 
 
 def _coordinate_abs_cdf(spec: DistributionSpec, weight: float) -> MarginalCDF:

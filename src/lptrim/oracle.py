@@ -16,6 +16,7 @@ import numpy as np
 from scipy import integrate
 
 from .core import (
+    _ascending_threshold,
     _ascending_truncated_mean,
     _ascending_upper_sum,
     _check_delta,
@@ -47,12 +48,12 @@ def upper_quantile(cdf: MarginalCDF, eta: float) -> float:
 
     Analytic mode bisects the tail function to absolute tolerance 1e-9 and
     returns the upper end of the final bracket, so that P(f > q) < eta holds
-    for the returned q.  Empirical mode resolves the infimum exactly from the
-    order statistics.
+    for the returned q.  Empirical mode resolves the infimum exactly: the
+    law's ``cut_rank(eta, size)``-th largest value, read as the trim threshold.
     """
-    if isinstance(cdf, EmpiricalCDF):
-        return cdf.quantile_upper(eta)
     _check_open_unit("eta", eta)
+    if isinstance(cdf, EmpiricalCDF):
+        return _ascending_threshold(cdf.values, eta)
     return _bisect_quantile(cdf, eta)
 
 

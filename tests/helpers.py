@@ -94,24 +94,29 @@ def naive_upper_power_mean(values, p: float, q: float) -> float:
 
 
 def binary_search_quantile_upper(values, eta: float) -> float:
-    """Smallest sample value with fewer than eta * size values above it, by binary search."""
+    """Smallest sample value whose share of values above it, count / size as the law's tail rounds it,
+    is below eta, by binary search."""
     xs = np.sort(np.abs(np.asarray(values, dtype=float)))
     m = xs.size
-    target = eta * m
 
-    def count_gt(j: int) -> int:
-        return m - int(np.searchsorted(xs, xs[j], side="right"))
+    def share_gt(j: int) -> float:
+        return (m - int(np.searchsorted(xs, xs[j], side="right"))) / m
 
     lo, hi = 0, m - 1
-    if count_gt(lo) < target:
+    if share_gt(lo) < eta:
         return float(xs[0])
     while lo < hi:
         mid = (lo + hi) // 2
-        if count_gt(mid) < target:
+        if share_gt(mid) < eta:
             hi = mid
         else:
             lo = mid + 1
     return float(xs[lo])
+
+
+def brute_force_cut_rank(theta: float, n: int) -> int:
+    """1 + the largest count c in 0..n whose share c / n is below theta, by trying every c."""
+    return 1 + max(c for c in range(n + 1) if c / n < theta)
 
 
 def grid_ratio_deviation(values, cdf, level: float, t_grid) -> float:

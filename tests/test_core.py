@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 from scipy import integrate
 
 import lptrim
-from helpers import fraction_trimmed_mean, naive_power_mean, naive_upper_power_mean
+from helpers import brute_force_cut_rank, fraction_trimmed_mean, naive_power_mean, naive_upper_power_mean
 from lptrim.core import (
     _ascending_head_mean,
     _ascending_threshold,
@@ -117,6 +117,22 @@ class TestTrimmedPMean:
         assert cut_rank(0.5, 4) == 2
         assert cut_rank(1e-9, 50) == 1
 
+    def test_cut_rank_holds_no_tolerance(self):
+        # 7 / 100 < theta, so only 7 values may be discarded: the rank is ceil(theta n) = 8, not 7
+        assert cut_rank(0.0700000000001, 100) == 8
+        assert cut_rank(0.07, 100) == 7
+
+    def test_cut_rank_equals_the_brute_force_count(self):
+        # theta at k/n, one and two ulps either side of it, 1e-10 either side, and the extremes of (0, 1)
+        for n in range(1, 201):
+            thetas = [5e-324, float(np.nextafter(1.0, 0.0))]
+            for share in np.arange(1, n) / n:
+                down, up = np.nextafter(share, 0.0), np.nextafter(share, 1.0)
+                thetas += [share, down, up, np.nextafter(down, 0.0), np.nextafter(up, 1.0),
+                           share - 1e-10, share + 1e-10]
+            for theta in map(float, thetas):
+                assert cut_rank(theta, n) == brute_force_cut_rank(theta, n), (theta, n)
+
     def test_matches_exact_rational_arithmetic(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 30))
@@ -186,7 +202,7 @@ class TestTrimThreshold:
         assert trim_threshold([4, 4, 4, 4], 0.75) == 4.0
 
     def test_count_at_or_above_threshold(self, rng):
-        # with distinct values exactly ceil(theta n) entries are >= the threshold
+        # with distinct values exactly cut_rank(theta, n) entries are >= the threshold
         for _ in range(25):
             n = int(rng.integers(3, 60))
             values = rng.permutation(np.arange(1, n + 1)).astype(float)

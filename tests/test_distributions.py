@@ -15,7 +15,7 @@ from helpers import (
     per_block_streamed_moments,
     per_law_sf,
 )
-from lptrim import distributions
+from lptrim import core, distributions
 from lptrim.cli import main
 from lptrim.distributions import (
     LAPLACE_SCALE,
@@ -422,35 +422,56 @@ class TestStreamedMomentsAgainstChunkedPass:
 
 
 def streamed_draws(ref_size: int, m: int, dim: int) -> list[int]:
-    """The rows of each draw of the streamed pass: the most whole blocks of 2^15 // m rows whose rows x d
-    values fit in 2^15, at least one block, a draw after another until ``ref_size`` rows are drawn."""
-    rows = 2**15 // m
-    group_rows = max(1, 2**15 // (rows * dim)) * rows
+    """The rows of each draw of the streamed pass: the most whole blocks of ``core._BLOCK_ELEMENTS // m``
+    rows whose rows x d values fit in ``core._BLOCK_ELEMENTS``, at least one block, a draw after another
+    until ``ref_size`` rows are drawn."""
+    rows = core._BLOCK_ELEMENTS // m
+    group_rows = max(1, core._BLOCK_ELEMENTS // (rows * dim)) * rows
     return [min(group_rows, ref_size - start) for start in range(0, ref_size, group_rows)]
 
 
-GATE_REF_SIZE = 65_537
+# A block of 2^10 values, at which 1,169 rows cross the boundaries below at every (m, dim) of the gate; the
+# production block of 2^15 values needs 65,537 rows for that.
+GATE_BLOCK_ELEMENTS = 2**10
+GATE_REF_SIZE = 1_169
+PRODUCTION_REF_SIZE = 65_537
+
+LAWS = {"laplace": ("product_laplace", None), "cube": ("cube_uniform", None), "student_t": ("product_student_t", 4.5)}
 
 
 class TestStreamedMomentsAgainstPerBlockDraws:
     """The grouped draws and fused sums of the streamed pass against the per-block pass they replaced."""
 
-    @pytest.mark.parametrize("m", [1, 2, 7, 163, 200, 500])
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 3.0, 5.0])
-    @pytest.mark.parametrize("dim", [1, 3, 20])
-    @pytest.mark.parametrize("name, nu", [("product_laplace", None), ("cube_uniform", None),
-                                          ("product_student_t", 4.5)], ids=["laplace", "cube", "student_t"])
-    def test_truths_equal_bit_for_bit(self, name, nu, dim, p, m):
+    @staticmethod
+    def assert_truths_equal(law, dim, p, m, ref_size):
+        name, nu = LAWS[law]
         spec = DistributionSpec(name, dim, nu)
-        rows, draws = 2**15 // m, streamed_draws(GATE_REF_SIZE, m, dim)
+        rows, draws = core._BLOCK_ELEMENTS // m, streamed_draws(ref_size, m, dim)
         # a draw boundary is crossed, and the last draw is a partial group (if a group can be) of whole
         # blocks and a partial one
         assert len(draws) > 1 and draws[-1] % rows
         assert draws[0] == rows or -(-draws[-1] // rows) < draws[0] // rows
         dirs = sphere_directions(dim, m, 8)
-        got = _streamed_moments(spec, dirs, p, GATE_REF_SIZE, child_rng(6, "stream"))
-        want = per_block_streamed_moments(spec, dirs, p, GATE_REF_SIZE, child_rng(6, "stream"))
+        got = _streamed_moments(spec, dirs, p, ref_size, child_rng(6, "stream"))
+        want = per_block_streamed_moments(spec, dirs, p, ref_size, child_rng(6, "stream"))
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 163, 200, 500])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 3.0, 5.0])
+    @pytest.mark.parametrize("dim", [1, 3, 20])
+    @pytest.mark.parametrize("law", list(LAWS))
+    def test_truths_equal_bit_for_bit(self, monkeypatch, law, dim, p, m):
+        # both bindings: _block_sizes reads core's, the streamed pass its own for the draw group
+        monkeypatch.setattr(core, "_BLOCK_ELEMENTS", GATE_BLOCK_ELEMENTS)
+        monkeypatch.setattr(distributions, "_BLOCK_ELEMENTS", GATE_BLOCK_ELEMENTS)
+        self.assert_truths_equal(law, dim, p, m, GATE_REF_SIZE)
+
+    @pytest.mark.parametrize("law, dim, p, m", [
+        ("laplace", 20, 3.0, 200),  # the sandwich's shape
+        *[(law, dim, p, 1) for law in LAWS for dim in (1, 20) for p in (2.5, 3.0)],
+    ])
+    def test_truths_equal_bit_for_bit_at_the_production_block(self, law, dim, p, m):
+        self.assert_truths_equal(law, dim, p, m, PRODUCTION_REF_SIZE)
 
 
 LAPLACE_SHAPES = [(1, 1), (163, 20), (32_768, 10)]

@@ -44,6 +44,26 @@ ANALYTIC_LAWS = [
 LAW_IDS = ["folded_normal", "half_uniform", "exponential", "folded_student_t6"]
 
 
+# reference samples with one value, ties and atoms, for the quantile rule of a reference law
+REFERENCE_VALUES = [
+    [0.7],
+    [2.0, 2.0, 2.0, 2.0],
+    [0.0, 0.0, 0.0, 1.0, 1.0, 3.0],
+    np.random.default_rng(11).integers(0, 4, size=37) / 3.0,
+    np.random.default_rng(12).exponential(size=50),
+    np.random.default_rng(13).integers(0, 50, size=1000) / 7.0,
+]
+REFERENCE_IDS = ["size_one", "all_equal", "atoms", "ties", "no_ties", "many_ties"]
+
+
+def edge_etas(size: int) -> list[float]:
+    """eta at k/size for 0 < k < size, one ulp either side of it, and the extremes of (0, 1)."""
+    etas = [5e-324, 1e-300, np.nextafter(1.0, 0.0)]
+    for eta in np.arange(1, size) / size:
+        etas += [eta, np.nextafter(eta, 1.0), np.nextafter(eta, 0.0)]
+    return list(map(float, etas))
+
+
 class TestUpperQuantile:
     def test_uniform(self):
         assert upper_quantile(UNIFORM01, 0.1) == pytest.approx(0.9, abs=1e-8)
@@ -72,23 +92,33 @@ class TestUpperQuantile:
             assert cdf.sf_left(q) >= eta
             assert q in cdf.values
 
-    @pytest.mark.parametrize("values", [
-        [0.7],
-        [2.0, 2.0, 2.0, 2.0],
-        [0.0, 0.0, 0.0, 1.0, 1.0, 3.0],
-        np.random.default_rng(11).integers(0, 4, size=37) / 3.0,
-        np.random.default_rng(12).exponential(size=50),
-        np.random.default_rng(13).integers(0, 50, size=1000) / 7.0,
-    ], ids=["size_one", "all_equal", "atoms", "ties", "no_ties", "many_ties"])
+    @pytest.mark.parametrize("values", REFERENCE_VALUES, ids=REFERENCE_IDS)
     def test_reference_law_quantile_equals_the_binary_search(self, values):
-        # eta at k/size, one ulp either side of it, and the extremes of (0, 1)
         cdf = EmpiricalCDF(values)
-        ks = np.arange(1, cdf.size)
-        etas = [5e-324, 1e-300, np.nextafter(1.0, 0.0)]
-        for eta in ks / cdf.size:
-            etas += [eta, np.nextafter(eta, 1.0), np.nextafter(eta, 0.0)]
-        for eta in map(float, etas):
-            assert cdf.quantile_upper(eta) == binary_search_quantile_upper(values, eta), eta
+        for eta in edge_etas(cdf.size):
+            assert upper_quantile(cdf, eta) == binary_search_quantile_upper(values, eta), eta
+
+    @pytest.mark.parametrize("values", REFERENCE_VALUES, ids=REFERENCE_IDS)
+    def test_reference_law_quantile_keeps_its_contract(self, values):
+        # P(f > q) < eta, and P(f > t) >= eta at the next smaller distinct value t, where there is one
+        cdf = EmpiricalCDF(values)
+        for eta in edge_etas(cdf.size):
+            q = upper_quantile(cdf, eta)
+            assert cdf.sf(q) < eta, eta
+            below = cdf.values[cdf.values < q]
+            if below.size:
+                assert cdf.sf(below[-1]) >= eta, eta
+
+    @pytest.mark.parametrize("cdf", ANALYTIC_LAWS, ids=LAW_IDS)
+    def test_analytic_quantile_keeps_its_contract(self, cdf):
+        for eta in (0.5, 0.25, 0.1, 0.07, 0.05, 0.0039, 0.002, 1e-4, 1e-9):
+            assert cdf.sf(upper_quantile(cdf, eta)) < eta, eta
+
+    def test_the_share_at_eta_is_not_below_it(self):
+        # 7 of 100 values exceed 93, a share of 0.07, which is not below eta = 0.07
+        cdf = EmpiricalCDF(np.arange(1, 101))
+        assert upper_quantile(cdf, 0.07) == 94.0
+        assert cdf.sf(94.0) == 0.06 and cdf.sf(93.0) == 0.07
 
 
 class TestTailIntegralMoment:
