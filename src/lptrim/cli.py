@@ -199,6 +199,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # sizes within numpy's largest array that this host cannot hold
+        print(f"config error: the sizes need more memory than this host has: {str(exc) or 'MemoryError'}",
+              file=sys.stderr)
+        return EXIT_USAGE
     except MomentDoesNotExistError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

@@ -9,6 +9,8 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .core import RatioParams, TrimSpec, _check_open_unit, _check_p, theta_from_epsilon
 from .distributions import DEFAULT_REF_SIZE, DIST_NAMES, DistributionSpec
 
@@ -20,6 +22,8 @@ LEMMA_DEFAULT_PS = (1.0, 2.0, 3.0)
 # Under the fork start method a process pool starts every worker at the first
 # submit, so the worker count is bounded by a constant, not by the host's cores.
 MAX_THREADS = 64
+# numpy refuses an array of more than np.intp's largest value in bytes before it allocates anything
+_MAX_ARRAY_FLOATS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
 _KINDS = {"str": "a string", "int": "an integer", "float": "a number"}
 
 
@@ -118,6 +122,11 @@ class ExperimentConfig:
             self.resolved_n, self.resolved_theta
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot derive n and theta from epsilon={self.epsilon}: {exc}") from None
+        # the sample is n x dim and the probe directions directions x dim float64 values
+        for name, rows in (("n", self.resolved_n), ("directions", self.directions)):
+            if rows * self.dim > _MAX_ARRAY_FLOATS:
+                raise ConfigError(f"{name} x dim = {rows} x {self.dim} exceeds numpy's largest float64 array, "
+                                  f"{_MAX_ARRAY_FLOATS} values")
         try:  # TrimSpec checks p and theta, RatioParams delta, lam and C
             self.trim, self.ratio_params
         except ValueError as exc:

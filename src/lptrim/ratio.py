@@ -16,12 +16,13 @@ boundary) and is computed exactly rather than on a grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RatioParams, _as_finite, _blocked_projections, _run_heads, _sorted_abs
+from .core import RatioParams, _as_finite, _blocked_projections, _sorted_abs
 from .distributions import (
     DEFAULT_REF_SIZE,
     REFERENCE_LAWS_KEPT,
@@ -57,8 +58,9 @@ __all__ = [
 class _Distinct:
     """The sorted sample, its distinct values and the true law at them.
 
-    Without ties ``u`` is ``xs``; for an analytic law ``sf_left`` is the same
-    array as ``sf``, since its atom is 0.  No code may write into any field.
+    Without ties ``u`` is ``xs`` and ``above`` the read-only ladder that every
+    report at that n shares; for an analytic law ``sf_left`` is the same array
+    as ``sf``, since its atom is 0.  No code may write into any field.
     """
 
     xs: np.ndarray  # sorted |values|
@@ -74,14 +76,22 @@ def _distinct_pass(values_abs, cdf: MarginalCDF) -> _Distinct:
     """Sort once, group equal values, and evaluate the law once per distinct value."""
     xs = _sorted_abs(values_abs)
     n = xs.size
-    heads = _run_heads(xs)
-    if heads.all():  # no ties, as for a continuous law with probability 1
-        u, above, share = xs, np.arange(n, -1, -1) / n, 1.0 / n
+    differs = xs[1:] != xs[:-1]
+    if differs.all():  # no ties, as for a continuous law with probability 1
+        u, above, share = xs, _share_ladder(n), 1.0 / n
     else:
-        starts = np.flatnonzero(heads)
+        starts = np.flatnonzero(np.concatenate(([True], differs)))
         u, above, share = xs[starts], np.append(n - starts, 0) / n, np.diff(np.append(starts, n)) / n
     sf_u, atom_u, sfl_u = cdf.tails(u)
     return _Distinct(xs=xs, u=u, above=above, share=share, sf=sf_u, atom=atom_u, sf_left=sfl_u)
+
+
+@functools.lru_cache(maxsize=1)  # a run checks every report at one n
+def _share_ladder(n: int) -> np.ndarray:
+    """``(n, n - 1, ..., 0) / n``, the shares at or above each value of n distinct ones; read-only, as it is shared."""
+    ladder = np.arange(n, -1, -1) / n
+    ladder.flags.writeable = False
+    return ladder
 
 
 def _boundary_devs(xs, cdf: MarginalCDF, levels: list[float], sups: list[float]) -> list[float]:
@@ -153,6 +163,9 @@ def _dyadic_levels(d: _Distinct, cdf: MarginalCDF, delta: float, sf0: float) -> 
     so within a group each region is a prefix; a float tail that is not
     nonincreasing is reordered once.  Each group's prefix for delta is
     scanned once, from the innermost prefix outwards, one segment per level.
+    Without atoms and without a zero in the sample both groups read the one
+    array ``sf``: its reorder and prefix sizes serve both, and one scan of
+    the larger of the two deviations at each pair replaces the two scans.
 
     The t -> 0+ pair ``(P_N(f > 0), sf0)`` never raises a supremum, so it is
     left out.  With a zero in the sample it is the right-limit pair at
@@ -166,16 +179,18 @@ def _dyadic_levels(d: _Distinct, cdf: MarginalCDF, delta: float, sf0: float) -> 
     if not levels:
         return ()
     first = int(d.u[0] == 0.0)  # no left limit at 0
+    if first == 0 and d.sf_left is d.sf:  # both groups read sf: one scan of their larger deviation serves both
+        order, pr, sizes = _prefixes(d.sf, levels)
+        dev = _deviations(d.above[:-1], order, pr, sizes[0])
+        np.maximum(dev, _deviations(d.above[1:], order, pr, sizes[0]), out=dev)
+        scans = [(dev, sizes)]
+    else:
+        scans = []
+        for pn, pr in ((d.above[first:-1], d.sf_left[first:]), (d.above[1:], d.sf)):
+            order, pr, sizes = _prefixes(pr, levels)
+            scans.append((_deviations(pn, order, pr, sizes[0]), sizes))
     sups = [0.0] * len(levels)
-    for pn, pr in ((d.above[first:-1], d.sf_left[first:]), (d.above[1:], d.sf)):
-        if np.any(pr[1:] > pr[:-1]):
-            order = np.argsort(-pr, kind="stable")
-            pn, pr = pn[order], pr[order]
-        # size of each prefix {i : pr[i] >= level}, nonincreasing in the level
-        sizes = pr.size - np.searchsorted(pr[::-1], levels, side="left")
-        dev = pn[: sizes[0]] / pr[: sizes[0]]
-        dev -= 1.0
-        np.abs(dev, out=dev)
+    for dev, sizes in scans:
         worst, done = 0.0, 0
         for j in range(len(levels) - 1, -1, -1):
             size = int(sizes[j])
@@ -187,6 +202,25 @@ def _dyadic_levels(d: _Distinct, cdf: MarginalCDF, delta: float, sf0: float) -> 
         DyadicLevel(j=j, level=level, bound=2.0 ** (-j / 2.0), worst_dev=worst)
         for j, (level, worst) in enumerate(zip(levels, _boundary_devs(d.xs, cdf, levels, sups)))
     )
+
+
+def _prefixes(pr: np.ndarray, levels: list[float]) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """``(order, pr[order], sizes)``: the reorder that makes ``pr`` nonincreasing, None when it already is,
+    and the size of each level's prefix {i : pr[i] >= level}, nonincreasing in the level."""
+    order = None
+    if np.any(pr[1:] > pr[:-1]):
+        order = np.argsort(-pr, kind="stable")
+        pr = pr[order]
+    return order, pr, pr.size - np.searchsorted(pr[::-1], levels, side="left")
+
+
+def _deviations(pn: np.ndarray, order: np.ndarray | None, pr: np.ndarray, size: int) -> np.ndarray:
+    """|P_N / P - 1| at the first ``size`` pairs: ``pn`` taken in ``order`` (as is for None), ``pr`` already in it."""
+    if order is not None:
+        pn = pn[order]
+    dev = pn[:size] / pr[:size]
+    dev -= 1.0
+    return np.abs(dev, out=dev)
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +241,24 @@ def interval_excess_sup(values_abs, cdf: MarginalCDF) -> float:
 
 
 def _interval_excess(d: _Distinct) -> float:
-    # prefix form: value(i..j) = Q[j] - (Q[i] - gains[i]); each step in place on two working arrays
-    gains = d.share - 1.5 * d.atom
-    q_pref = np.empty_like(gains)
+    # prefix form: value(i..j) = Q[j] - (Q[i] - gains[i]); each step in place on the working arrays
+    q_pref = np.empty(d.u.size)
     gaps = np.subtract(d.sf[:-1], d.sf[1:], out=q_pref[1:])
-    gaps -= d.atom[1:]
+    if d.sf_left is d.sf:  # no atoms: the gains are the shares themselves, the float 1/n without ties
+        gains, start_cost = d.share, None
+    else:
+        gains = d.share - 1.5 * d.atom
+        gaps -= d.atom[1:]
+        start_cost = gains  # a fresh array that is read no more once the start costs are written
     np.maximum(gaps, 0.0, out=gaps)
     gaps *= 1.5
-    np.subtract(gains[1:], gaps, out=gaps)
-    q_pref[0] = gains[0]
+    scalar = np.ndim(gains) == 0
+    np.subtract(gains if scalar else gains[1:], gaps, out=gaps)
+    q_pref[0] = gains if scalar else gains[0]
     np.cumsum(q_pref, out=q_pref)
+    start_cost = np.subtract(q_pref, gains, out=start_cost)
     # fmin's accumulate is faster than minimum's, and equal here: a NaN would reach q_pref too
-    start_cost = np.fmin.accumulate(np.subtract(q_pref, gains, out=gains), out=gains)
+    np.fmin.accumulate(start_cost, out=start_cost)
     return max(0.0, float(np.max(np.subtract(q_pref, start_cost, out=start_cost))))
 
 

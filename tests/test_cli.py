@@ -14,6 +14,7 @@ import scipy.integrate
 
 import lptrim
 from helpers import second_pass_scan_rows
+from lptrim import cli
 from lptrim.cli import _build_parser, main
 from lptrim.config import ENV_OUT_DIR, MAX_THREADS, ConfigError, ExperimentConfig
 from lptrim.distributions import DistributionSpec, draw_sample
@@ -72,6 +73,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(threads=MAX_THREADS + 1)
 
+    @pytest.mark.parametrize("field", ["n", "directions"])
+    def test_sizes_beyond_numpys_largest_array_rejected(self, field):
+        # validation only: no array of either size is made here, and numpy refuses the larger shape unallocated
+        largest = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+        assert getattr(ExperimentConfig(dim=2, **{field: largest // 2}), field) == largest // 2
+        with pytest.raises(ValueError, match="too big"):
+            np.empty((largest // 2 + 1, 2))
+        with pytest.raises(ConfigError, match=f"^{field} x dim = {largest // 2 + 1} x 2 exceeds"):
+            ExperimentConfig(dim=2, **{field: largest // 2 + 1})
+
     def test_removed_mc_size_is_an_unknown_key(self):
         assert "mc_size" not in ExperimentConfig().echo()
         with pytest.raises(ConfigError):
@@ -113,6 +124,23 @@ class TestExitCodes:
     def test_pass_is_zero(self, tmp_path):
         code, _ = run_cli(SANDWICH_ARGS, tmp_path)
         assert code == 0
+
+    # numpy's error for sizes within its largest array that the host cannot hold, and one without a message
+    @pytest.mark.parametrize("message", ["Unable to allocate 8.00 TiB for an array with shape (1099511627776, 1) "
+                                         "and data type float64", ""], ids=["numpy", "bare"])
+    @pytest.mark.parametrize("command", ["sandwich", "ratio-check", "lemma-check", "compare"])
+    def test_memory_error_is_two(self, tmp_path, capsys, monkeypatch, command, message):
+        def refuse(config):
+            raise MemoryError(message) if message else MemoryError()
+
+        for name in ("run_sandwich", "run_ratio_check", "run_lemma_check", "run_compare"):
+            monkeypatch.setattr(cli, name, refuse)
+        code = main([command, "--out-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1, captured.err
+        assert captured.err.rstrip().endswith(message or "MemoryError")
+        assert captured.out == ""
 
     def test_invalid_epsilon_is_two(self, tmp_path):
         code = main(["sandwich", "--epsilon", "1.5", "--out-dir", str(tmp_path)])

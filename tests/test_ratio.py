@@ -194,6 +194,31 @@ class OneUlpWigglyCDF(MarginalCDF):
         return float(out) if a.ndim == 0 else out
 
 
+# (sampler, law) pairs for the differential gates at ratio-check's sample size, n = 10^4, and at n = 1, 2 and 7
+SIZED_LAWS = [
+    (lambda rng, n: rng.standard_normal(n), FoldedNormalCDF(scale=1.0)),
+    (lambda rng, n: rng.uniform(-1.0, 1.0, n), HalfUniformCDF(width=1.0)),
+    (lambda rng, n: rng.laplace(0.0, 1.0, n), ExponentialCDF(scale=1.0)),
+    (lambda rng, n: rng.standard_t(4.5, n), FoldedStudentTCDF(nu=4.5, scale=1.0)),
+    (lambda rng, n: rng.integers(0, 8, n) / 7.0, EmpiricalCDF(np.random.default_rng(8).integers(0, 8, 10**5) / 7.0)),
+    (lambda rng, n: rng.laplace(0.0, 1.0, n), EmpiricalCDF(np.abs(np.random.default_rng(9).laplace(0.0, 1.0, 10**5)))),
+]
+SIZED_LAW_IDS = ["folded_normal", "half_uniform", "exponential", "student", "reference_with_atoms",
+                 "continuous_reference"]
+
+
+def sample_kinds(values) -> dict[str, np.ndarray]:
+    """A continuous sample, and a tied and a zero-containing one of its size made from it.
+
+    Against an analytic law each takes its own path through the report: the
+    cached share ladder and one scan for both candidate groups; shares per
+    distinct value; and candidate groups that read different tail arrays.
+    """
+    values = np.asarray(values, dtype=float)
+    return {"continuous": values, "tied": np.repeat(values[: (values.size + 1) // 2], 2)[: values.size],
+            "with_zero": np.append(0.0, values[1:])}
+
+
 def _scan_cases():
     """(name, values, law) for the differential gate of the level scan."""
     # Tiny samples leave one candidate between some pairs of levels; against
@@ -223,20 +248,15 @@ def _scan_cases():
         for sample_name, values in samples.items():
             for law_name, cdf in laws.items():
                 cases.append((f"{sample_name}-{law_name}-{seed}", values, cdf))
+    # every sample kind at n = 1, 2 and 7 against the four analytic laws and two reference laws
+    for n in (1, 2, 7):
+        for (draw, cdf), law_name in zip(SIZED_LAWS, SIZED_LAW_IDS):
+            for kind, values in sample_kinds(draw(np.random.default_rng(80 + n), n)).items():
+                cases.append((f"{kind}-n{n}-{law_name}", values, cdf))
     return cases
 
 
 SCAN_CASES = _scan_cases()
-
-# (sampler, law) pairs for the differential gates at ratio-check's sample size, n = 10^4
-SIZED_LAWS = [
-    (lambda rng, n: rng.standard_normal(n), FoldedNormalCDF(scale=1.0)),
-    (lambda rng, n: rng.uniform(-1.0, 1.0, n), HalfUniformCDF(width=1.0)),
-    (lambda rng, n: rng.laplace(0.0, 1.0, n), ExponentialCDF(scale=1.0)),
-    (lambda rng, n: rng.standard_t(4.5, n), FoldedStudentTCDF(nu=4.5, scale=1.0)),
-    (lambda rng, n: rng.integers(0, 8, n) / 7.0, EmpiricalCDF(np.random.default_rng(8).integers(0, 8, 10**5) / 7.0)),
-]
-SIZED_LAW_IDS = ["folded_normal", "half_uniform", "exponential", "student", "reference_with_atoms"]
 
 
 class TestLevelScanAgainstMasks:
@@ -256,8 +276,8 @@ class TestLevelScanAgainstMasks:
     @pytest.mark.parametrize("delta", [0.01, 0.05])
     def test_every_level_equals_the_masked_scan_at_the_workload_size(self, draw, cdf, delta):
         for seed in range(3):
-            values = draw(np.random.default_rng(70 + seed), 10_000)
-            assert report(values, cdf, delta).levels == masked_dyadic_levels(values, cdf, delta)
+            for values in sample_kinds(draw(np.random.default_rng(70 + seed), 10_000)).values():
+                assert report(values, cdf, delta).levels == masked_dyadic_levels(values, cdf, delta)
 
     def test_interval_sup_equals_the_exhaustive_search(self):
         for _, values, cdf in SCAN_CASES:
@@ -287,9 +307,13 @@ class TestLevelScanAgainstMasks:
         for seed in range(5):
             local = np.random.default_rng(40 + seed)
             values = np.append(local.uniform(0.0, 2.0, 400), local.integers(0, 8, 40) / 4.0)
-            d = _distinct_pass(values, cdf)
-            assert d.sf_left is d.sf and np.any(d.sf[1:] > d.sf[:-1])  # both candidate groups are reordered
-            assert report(values, cdf, delta).levels == masked_dyadic_levels(values, cdf, delta)
+            assert np.any(values == 0.0)
+            # with a zero the two candidate groups read different arrays, without one both read sf;
+            # in 60 values single candidates, one ulp apart in the tail, can set the suprema
+            for sample in (values, values[values > 0.0], values[:60]):
+                d = _distinct_pass(sample, cdf)
+                assert d.sf_left is d.sf and np.any(d.sf[1:] > d.sf[:-1])  # both candidate groups are reordered
+                assert report(sample, cdf, delta).levels == masked_dyadic_levels(sample, cdf, delta)
 
 
 class TestIntervalExcess:
@@ -344,8 +368,8 @@ class TestIntervalExcessAgainstTheAllocatingScan:
     @pytest.mark.parametrize("draw, cdf", SIZED_LAWS, ids=SIZED_LAW_IDS)
     def test_samples_at_the_workload_size(self, draw, cdf):
         for seed in range(3):
-            values = draw(np.random.default_rng(60 + seed), 10_000)
-            assert interval_excess_sup(values, cdf) == allocating_interval_excess(values, cdf)
+            for values in sample_kinds(draw(np.random.default_rng(60 + seed), 10_000)).values():
+                assert interval_excess_sup(values, cdf) == allocating_interval_excess(values, cdf)
 
 
 class TestRademacher:
@@ -458,7 +482,11 @@ class TestSharedDistinctPass:
         [-1.0, 1.0, 0.5, -0.5, 0.0],
         np.random.default_rng(3).integers(0, 5, size=200) / 4.0,
         np.random.default_rng(4).standard_normal(300),
-    ], ids=["single", "all_equal", "zeros_first", "signed_ties", "many_ties", "no_ties"])
+        [0.75, -0.25],
+        np.random.default_rng(6).standard_normal(7),
+        np.random.default_rng(7).standard_normal(10_000),
+    ], ids=["single", "all_equal", "zeros_first", "signed_ties", "many_ties", "no_ties", "pair", "seven",
+            "workload_size"])
     def test_distinct_values_and_counts_equal_np_unique(self, values):
         d = _distinct_pass(values, UNIFORM01)
         xs = np.sort(np.abs(np.asarray(values, dtype=float)))
@@ -466,6 +494,11 @@ class TestSharedDistinctPass:
         assert np.array_equal(d.xs, xs)
         assert np.array_equal(d.u, u)
         assert d.above.tobytes() == (np.append(xs.size - first, 0) / xs.size).tobytes()
+        if u.size == xs.size:  # no ties: one read-only ladder serves every report at this n
+            assert d.above.tobytes() == (np.arange(xs.size, -1, -1) / xs.size).tobytes()
+            assert _distinct_pass(xs[::-1], FoldedNormalCDF(scale=1.0)).above is d.above
+            with pytest.raises(ValueError, match="read-only"):
+                d.above[-1] = 1.0
         assert np.broadcast_to(d.share, u.shape).tobytes() == (counts / xs.size).tobytes()
         assert np.array_equal(d.sf, UNIFORM01.sf(u))
         assert np.array_equal(d.sf_left, UNIFORM01.sf_left(u))

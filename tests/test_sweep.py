@@ -4,9 +4,9 @@ Every numeric flag of every subcommand and oracle query is set, one at a
 time, to an extreme value on a tiny run.  Whatever the value, ``main`` must
 return a documented exit code without raising, and neither stdout nor any
 result file may carry a non-finite number.  The grid is fixed, so the sweep
-is deterministic.  Huge integer sizes are left out: ``--trials``, ``--n``,
-``--directions`` and ``--ref-size`` have no ceiling, and 2^63 there would
-run for hours.
+is deterministic.  Huge integer sizes are left out of the sweep:
+``--trials`` and ``--ref-size`` have no ceiling, and 2^63 there would run for
+hours.  ``--n`` and ``--directions`` beyond numpy's largest array are pinned.
 """
 
 import argparse
@@ -65,6 +65,13 @@ PINNED = [
     # the 50-row reference's truth is finite, but the sample's largest values overflow
     (["compare", "--dist=product_laplace", "--dim=1", "--n=2000", "--ref-size=50", "--p=511"], 3),
     (["oracle", "--dist=gaussian", "--query=moment-bounds", "--p=1", "--q=3", "--kappa=5e-324"], 0),
+    # n x dim or directions x dim float64 values beyond numpy's largest array, at dim 2
+    (["compare", "--n=1152921504606846976"], 2),
+    (["ratio-check", "--n=1152921504606846976"], 2),
+    (["lemma-check", "--n=1152921504606846976"], 2),
+    (["sandwich", "--directions=9223372036854775807"], 2),
+    (["compare", "--directions=9223372036854775807"], 2),
+    (["ratio-check", "--directions=9223372036854775807"], 2),
 ]
 
 
