@@ -6,8 +6,9 @@ statistic (the trim threshold, the trimmed p-mean, the truncated power mean
 and the sum of p-th powers above a quantile) has one implementation, an
 ``_ascending_*`` reader of a sorted, nonnegative sample: the sorted |sample|
 that a ``RatioReport`` or an ``EmpiricalCDF`` holds is read without sorting it
-again.  The public functions take any finite sample, sort their own working
-copy of |x| and call the same reader.  No public function mutates its inputs.
+again.  The public functions take any finite sample, sort a copy of |x| and
+call the same reader.  Shared sorted arrays are read-only, and no reader
+writes its input.
 """
 
 from __future__ import annotations
@@ -175,9 +176,6 @@ class TrimSpec:
         _check_p(self.p)
         _check_open_unit("theta", self.theta)
 
-    def cut_rank(self, n: int) -> int:
-        return cut_rank(self.theta, n)
-
 
 @dataclass(frozen=True)
 class RatioParams:
@@ -252,28 +250,15 @@ def nonincreasing_rearrangement(z) -> np.ndarray:
     return _sorted_abs(z)[::-1]
 
 
-def _ascending_power_sums(z: np.ndarray, p: float) -> float:
-    """Sum of the p-th powers of z, a 1-d ascending, nonnegative array that the caller owns.
-
-    z is raised to p in place.  Every p-mean is one call of this kernel; its
-    caller divides by the sample size.
-    """
-    z **= p
-    return float(z.sum())
-
-
 # The ascending readers.  Each reads xs, a 1-d ascending array of nonnegative
 # values, such as the sorted |sample| of a RatioReport or the values of an
-# EmpiricalCDF, and leaves it unchanged: a reader copies only the part it
-# raises to the power.  ``own=True`` hands xs over as the caller's working
-# copy instead, which the reader may overwrite; the sort-first public
-# functions below pass theirs that way.
+# EmpiricalCDF, which are read-only, and powers a fresh array: no reader
+# writes its input.
 
 
-def _ascending_head_mean(xs: np.ndarray, p: float, keep: int, own: bool = False) -> float:
+def _ascending_head_mean(xs: np.ndarray, p: float, keep: int) -> float:
     """(1/n) times the sum of the ``keep`` smallest p-th powers of xs."""
-    head = xs[:keep]
-    return _ascending_power_sums(head if own else head.copy(), p) / xs.size
+    return float((xs[:keep] ** p).sum()) / xs.size
 
 
 def _ascending_threshold(xs: np.ndarray, theta: float) -> float:
@@ -281,25 +266,25 @@ def _ascending_threshold(xs: np.ndarray, theta: float) -> float:
     return float(xs[xs.size - cut_rank(theta, xs.size)])
 
 
-def _ascending_trimmed_mean(xs: np.ndarray, spec: TrimSpec, own: bool = False) -> float:
+def _ascending_trimmed_mean(xs: np.ndarray, spec: TrimSpec) -> float:
     """Mean of the p-th powers of xs without its cut_rank - 1 largest values."""
     n = xs.size
-    return _ascending_head_mean(xs, spec.p, n - spec.cut_rank(n) + 1, own)
+    return _ascending_head_mean(xs, spec.p, n - cut_rank(spec.theta, n) + 1)
 
 
-def _ascending_truncated_mean(xs: np.ndarray, p: float, cap: float, own: bool = False) -> float:
-    """Mean of min(x_i, cap)^p; capping keeps xs ascending."""
+def _ascending_truncated_mean(xs: np.ndarray, p: float, cap: float) -> float:
+    """Mean of min(x_i, cap)^p."""
     _check_p(p)
     if not cap >= 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
-    z = np.minimum(xs, cap, out=xs if own else None)
-    return _ascending_head_mean(z, p, z.size, own=True)
+    z = np.minimum(xs, cap)
+    z **= p
+    return float(z.sum()) / z.size
 
 
 def _ascending_upper_sum(xs: np.ndarray, p: float, q: float) -> float:
     """Sum of x_i^p over the values of xs above q."""
-    above = xs[np.searchsorted(xs, q, side="right"):].copy()
-    return _ascending_power_sums(above, p)
+    return float((xs[np.searchsorted(xs, q, side="right"):] ** p).sum())
 
 
 def trimmed_p_mean(values_abs, spec: TrimSpec) -> float:
@@ -309,7 +294,7 @@ def trimmed_p_mean(values_abs, spec: TrimSpec) -> float:
     powers and divide by n.  Summation runs over the ascending sort so that
     the untrimmed case agrees bit for bit with ``empirical_p_mean``.
     """
-    return _ascending_trimmed_mean(_sorted_abs(values_abs), spec, own=True)
+    return _ascending_trimmed_mean(_sorted_abs(values_abs), spec)
 
 
 def empirical_p_mean(values_abs, p: float) -> float:
@@ -320,7 +305,7 @@ def empirical_p_mean(values_abs, p: float) -> float:
     """
     _check_p(p)
     z = _sorted_abs(values_abs)
-    return _ascending_head_mean(z, p, z.size, own=True)
+    return _ascending_head_mean(z, p, z.size)
 
 
 def trim_threshold(values_abs, theta: float) -> float:
@@ -334,7 +319,7 @@ def truncated_power_mean(values_abs, p: float, cap: float) -> float:
     This equals the integral of p t^(p-1) times the empirical tail fraction
     over (0, cap), computed exactly as a finite sum.
     """
-    return _ascending_truncated_mean(_sorted_abs(values_abs), p, cap, own=True)
+    return _ascending_truncated_mean(_sorted_abs(values_abs), p, cap)
 
 
 def adjusted_trim_levels(theta: float, params: RatioParams) -> tuple[float, float]:

@@ -218,8 +218,10 @@ class MarginalCDF:
         return self.tails(t)[2]
 
     def tails(self, t):
-        """``(sf(t), atom(t), sf_left(t))``: the atom is 0, so sf_left is the sf array itself; no caller may write it."""
+        """``(sf(t), atom(t), sf_left(t))``: the atom is 0, so sf_left is the sf array itself, read-only."""
         sf = self.sf(t)
+        if isinstance(sf, np.ndarray):
+            sf.flags.writeable = False
         return sf, self.atom(t), sf
 
     def exact_moment(self, p: float) -> float | None:
@@ -328,10 +330,11 @@ class FoldedStudentTCDF(MarginalCDF):
 
 
 class EmpiricalCDF(MarginalCDF):
-    """Step CDF over the sorted |values| of a nonempty, finite 1-d reference sample; queries are O(log M)."""
+    """Step CDF over the sorted, read-only |values| of a nonempty, finite 1-d reference sample; queries are O(log M)."""
 
     def __init__(self, values):
         self.values = _sorted_abs(values)
+        self.values.flags.writeable = False
 
     @property
     def size(self) -> int:

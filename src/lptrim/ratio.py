@@ -58,9 +58,10 @@ __all__ = [
 class _Distinct:
     """The sorted sample, its distinct values and the true law at them.
 
-    Without ties ``u`` is ``xs`` and ``above`` the read-only ladder that every
-    report at that n shares; for an analytic law ``sf_left`` is the same array
-    as ``sf``, since its atom is 0.  No code may write into any field.
+    The arrays that more than one reader shares are read-only: ``xs``, which
+    a ``RatioReport`` hands to the validators, is ``u`` too without ties; the
+    ladder ``above`` serves every untied report at that n; and for an
+    analytic law ``sf_left`` is the same array as ``sf``, since its atom is 0.
     """
 
     xs: np.ndarray  # sorted |values|
@@ -75,6 +76,7 @@ class _Distinct:
 def _distinct_pass(values_abs, cdf: MarginalCDF) -> _Distinct:
     """Sort once, group equal values, and evaluate the law once per distinct value."""
     xs = _sorted_abs(values_abs)
+    xs.flags.writeable = False
     n = xs.size
     differs = xs[1:] != xs[:-1]
     if differs.all():  # no ties, as for a continuous law with probability 1

@@ -319,21 +319,22 @@ class StubUniforms:
         return float(out[0]) if size is None else out.reshape(size)
 
 
-def chunked_reference_moments(spec, dirs, p: float, ref_size: int, rng) -> np.ndarray:
+def chunked_reference_moments(spec, dirs, p: float, ref_size: int, rng, chunk_rows: int, block_rows: int) -> np.ndarray:
     """The mean of |X @ dirs.T|^p over ``ref_size`` rows of ``rng``, chunk by chunk.
 
-    The moment oracle's earlier pass: 200,000-row chunks of draws, each
-    projected 4,096 rows at a time, with |x|^p for the integers 3 <= p <= 5
-    as a chain of multiplies by a copy of |x|; the rows come from
-    ``_reference_rows``, as the oracle's do.  The streamed pass in
-    ``lptrim.distributions`` must agree with it to round-off.
+    The moment oracle's earlier pass: ``chunk_rows``-row chunks of draws
+    (200,000 in production), each projected ``block_rows`` rows at a time
+    (4,096), with |x|^p for the integers 3 <= p <= 5 as a chain of multiplies
+    by a copy of |x|; the rows come from ``_reference_rows``, as the oracle's
+    do.  The streamed pass in ``lptrim.distributions`` must agree with it to
+    round-off.
     """
     dirs = np.asarray(dirs, dtype=float)
     acc = np.zeros(dirs.shape[0])
-    for chunk_start in range(0, ref_size, 200_000):
-        chunk = _reference_rows(spec, min(200_000, ref_size - chunk_start), rng)
-        for start in range(0, chunk.shape[0], 4096):
-            out = np.abs(chunk[start : start + 4096] @ dirs.T)
+    for chunk_start in range(0, ref_size, chunk_rows):
+        chunk = _reference_rows(spec, min(chunk_rows, ref_size - chunk_start), rng)
+        for start in range(0, chunk.shape[0], block_rows):
+            out = np.abs(chunk[start : start + block_rows] @ dirs.T)
             acc += copyto_power_chain(out, p).sum(axis=0)
     return acc / ref_size
 

@@ -16,7 +16,15 @@ from lptrim.checks import (
     trial_errors,
 )
 from lptrim.config import ExperimentConfig
-from lptrim.core import RatioParams, TrimSpec, project_abs, trim_threshold, trimmed_p_mean, truncated_power_mean
+from lptrim.core import (
+    RatioParams,
+    TrimSpec,
+    cut_rank,
+    project_abs,
+    trim_threshold,
+    trimmed_p_mean,
+    truncated_power_mean,
+)
 from lptrim.distributions import (
     DistributionSpec,
     EmpiricalCDF,
@@ -188,6 +196,33 @@ class TestScanGrid:
         assert all(np.isfinite(row.upper_slack) and np.isfinite(row.lower_slack) for row in rows)
 
 
+VALIDATORS = {
+    "threshold": lambda rep: check_trim_threshold_sandwich(rep, 0.1),
+    "brackets": lambda rep: check_trimmed_sum_brackets(rep, TrimSpec(p=2.0, theta=0.1)),
+    "integral": lambda rep: check_empirical_integral_sandwich(rep, 2.0, upper_quantile(rep.cdf, 0.1)),
+    "moment": lambda rep: check_moment_sandwich(rep, TrimSpec(p=2.0, theta=0.1)),
+}
+
+
+@pytest.mark.parametrize("law", ["analytic", "reference"])
+def test_validators_read_a_read_only_report_without_writing(law):
+    values, cdf = gaussian_values()
+    if law == "reference":
+        cdf = EmpiricalCDF(np.random.default_rng(4).standard_normal(100_000))
+    values.flags.writeable = False
+    rep = report(values, cdf)
+    shared = [rep.values] + ([cdf.values] if law == "reference" else [])
+    before = [a.tobytes() for a in (values, *shared)]
+    for name, validate in VALIDATORS.items():
+        # a verdict other than not-applicable: the check read the sample
+        assert validate(rep).verdict is not Verdict.NOT_APPLICABLE, name
+    assert scan_error_constant_grid(rep, 2.0)
+    assert [a.tobytes() for a in (values, *shared)] == before
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+
+
 def compare_rows(tmp_path, **fields):
     """The rows file of one run_compare call, as a structured array."""
     result = run_compare(ExperimentConfig(out_dir=str(tmp_path), **fields))
@@ -255,7 +290,7 @@ def test_blocked_projection_matches_the_per_direction_loop(case, theta, monkeypa
             np.testing.assert_allclose([getattr(r, column) for r in rows], [getattr(r, column) for r in naive],
                                        rtol=0, atol=1e-12, err_msg=f"{law.label} {column}")
     assert row.winner == naive_row.winner
-    if trim.cut_rank(n) == 1:
+    if cut_rank(trim.theta, n) == 1:
         for row_ in (row, naive_row):
             assert (row_.q50_trimmed, row_.q95_trimmed, row_.max_trimmed) == (
                 row_.q50_mean, row_.q95_mean, row_.max_mean)

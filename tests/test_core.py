@@ -156,19 +156,24 @@ class TestTrimmedPMeanRows:
         atoms = np.where(rng.random((6, 9000)) < 0.3, 0.0, continuous)
         spec = TrimSpec(p=p, theta=theta)
         for rows in (continuous, ties, atoms, continuous[:, :1], -np.abs(ties[:1, :17])):
-            drop = spec.cut_rank(rows.shape[1]) - 1
+            drop = cut_rank(theta, rows.shape[1]) - 1
             expected = [naive_power_mean(row, p, drop=drop) for row in rows]
             assert [trimmed_p_mean(row, spec) for row in rows] == expected
             # strided rows, as of the transpose of an (n, m) projection matrix
             assert [trimmed_p_mean(row, spec) for row in np.asfortranarray(rows)] == expected
 
     def test_leaves_the_block_unchanged(self):
-        # compare estimates both means from the same view into a projection block
+        # compare estimates both means from the same view into a projection block; a read-only one takes them too
         rows = np.array([[3.0, -1.0, 2.0], [0.5, -4.0, 1.0]])
-        for row in rows:
-            trimmed_p_mean(row, TrimSpec(p=2.0, theta=0.5))
-            empirical_p_mean(row, 2.0)
-        assert rows.tolist() == [[3.0, -1.0, 2.0], [0.5, -4.0, 1.0]]
+        frozen = rows.copy()
+        frozen.flags.writeable = False
+        for block in (rows, frozen):
+            for row in block:
+                trimmed_p_mean(row, TrimSpec(p=2.0, theta=0.5))
+                empirical_p_mean(row, 2.0)
+                trim_threshold(row, 0.5)
+                truncated_power_mean(row, 2.0, 1.5)
+            assert block.tolist() == [[3.0, -1.0, 2.0], [0.5, -4.0, 1.0]]
 
     def test_rejects_bad_input(self):
         spec = TrimSpec(p=2.0, theta=0.1)
@@ -386,6 +391,7 @@ def _with_examples(test):
 def test_ascending_readers_equal_the_sort_first_functions_bit_for_bit(values, theta, p, seed):
     x = np.array(values)
     xs = np.sort(np.abs(x))
+    xs.flags.writeable = False  # as a report's sample and a reference law's values are
     before = xs.copy()
     shuffled = np.random.default_rng(seed).permutation(x)
     spec = TrimSpec(p=p, theta=theta)
@@ -413,6 +419,22 @@ def test_report_values_are_the_ascending_nonnegative_sample(values, theta, p, se
     assert not np.signbit(xs).any()
     assert xs.tobytes() == np.sort(np.abs(before)).tobytes()
     assert x.tobytes() == before.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        xs[0] = 1.0
+
+
+def test_reference_law_queries_leave_its_values_unchanged():
+    """A reference law's sorted values are read-only, and every oracle query reads them without writing."""
+    cdf = EmpiricalCDF(np.random.default_rng(3).standard_t(5.0, size=2001))
+    before = cdf.values.tobytes()
+    upper_quantile(cdf, 0.1)
+    raw_moment(cdf, 2.5)
+    tail_integral_moment(cdf, 2.5, 1.0)
+    error_functional(cdf, 2.5, 1.0, 0.1)
+    truncated_upper_moment(cdf, 2.5, 0.1)
+    assert cdf.values.tobytes() == before
+    with pytest.raises(ValueError, match="read-only"):
+        cdf.values[0] = 1.0
 
 
 NAN = float("nan")

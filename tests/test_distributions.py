@@ -259,6 +259,11 @@ class TestMarginalCDF:
             got = cdf.tails(t)
             assert [type(x) for x in got] == [type(sf)] * 3
             assert np.array(got).tobytes() == np.array([sf, atom, sf + atom]).tobytes()
+        # sf_left is the sf array itself, which no reader may write
+        sf, _, sf_left = cdf.tails(np.array(points))
+        assert sf_left is sf
+        with pytest.raises(ValueError, match="read-only"):
+            sf[0] = 0.5
 
     def test_reference_law_tails_are_the_three_counts_bit_for_bit(self):
         # 999 signed values on 13 levels, 0 among them: every |value| is tied and carries an atom
@@ -387,6 +392,13 @@ STREAMED_LAWS = [
 ]
 
 
+# The chunked pass's chunk and projection block, 200,000 and 4,096 rows at the production block of 2^15 values,
+# scale with the block.  At a block of 2^10 values (a chunk of 6,250 rows, a projection block of 128), 6,407
+# rows leave a partial chunk and a partial last block at each m, as 205,001 rows do at the production block.
+SMALL_BLOCK_ELEMENTS, SMALL_REF_SIZE = 2**10, 6_407
+PRODUCTION_BLOCK_ELEMENTS, PRODUCTION_STREAM_SIZE = core._BLOCK_ELEMENTS, 205_001
+
+
 class TestStreamedMomentsAgainstChunkedPass:
     """The block-streamed oracle pass against the chunked pass it replaced."""
 
@@ -395,11 +407,19 @@ class TestStreamedMomentsAgainstChunkedPass:
         pytest.param(spec, p, id=f"{spec.name}-p{p:g}")
         for spec in STREAMED_LAWS for p in (1.0, 1.5, 3.0, 4.0, 5.0) if p < spec.max_finite_moment
     ])
-    def test_truths_agree_to_round_off(self, spec, p, m):
-        # 205,001 rows: a partial chunk for the chunked pass, and a partial last block at each m
+    def test_truths_agree_to_round_off(self, monkeypatch, spec, p, m):
+        # one case per law at the production block, every other at the small one; both bindings patched
+        production = (p, m) == (3.0, 7)
+        block = PRODUCTION_BLOCK_ELEMENTS if production else SMALL_BLOCK_ELEMENTS
+        ref_size = PRODUCTION_STREAM_SIZE if production else SMALL_REF_SIZE
+        monkeypatch.setattr(core, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(distributions, "_BLOCK_ELEMENTS", block)
+        scale = block / PRODUCTION_BLOCK_ELEMENTS
+        chunk_rows, block_rows = int(200_000 * scale), int(4096 * scale)
+        assert ref_size > chunk_rows and ref_size % chunk_rows and ref_size % max(1, block // m)
         dirs = sphere_directions(spec.dim, m, 8)
-        got = _streamed_moments(spec, dirs, p, 205_001, child_rng(6, "stream"))
-        naive = chunked_reference_moments(spec, dirs, p, 205_001, child_rng(6, "stream"))
+        got = _streamed_moments(spec, dirs, p, ref_size, child_rng(6, "stream"))
+        naive = chunked_reference_moments(spec, dirs, p, ref_size, child_rng(6, "stream"), chunk_rows, block_rows)
         assert got == pytest.approx(naive, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("draw", [_draw_matrix, _reference_rows], ids=lambda f: f.__name__)
