@@ -122,10 +122,12 @@ class ExperimentConfig:
             self.resolved_n, self.resolved_theta
         except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise ConfigError(f"cannot derive n and theta from epsilon={self.epsilon}: {exc}") from None
-        # the sample is n x dim and the probe directions directions x dim float64 values
-        for name, rows in (("n", self.resolved_n), ("directions", self.directions)):
-            if rows * self.dim > _MAX_ARRAY_FLOATS:
-                raise ConfigError(f"{name} x dim = {rows} x {self.dim} exceeds numpy's largest float64 array, "
+        # float64 values: the sample is n x dim, the probe directions directions x dim, a reference
+        # law ref_size, and run_sandwich's rows trials x directions
+        for name, sizes in (("n x dim", (self.resolved_n, self.dim)), ("directions x dim", (self.directions, self.dim)),
+                            ("ref_size", (self.ref_size,)), ("trials x directions", (self.trials, self.directions))):
+            if math.prod(sizes) > _MAX_ARRAY_FLOATS:
+                raise ConfigError(f"{name} = {' x '.join(map(str, sizes))} exceeds numpy's largest float64 array, "
                                   f"{_MAX_ARRAY_FLOATS} values")
         try:  # TrimSpec checks p and theta, RatioParams delta, lam and C
             self.trim, self.ratio_params

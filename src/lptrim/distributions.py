@@ -198,9 +198,17 @@ class MarginalCDF:
         return repr(self)
 
     def sf(self, t):
+        """P(f > t): 1 below 0, ``_tail`` elsewhere; a fresh array for an array query.
+
+        An array whose least entry is >= 0 (a ratio report's sorted absolute
+        values) goes to ``_tail`` as it is; one with a negative entry or a
+        NaN is clamped at 0 and its negative entries set to 1.
+        """
         if isinstance(t, float):
             return 1.0 if t < 0 else float(self._tail(t))
         def tail(a):
+            if a.size and a.min() >= 0:
+                return np.asarray(self._tail(a))
             out = np.asarray(self._tail(np.maximum(a, 0.0)))  # a fresh array, 0-d for a 0-d a
             np.copyto(out, 1.0, where=a < 0)
             return out
@@ -218,7 +226,11 @@ class MarginalCDF:
         return self.tails(t)[2]
 
     def tails(self, t):
-        """``(sf(t), atom(t), sf_left(t))``: the atom is 0, so sf_left is the sf array itself, read-only."""
+        """``(sf(t), atom(t), sf_left(t))``: the atom is 0, so sf_left is the sf array itself, read-only.
+
+        A law with atoms overrides this; there too ``sf_left is sf`` when it
+        has no mass at the queried points.
+        """
         sf = self.sf(t)
         if isinstance(sf, np.ndarray):
             sf.flags.writeable = False
@@ -347,10 +359,25 @@ class EmpiricalCDF(MarginalCDF):
         return self.tails(t)[1]
 
     def tails(self, t):
-        """``(sf(t), atom(t), sf_left(t))``, each counted exactly from one left and one right search."""
+        """``(sf(t), atom(t), sf_left(t))``, each counted exactly from the sorted values.
+
+        An array query makes one right search.  When no queried point equals
+        a value, the counts left and right of each point agree, so the atoms
+        are 0 and, as for an analytic law, ``sf_left`` is the read-only
+        ``sf`` array itself.  Otherwise, and for a float or 0-d query, a left
+        search counts the values below each point.
+        """
         xs, m = self.values, self.values.size
-        left, right = (_scalar_or_array(t, lambda a, side=side: np.searchsorted(xs, a, side=side))
-                       for side in ("left", "right"))
+        a = np.asarray(t, dtype=np.float64)
+        right = np.searchsorted(xs, a, side="right")
+        # a point ties when xs[right - 1] equals it; right = 0 reads xs[-1], which a point below xs[0] is not
+        if a.ndim and not np.any(xs[right - 1] == a):
+            sf = (m - right) / m
+            sf.flags.writeable = False
+            return sf, np.zeros(a.shape), sf
+        left = np.searchsorted(xs, a, side="left")
+        if a.ndim == 0:
+            left, right = float(left), float(right)
         return (m - right) / m, (right - left) / m, (m - left) / m
 
 

@@ -60,8 +60,10 @@ class _Distinct:
 
     The arrays that more than one reader shares are read-only: ``xs``, which
     a ``RatioReport`` hands to the validators, is ``u`` too without ties; the
-    ladder ``above`` serves every untied report at that n; and for an
-    analytic law ``sf_left`` is the same array as ``sf``, since its atom is 0.
+    ladder ``above`` serves every untied report at that n; and ``sf_left is
+    sf`` for any law with no mass at the queried points (an analytic law, or
+    a reference law none of whose values is a sample value), since the atoms
+    there are 0.  Such a report takes the atom-free scans.
     """
 
     xs: np.ndarray  # sorted |values|
@@ -100,7 +102,8 @@ def _boundary_devs(xs, cdf: MarginalCDF, levels: list[float], sups: list[float])
     """Each level's ``sups`` entry raised to the deviation at the boundary of {t > 0 : P(f > t) >= level}.
 
     The boundary is the level's upper quantile Q(level); the sample's tails
-    at all of them come from one left and one right search.
+    at all of them come from one left and one right search, and so do a
+    reference law's, whose quantiles are its own values.
     """
     # The region of level 1 is {t > 0 : P(f > t) = 1}, reached only by a
     # reference law, whose tail is 1 exactly below its smallest value, Q(1).

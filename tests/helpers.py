@@ -391,12 +391,13 @@ def copyto_power_chain(x: np.ndarray, p: float) -> np.ndarray:
     return x ** p
 
 
-def chunked_reference_values(spec, ref_size: int, v) -> np.ndarray:
-    """The sorted |<x_i, v>| of a reference law, drawn in 200,000-row chunks.
+def chunked_reference_values(spec, ref_size: int, v, chunk_rows: int) -> np.ndarray:
+    """The sorted |<x_i, v>| of a reference law, drawn in ``chunk_rows``-row chunks.
 
-    ``marginal_cdf``'s earlier reference build, seeded as it is by (label,
-    ref_size, v) and drawn through ``_reference_rows`` as it is; the
-    block-built reference law must equal it bit for bit.
+    ``marginal_cdf``'s earlier reference build (200,000-row chunks in
+    production), seeded as it is by (label, ref_size, v) and drawn through
+    ``_reference_rows`` as it is; the block-built reference law must equal it
+    bit for bit.
     """
     v = np.asarray(v, dtype=float)
     digest = hashlib.blake2s(v.tobytes()).hexdigest()
@@ -404,7 +405,7 @@ def chunked_reference_values(spec, ref_size: int, v) -> np.ndarray:
     parts = []
     remaining = ref_size
     while remaining > 0:
-        rows = min(200_000, remaining)
+        rows = min(chunk_rows, remaining)
         parts.append(np.abs(_reference_rows(spec, rows, rng) @ v))
         remaining -= rows
     return np.sort(np.concatenate(parts))

@@ -77,11 +77,22 @@ class TestConfig:
     def test_sizes_beyond_numpys_largest_array_rejected(self, field):
         # validation only: no array of either size is made here, and numpy refuses the larger shape unallocated
         largest = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
-        assert getattr(ExperimentConfig(dim=2, **{field: largest // 2}), field) == largest // 2
+        # one trial, so that trials x directions stays within the ceiling too
+        assert getattr(ExperimentConfig(dim=2, trials=1, **{field: largest // 2}), field) == largest // 2
         with pytest.raises(ValueError, match="too big"):
             np.empty((largest // 2 + 1, 2))
         with pytest.raises(ConfigError, match=f"^{field} x dim = {largest // 2 + 1} x 2 exceeds"):
-            ExperimentConfig(dim=2, **{field: largest // 2 + 1})
+            ExperimentConfig(dim=2, trials=1, **{field: largest // 2 + 1})
+
+    def test_reference_and_row_counts_beyond_numpys_largest_array_rejected(self):
+        # a reference law holds ref_size float64 values, and run_sandwich's rows trials x directions
+        largest = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+        assert ExperimentConfig(ref_size=largest).ref_size == largest
+        with pytest.raises(ConfigError, match=f"^ref_size = {largest + 1} exceeds"):
+            ExperimentConfig(ref_size=largest + 1)
+        assert ExperimentConfig(trials=largest // 4, directions=4).trials == largest // 4
+        with pytest.raises(ConfigError, match=f"^trials x directions = {largest // 4 + 1} x 4 exceeds"):
+            ExperimentConfig(trials=largest // 4 + 1, directions=4)
 
     def test_removed_mc_size_is_an_unknown_key(self):
         assert "mc_size" not in ExperimentConfig().echo()
@@ -141,6 +152,21 @@ class TestExitCodes:
         assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1, captured.err
         assert captured.err.rstrip().endswith(message or "MemoryError")
         assert captured.out == ""
+
+    # a reference law holds ref_size float64 values, and run_sandwich's rows trials x directions
+    @pytest.mark.parametrize("flag, message", [
+        ("--ref-size", "ref_size = 9223372036854775807 exceeds"),
+        ("--trials", "trials x directions = 9223372036854775807 x 2 exceeds"),
+    ], ids=["ref-size", "trials"])
+    @pytest.mark.parametrize("command", ["sandwich", "ratio-check", "lemma-check", "compare"])
+    def test_size_beyond_the_largest_array_is_two(self, tmp_path, capsys, command, flag, message):
+        out_dir = tmp_path / "out"
+        code = main([command, "--directions", "2", flag, str(2**63 - 1), "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"config error: {message} numpy's largest float64 array"), captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out_dir.exists()
 
     def test_invalid_epsilon_is_two(self, tmp_path):
         code = main(["sandwich", "--epsilon", "1.5", "--out-dir", str(tmp_path)])

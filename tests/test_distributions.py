@@ -196,6 +196,32 @@ class TestMomentEquivalenceMetadata:
         assert np.all(ratio <= bound * (1 + 1e-12))
 
 
+def reference_tail_queries() -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """(kind, reference values, query points) for the three-count gate of ``EmpiricalCDF.tails``.
+
+    ``tied``: 999 signed values on 13 levels, 0 among them, queried at and
+    between the levels; ``continuous``: 999 distinct values above 0, queried
+    at sorted points between them, which tie nowhere; ``continuous_at_values``:
+    the same points and three of the values.  Each also holds -inf, -0.0,
+    0.0, +inf and NaN.
+    """
+    tied = np.random.default_rng(5).integers(-6, 7, size=999) / 4.0
+    levels = np.unique(np.abs(tied))
+    assert levels[0] == 0.0
+    between = (levels[1:] + levels[:-1]) / 2
+    cases = [("tied", tied, np.concatenate(([-math.inf, -1.0, -0.25, -0.0, 0.0], levels, between,
+                                            [1.6, 2.0, math.inf, math.nan])))]
+    continuous = np.random.default_rng(5).laplace(size=999)
+    magnitudes = np.sort(np.abs(continuous))
+    assert np.unique(magnitudes).size == magnitudes.size and magnitudes[0] > 0.0
+    between = (magnitudes[1:] + magnitudes[:-1]) / 2
+    assert not np.isin(between, magnitudes).any()
+    for kind, at_values in (("continuous", []), ("continuous_at_values", magnitudes[[0, 500, -1]])):
+        cases.append((kind, continuous, np.concatenate(([-math.inf, -1.0, -0.0, 0.0], between, at_values,
+                                                        [10.0, math.inf, math.nan]))))
+    return cases
+
+
 class TestMarginalCDF:
     def test_gaussian_folded_normal(self):
         spec = DistributionSpec("gaussian", 3)
@@ -245,6 +271,13 @@ class TestMarginalCDF:
                 assert np.float64(got).tobytes() == np.float64(want).tobytes(), t
                 assert cdf.atom(t) == 0.0 and type(cdf.atom(t)) is float
             assert cdf.sf(array).tobytes() == per_law_sf(cdf, array).tobytes()
+            # sorted and nonnegative, as a report's distinct values, sf reads the tail without the clamp;
+            # a negative entry without a NaN beside it takes the clamp
+            nonnegative = np.array([-0.0, 0.0, *quartiles, 1e308, math.inf])
+            assert nonnegative.min() >= 0
+            for a in (nonnegative, np.append(-1.0, nonnegative)):
+                assert cdf.sf(a).tobytes() == per_law_sf(cdf, a).tobytes()
+                assert cdf.tails(a)[0].tobytes() == per_law_sf(cdf, a).tobytes()
         assert cdf.atom(array).tobytes() == np.zeros(array.size).tobytes()
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.name)
@@ -266,32 +299,32 @@ class TestMarginalCDF:
             sf[0] = 0.5
 
     def test_reference_law_tails_are_the_three_counts_bit_for_bit(self):
-        # 999 signed values on 13 levels, 0 among them: every |value| is tied and carries an atom
-        values = np.random.default_rng(5).integers(-6, 7, size=999) / 4.0
-        cdf = EmpiricalCDF(values)
-        assert cdf.values[0] == 0.0
-        levels = np.unique(cdf.values)
-        between = (levels[1:] + levels[:-1]) / 2
-        points = np.concatenate(([-math.inf, -1.0, -0.25, -0.0, 0.0], levels, between, [1.6, 2.0, math.inf, math.nan]))
-        m, magnitudes = values.size, np.abs(values)
-        counts = np.array([
-            [np.count_nonzero(magnitudes > t) / m for t in points],
-            [np.count_nonzero(magnitudes == t) / m for t in points],
-            [np.count_nonzero(magnitudes >= t) / m for t in points],
-        ])
+        for kind, values, points in reference_tail_queries():
+            cdf = EmpiricalCDF(values)
+            m, magnitudes = values.size, np.abs(values)
+            counts = np.array([
+                [np.count_nonzero(magnitudes > t) / m for t in points],
+                [np.count_nonzero(magnitudes == t) / m for t in points],
+                [np.count_nonzero(magnitudes >= t) / m for t in points],
+            ])
+            ties = kind != "continuous"
+            assert counts[1].any() == ties
 
-        def each_query(t):
-            return [*cdf.tails(t), cdf.sf(t), cdf.atom(t), cdf.sf_left(t)]
+            def each_query(t):
+                return [*cdf.tails(t), cdf.sf(t), cdf.atom(t), cdf.sf_left(t)]
 
-        got = each_query(points)
-        assert all(type(x) is np.ndarray and x.dtype == np.float64 for x in got)
-        assert np.array(got).tobytes() == np.concatenate((counts, counts)).tobytes()
-        for i, t in enumerate(points.tolist()):
-            want = counts[:, i].tolist() * 2
-            for query in (t, np.float64(t), np.array(t)):
-                got = each_query(query)
-                assert all(type(x) is float for x in got), query
-                assert np.array(got).tobytes() == np.array(want).tobytes(), query
+            got = each_query(points)
+            assert all(type(x) is np.ndarray and x.dtype == np.float64 for x in got)
+            assert np.array(got).tobytes() == np.concatenate((counts, counts)).tobytes(), kind
+            # one search when no point ties: sf_left is the read-only sf array itself, as for an analytic law
+            sf, _, sf_left = cdf.tails(points)
+            assert (sf_left is sf) == (not ties) and sf.flags.writeable == ties, kind
+            for i, t in enumerate(points.tolist()):
+                want = counts[:, i].tolist() * 2
+                for query in (t, np.float64(t), np.array(t)):
+                    got = each_query(query)
+                    assert all(type(x) is float for x in got), query
+                    assert np.array(got).tobytes() == np.array(want).tobytes(), query
 
     def test_empirical_below_minimum_is_zero(self):
         cdf = EmpiricalCDF([1.0, 2.0, 3.0])
@@ -563,22 +596,37 @@ class TestLaplaceReferenceRows:
         assert draw_sample(DistributionSpec("product_laplace", dim), n, seed).data.tobytes() == want.tobytes()
 
 
+REFERENCE_GATE_SPECS = [
+    DistributionSpec("product_laplace", 3),
+    DistributionSpec("product_laplace", 10),
+    DistributionSpec("product_laplace", 20),
+    DistributionSpec("cube_uniform", 20),
+    DistributionSpec("product_student_t", 20, nu=4.5),
+]
+# one spec per law, the ratio-laplace-ref benchmark's d = 10 for product_laplace
+PRODUCTION_GATE_SPECS = {REFERENCE_GATE_SPECS[i] for i in (1, 3, 4)}
+
+
 class TestReferenceLawAgainstChunkedBuild:
     """Reference laws drawn in the oracle's blocks against the 200,000-row chunks they replaced."""
 
-    @pytest.mark.parametrize("ref_size", [100_000, 1_000_000, 205_001])
-    @pytest.mark.parametrize("spec", [
-        DistributionSpec("product_laplace", 3),
-        DistributionSpec("product_laplace", 10),
-        DistributionSpec("product_laplace", 20),
-        DistributionSpec("cube_uniform", 20),
-        DistributionSpec("product_student_t", 20, nu=4.5),
-    ], ids=lambda s: f"{s.name}-d{s.dim}")
-    def test_values_equal_bit_for_bit(self, spec, ref_size):
-        # 205,001 rows end in a partial block; the unwrapped build keeps 10^6-row laws out of the cache
+    @pytest.mark.parametrize("ref_size", [6_407, 13_001, 205_001])
+    @pytest.mark.parametrize("spec", REFERENCE_GATE_SPECS, ids=lambda s: f"{s.name}-d{s.dim}")
+    def test_values_equal_bit_for_bit(self, monkeypatch, spec, ref_size):
+        # one case per law at the production block and chunk, every other at a block of 2^10 values and a
+        # chunk of 6,400 rows; both bindings patched; every case ends in a partial block and a partial chunk
+        production = ref_size == 205_001 and spec in PRODUCTION_GATE_SPECS
+        block = PRODUCTION_BLOCK_ELEMENTS if production else SMALL_BLOCK_ELEMENTS
+        monkeypatch.setattr(core, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(distributions, "_BLOCK_ELEMENTS", block)
+        # a multiple of 4 rows, as 200,000 is: OpenBLAS's dgemv groups the rows of ``rows @ v`` in fours
+        chunk_rows = 200_000 if production else 6_400
+        block_rows = block // (1 << (spec.dim - 1).bit_length())
+        assert ref_size > chunk_rows and ref_size % chunk_rows and ref_size % block_rows and chunk_rows % 4 == 0
+        # the unwrapped build keeps the laws out of the cache
         for v in sphere_directions(spec.dim, 3, 11):
             built = _reference_law.__wrapped__(spec, ref_size, v.tobytes())
-            assert np.array_equal(built.values, chunked_reference_values(spec, ref_size, v))
+            assert np.array_equal(built.values, chunked_reference_values(spec, ref_size, v, chunk_rows))
 
 
 def record_reference_blocks(monkeypatch) -> list[tuple]:

@@ -278,6 +278,23 @@ class TestLevelScanAgainstMasks:
         for seed in range(3):
             for values in sample_kinds(draw(np.random.default_rng(70 + seed), 10_000)).values():
                 assert report(values, cdf, delta).levels == masked_dyadic_levels(values, cdf, delta)
+                if isinstance(cdf, EmpiricalCDF):  # one tail array exactly when no sample value is a law value
+                    d = _distinct_pass(values, cdf)
+                    assert (d.sf_left is d.sf) == (not np.isin(d.u, cdf.values).any())
+
+    def test_tie_free_reference_reports_read_one_tail_array(self):
+        # a sample that shares no value with a continuous reference law meets no atom, so its report reads
+        # one tail array as against an analytic law: the two gates here cover the shared level scan (no zero
+        # in the sample) and the atom-free interval scan on these cases
+        checked = one_scan = 0
+        for name, values, cdf in SCAN_CASES:
+            if "continuous_reference" in name or "reference_above_zero" in name:
+                d = _distinct_pass(values, cdf)
+                assert not np.isin(d.u, cdf.values).any(), name
+                assert d.sf_left is d.sf and not np.any(d.atom), name
+                checked += 1
+                one_scan += bool(d.u[0] > 0.0)
+        assert checked >= 50 and one_scan >= 15
 
     def test_interval_sup_equals_the_exhaustive_search(self):
         for _, values, cdf in SCAN_CASES:

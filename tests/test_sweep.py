@@ -4,9 +4,10 @@ Every numeric flag of every subcommand and oracle query is set, one at a
 time, to an extreme value on a tiny run.  Whatever the value, ``main`` must
 return a documented exit code without raising, and neither stdout nor any
 result file may carry a non-finite number.  The grid is fixed, so the sweep
-is deterministic.  Huge integer sizes are left out of the sweep:
-``--trials`` and ``--ref-size`` have no ceiling, and 2^63 there would run for
-hours.  ``--n`` and ``--directions`` beyond numpy's largest array are pinned.
+is deterministic.  Huge integer sizes are left out of the sweep: a size just
+below its ceiling, numpy's largest array, would run for hours.  ``--n`` and
+``--directions`` beyond that ceiling are pinned here, ``--trials`` and
+``--ref-size`` in ``test_cli.py``.
 """
 
 import argparse
