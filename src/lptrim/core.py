@@ -125,11 +125,6 @@ def _sorted_abs(values) -> np.ndarray:
     return z
 
 
-def _run_heads(xs: np.ndarray) -> np.ndarray:
-    """A mask of an ascending xs, true at the first copy of each distinct value."""
-    return np.concatenate(([True], xs[1:] != xs[:-1]))
-
-
 @dataclass(frozen=True)
 class SampleMatrix:
     """An n x d matrix of i.i.d. draws plus the metadata needed to regenerate it.

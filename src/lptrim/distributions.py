@@ -424,14 +424,13 @@ def marginal_cdf(spec: DistributionSpec, v, ref_size: int = DEFAULT_REF_SIZE, *,
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         raise ValueError("direction v = 0 gives a degenerate marginal")
-    if _needs_reference_law(spec, v):
-        # The direction is keyed by its bytes: -0.0 == 0.0 would merge two
-        # directions whose reference seeds differ.
-        build = _reference_law if keep else _reference_law.__wrapped__
-        return build(spec, ref_size, v.tobytes())
-    if spec.name == "gaussian":
-        return FoldedNormalCDF(scale=norm)
-    return _coordinate_abs_cdf(spec, _single_coordinate_weight(v))
+    weight = norm if spec.name == "gaussian" else _single_coordinate_weight(v)
+    if weight is not None:
+        return _coordinate_abs_cdf(spec, weight)
+    # The direction is keyed by its bytes: -0.0 == 0.0 would merge two
+    # directions whose reference seeds differ.
+    build = _reference_law if keep else _reference_law.__wrapped__
+    return build(spec, ref_size, v.tobytes())
 
 
 @lru_cache(maxsize=REFERENCE_LAWS_KEPT)

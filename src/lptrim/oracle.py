@@ -22,7 +22,6 @@ from .core import (
     _check_delta,
     _check_open_unit,
     _check_p,
-    _run_heads,
 )
 from .distributions import EmpiricalCDF, MarginalCDF, MomentDoesNotExistError, _check_moment_exists, _closed_form
 
@@ -106,27 +105,9 @@ def error_functional(cdf: MarginalCDF, p: float, t_max: float, delta: float) -> 
 
 
 def _tail_functional(cdf: MarginalCDF, p: float, t_max: float, root: bool) -> float:
-    """Integral of p t^(p-1) P(f > t), or with ``root`` of p t^(p-1) sqrt(P(f > t)), over (0, t_max)."""
-    _check_p(p)
-    if not t_max >= 0:
-        raise ValueError(f"t_max must be nonnegative, got {t_max}")
-    if t_max == 0:
-        return 0.0
+    """Integral of p t^(p-1) P(f > t), or with ``root`` of p t^(p-1) sqrt(P(f > t)), over (0, t_max).
 
-    def value():
-        if not isinstance(cdf, EmpiricalCDF):
-            return _split_at_cutoff(cdf, p, 0.0, t_max, root)
-        if root:
-            return _empirical_sqrt_tail_integral(cdf, p, t_max)
-        # exact for a step tail: the mean of min(f, t_max)^p over the reference
-        return _ascending_truncated_mean(cdf.values, p, t_max)
-
-    return _closed_form(p, value)
-
-
-def _split_at_cutoff(cdf: MarginalCDF, p: float, t_min: float, t_max: float, root: bool) -> float:
-    """``_tail_integral`` over (t_min, t_max), split at the tail cutoff.
-
+    An analytic law is integrated in pieces split at the tail cutoff.
     Adaptive quadrature over (0, t_max) with t_max far beyond the cutoff
     never samples the mass near 0, and one piece over (cutoff, t_max) misses
     a heavy tail's mass just as it would.  A cap within the cutoff is one
@@ -137,20 +118,34 @@ def _split_at_cutoff(cdf: MarginalCDF, p: float, t_min: float, t_max: float, roo
     by that zero tail would be silently truncated, so it raises
     MomentDoesNotExistError instead.
     """
-    cutoff = tail_cutoff(cdf)
-    value = _tail_integral(cdf, p, t_min, min(t_max, cutoff), root)
-    lo = max(t_min, cutoff)
-    while lo < t_max and cdf.sf(lo) > 0:
-        hi = min(2.0 * lo, t_max)
-        value += _tail_integral(cdf, p, lo, hi, root)
-        lo = hi
-    order = 2.0 * p if root else p
-    if lo < t_max and order >= cdf.max_finite_moment:
-        raise MomentDoesNotExistError(
-            f"the p={p} integral diverges as the cap grows (order {order}, finite only below "
-            f"{cdf.max_finite_moment}), and the float tail is 0 beyond {lo:g}, short of the cap {t_max:g}"
-        )
-    return value
+    _check_p(p)
+    if not t_max >= 0:
+        raise ValueError(f"t_max must be nonnegative, got {t_max}")
+    if t_max == 0:
+        return 0.0
+
+    def value():
+        if isinstance(cdf, EmpiricalCDF):
+            if root:
+                return _empirical_sqrt_tail_integral(cdf, p, t_max)
+            # exact for a step tail: the mean of min(f, t_max)^p over the reference
+            return _ascending_truncated_mean(cdf.values, p, t_max)
+        cutoff = tail_cutoff(cdf)
+        total = _tail_integral(cdf, p, 0.0, min(t_max, cutoff), root)
+        lo = cutoff
+        while lo < t_max and cdf.sf(lo) > 0:
+            hi = min(2.0 * lo, t_max)
+            total += _tail_integral(cdf, p, lo, hi, root)
+            lo = hi
+        order = 2.0 * p if root else p
+        if lo < t_max and order >= cdf.max_finite_moment:
+            raise MomentDoesNotExistError(
+                f"the p={p} integral diverges as the cap grows (order {order}, finite only below "
+                f"{cdf.max_finite_moment}), and the float tail is 0 beyond {lo:g}, short of the cap {t_max:g}"
+            )
+        return total
+
+    return _closed_form(p, value)
 
 
 # The quadratures of analytic laws are memoised: a law is a hashable frozen
@@ -166,9 +161,8 @@ def _tail_integral(cdf: MarginalCDF, p: float, lo: float, hi: float, root: bool)
     Its callers guard against overflow.  A negative result, which the
     integrand cannot give, means the adaptive quadrature failed (a slowly
     decaying tail over a long range): it raises MomentDoesNotExistError naming
-    p, without scipy's warning.  Any other result passes scipy's warnings on;
-    recording them swaps process-wide state, so run concurrent calls in
-    processes, as the runners do.
+    p, with no warning.  Any other failed quadrature returns its value and
+    warns once with scipy's IntegrationWarning message.
     """
     if hi <= lo:
         return 0.0
@@ -179,16 +173,18 @@ def _tail_integral(cdf: MarginalCDF, p: float, lo: float, hi: float, root: bool)
             return 0.0
         return p * t ** (p - 1.0) * (math.sqrt(tail) if root else tail)
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = float(integrate.quad(integrand, lo, hi, epsrel=QUAD_REL_TOL, epsabs=1e-14, limit=400)[0])
+    # a failed quadrature returns scipy's message as a fourth item
+    value, _, _, *failure = integrate.quad(
+        integrand, lo, hi, epsrel=QUAD_REL_TOL, epsabs=1e-14, limit=400, full_output=1
+    )
+    value = float(value)
     if value < 0:
         raise MomentDoesNotExistError(
             f"the p={p} quadrature of a nonnegative integrand over ({lo:g}, {hi:g}) returned {value!r}: "
             "the quadrature failed"
         )
-    for w in caught:
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
+    if failure:
+        warnings.warn(failure[0], integrate.IntegrationWarning)
     return value
 
 
@@ -204,13 +200,9 @@ def raw_moment(cdf: MarginalCDF, p: float) -> float:
 
 def _empirical_sqrt_tail_integral(cdf: EmpiricalCDF, p: float, t_max: float) -> float:
     # sqrt of a step tail is still a step function; sum its pieces exactly.
-    xs, m = cdf.values, cdf.size
-    u = xs[_run_heads(xs)]
-    edges = np.concatenate(([0.0], np.minimum(u, t_max), [t_max]))
+    edges = np.concatenate(([0.0], np.minimum(np.unique(cdf.values), t_max), [t_max]))
     # tail level on each interval (edges[k], edges[k+1]) is the mass above edges[k]
-    counts_gt = m - np.searchsorted(xs, edges[:-1], side="right")
-    widths_p = np.diff(edges ** p)
-    return float(np.sum(np.sqrt(counts_gt / m) * widths_p))
+    return float(np.sum(np.sqrt(cdf.sf(edges[:-1])) * np.diff(edges ** p)))
 
 
 def truncated_upper_moment(cdf: MarginalCDF, p: float, kappa: float) -> float:
@@ -220,9 +212,8 @@ def truncated_upper_moment(cdf: MarginalCDF, p: float, kappa: float) -> float:
     q = upper_quantile(cdf, kappa)
     if isinstance(cdf, EmpiricalCDF):
         return _closed_form(p, lambda: _ascending_upper_sum(cdf.values, p, q) / cdf.size)
-    return _closed_form(
-        p, lambda: q ** p * cdf.sf(q) + _split_at_cutoff(cdf, p, q, max(tail_cutoff(cdf), q), root=False)
-    )
+    # the integral over (q, cutoff); a q beyond the cutoff leaves q^p sf(q) alone
+    return _closed_form(p, lambda: q ** p * cdf.sf(q) + _tail_integral(cdf, p, q, tail_cutoff(cdf), False))
 
 
 def qnorm_error_coef(p: float, q: float) -> float:

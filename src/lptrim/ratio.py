@@ -102,8 +102,10 @@ def _boundary_devs(xs, cdf: MarginalCDF, levels: list[float], sups: list[float])
     """Each level's ``sups`` entry raised to the deviation at the boundary of {t > 0 : P(f > t) >= level}.
 
     The boundary is the level's upper quantile Q(level); the sample's tails
-    at all of them come from one left and one right search, and so do a
-    reference law's, whose quantiles are its own values.
+    at all of them come from one left and one right search.  A reference
+    law's come from one ``tails`` query, whose tie probe always finds these
+    points, since the law's quantiles are its own values, so it searches
+    left as well as right.
     """
     # The region of level 1 is {t > 0 : P(f > t) = 1}, reached only by a
     # reference law, whose tail is 1 exactly below its smallest value, Q(1).

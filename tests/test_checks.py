@@ -185,6 +185,24 @@ class TestMomentSandwich:
         out = check_moment_sandwich(report(values, cdf), TrimSpec(p=2.0, theta=0.015))
         assert out.verdict is Verdict.NOT_APPLICABLE
 
+    def test_deflated_tail_below_delta_not_applicable(self):
+        # theta = 0.045 clears both gates at C = 2, delta = 0.01, but the deflated
+        # level (0.045 - 0.04) / 1.5 = 0.0033 leaves P(f > q_hi) below delta
+        values, cdf = gaussian_values()
+        out = check_moment_sandwich(report(values, cdf), TrimSpec(p=2.0, theta=0.045))
+        assert out.verdict is Verdict.NOT_APPLICABLE
+        assert out.reason.startswith("P(f > deflated quantile)=") and out.reason.endswith("below delta=0.01")
+
+    def test_inflated_level_at_one_takes_the_full_moment(self):
+        # theta_plus = (0.46 + 0.04) / (1 - 0.5) = 1: q_lo is 0 and the tail moment is E f^p
+        values, cdf = gaussian_values()
+        assert core.adjusted_trim_levels(0.46, PARAMS)[0] >= 1.0
+        out = check_moment_sandwich(report(values, cdf), TrimSpec(p=2.0, theta=0.46))
+        assert out.verdict is Verdict.PASS
+        w = out.witnesses
+        assert w["tail_moment_at_inflated_level"] == w["moment"]
+        assert w["error_term_lower"] == 0.0  # err(q_lo) over (0, 0)
+
 
 class TestScanGrid:
     def test_grid_shape_and_fields(self):
@@ -194,6 +212,13 @@ class TestScanGrid:
         assert all(row.theta >= 1 / 2000 for row in rows)
         # informational only: slacks are finite and recorded
         assert all(np.isfinite(row.upper_slack) and np.isfinite(row.lower_slack) for row in rows)
+
+    def test_rows_at_trim_or_cap_level_one_are_skipped(self):
+        # delta = 1/2: c2 = 2 gives theta = 1 and c3 = 2 the level 1, so a 3 x 3 grid remains
+        values, cdf = gaussian_values(2000)
+        rows = scan_error_constant_grid(report(values, cdf, at_delta(0.5)), 2.0)
+        assert [(row.c2, row.c3) for row in rows] == [(c2, c3) for c2 in (0.25, 0.5, 1.0) for c3 in (0.25, 0.5, 1.0)]
+        assert all(row.theta < 1.0 for row in rows)
 
 
 VALIDATORS = {

@@ -14,10 +14,12 @@ import scipy.integrate
 
 import lptrim
 from helpers import second_pass_scan_rows
-from lptrim import cli
+from lptrim import cli, runner
+from lptrim.checks import CheckOutcome, Verdict
 from lptrim.cli import _build_parser, main
 from lptrim.config import ENV_OUT_DIR, MAX_THREADS, ConfigError, ExperimentConfig
 from lptrim.distributions import DistributionSpec, draw_sample
+from lptrim.oracle import BoundCheck
 from lptrim.runner import (
     SampleIntegrityError,
     _fmt,
@@ -348,6 +350,36 @@ class TestExitCodes:
         # delta = 2^-3: the dyadic levels reach P(f > t) = 1 exactly
         assert main(args + ["--delta", "0.125", "--seed", "1", "--out-dir", str(tmp_path)]) == 0
 
+    def test_a_failing_validator_is_one_and_listed(self, tmp_path, monkeypatch):
+        def fail(report, trim):
+            return CheckOutcome("moment_sandwich", Verdict.FAIL, {"lower": 1.0})
+
+        monkeypatch.setattr(runner, "check_moment_sandwich", fail)
+        config = tmp_path / "f.json"
+        config.write_text(json.dumps({"lemma_dists": ["gaussian"], "lemma_ps": [1.0, 2.0]}))
+        code, out_dir = run_cli(["lemma-check", "--n", "2000", "--trials", "2", "--threads", "1",
+                                 "--config", str(config)], tmp_path)
+        assert code == 1
+        results = json.loads((out_dir / "lemma_summary.json").read_text())["results"]
+        assert results["pass"] is False
+        assert results["counts"]["fail"] == 4
+        assert results["failures"] == [
+            {"dist": "gaussian", "p": p, "trial": trial, "check": "moment_sandwich"}
+            for trial in (0, 1) for p in (1.0, 2.0)
+        ]
+
+    @pytest.mark.parametrize("text", ["{\"dim\": 3,", "[3, 5]"], ids=["not-json", "not-an-object"])
+    def test_config_file_that_is_not_a_json_object_is_two(self, tmp_path, capsys, text):
+        config = tmp_path / "f.json"
+        config.write_text(text)
+        out_dir = tmp_path / "out"
+        code = main(["sandwich", "--config", str(config), "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("config error: config file ") and captured.err.count("\n") == 1, captured.err
+        assert captured.out == ""
+        assert not out_dir.exists()
+
     def test_corrupted_sample_file_is_one(self, tmp_path):
         sample = draw_sample(DistributionSpec("gaussian", 1), 200, 5)
         path = save_sample(sample, tmp_path / "sample.npz")
@@ -592,6 +624,19 @@ class TestOracleCommand:
         payload = json.loads(capsys.readouterr().out.strip())
         assert len(payload["value"]) == 3
         assert all(row["ok"] for row in payload["value"])
+
+    def test_a_failing_moment_bound_is_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "check_tail_moment_bounds",
+                            lambda *args: [BoundCheck("held", 1.0, 2.0), BoundCheck("broken", 2.0, 1.0)])
+        code = main([
+            "oracle", "--dist", "gaussian", "--query", "moment-bounds",
+            "--p", "2", "--q", "8", "--kappa", "0.1", "--delta", "0.02",
+        ])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert [(row["name"], row["ok"], row["slack"]) for row in payload["value"]] == [
+            ("held", True, 1.0), ("broken", False, -1.0)
+        ]
 
     def test_infeasible_moment_is_three(self, capsys):
         code = main([
